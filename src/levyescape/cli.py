@@ -301,13 +301,11 @@ def _cmd_probe(args):
                                            record_stride=_i(cfg, "record_stride", 10))
         csv_path = cfg.get("monitor_csv")
         if csv_path:
-            _write_csv(csv_path, ["t", "rho", "tau_m", "tau", "v_min", "v_max"],
-                       [(float(t), float(r), float(tm), float(tv),
-                         report.v_min, report.v_max)
-                        for t, r, tm, tv in zip(report.t, report.rho,
-                                                report.tau_m, report.tau)])
-        result = {"t": report.t, "rho": report.rho, "tau_m": report.tau_m,
-                  "tau": report.tau, "v_min": report.v_min, "v_max": report.v_max}
+            _write_csv(csv_path, ["t", "rho", "tau", "v_min", "v_max"],
+                       [(float(t), float(r), float(tv), report.v_min, report.v_max)
+                        for t, r, tv in zip(report.t, report.rho, report.tau)])
+        result = {"t": report.t, "rho": report.rho, "tau": report.tau,
+                  "v_min": report.v_min, "v_max": report.v_max}
     else:
         raise stable.ParameterError(f"unknown probe mode: {mode!r}")
     _emit(result, cfg, seed, cfg.get("out"), t0)

@@ -160,6 +160,15 @@ class SdeState:
             return cls(theta=theta0, m=np.zeros_like(theta0))
         return cls(theta=theta0, m=np.zeros_like(theta0), v=np.zeros_like(theta0))
 
+    def take(self, keep):
+        """The trajectories selected by ``keep`` along the leading batch axis."""
+        return SdeState(
+            theta=self.theta[keep],
+            m=None if self.m is None else self.m[keep],
+            v=None if self.v is None else self.v[keep],
+            t=self.t,
+        )
+
 
 class SasStream:
     """Buffered per-trial stream of SaS(1) draws.

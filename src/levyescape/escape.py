@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import OptimizerConfig, SasStream, SdeState, levy_step
-from .landscapes import BasinSpec, DoubleWell1D, IntervalRegion, QuadraticBasin
+from .landscapes import BasinSpec, DoubleWell1D, IntervalRegion
 from .stable import ParameterError, SampleSizeError
 
 __all__ = [
@@ -95,53 +95,13 @@ class EscapeStats:
         }
 
 
-def _inner_mask(spec, thetas, margin_factor=1.0):
-    """Vectorized inner-basin membership for a (n, d) batch of points."""
-    region = spec.region
-    margin = margin_factor * spec.margin
-    if isinstance(region, IntervalRegion):
-        x = thetas[:, 0]
-        inside = (region.lo < x) & (x < region.hi)
-        dist = np.minimum(np.abs(x - region.lo), np.abs(x - region.hi))
-        return inside & (dist >= margin)
-    if isinstance(region, QuadraticBasin):
-        d = thetas - region.center
-        q = np.einsum("ni,ij,nj->n", d, region.H, d)
-        inside = region.f_star + 0.5 * q <= region.height
-        with np.errstate(divide="ignore"):
-            s = np.sqrt(region.h_f_star / np.where(q > 0, q, np.inf))
-        norm = np.linalg.norm(d, axis=1)
-        dist = np.where(
-            q > 0, np.abs(s - 1.0) * norm, math.sqrt(region.h_f_star / region.ell)
-        )
-        return inside & (dist >= margin)
-    return np.array([spec.in_inner(row, margin_factor) for row in thetas])
-
-
-def _select(state, keep):
-    return SdeState(
-        theta=state.theta[keep],
-        m=None if state.m is None else state.m[keep],
-        v=None if state.v is None else state.v[keep],
-        t=state.t,
-    )
-
-
 def _run_block(cfg, trial_ids):
     opt = cfg.optimizer
     d = cfg.theta0.size
     n = len(trial_ids)
     streams = [SasStream(opt.alpha, d, cfg.base_seed + int(i)) for i in trial_ids]
     scale = opt.increment_scale(opt.step_h)
-
-    theta = np.tile(cfg.theta0, (n, 1))
-    zeros = np.zeros_like(theta)
-    if opt.kind == "SGD":
-        state = SdeState(theta=theta)
-    elif opt.kind == "SGDM":
-        state = SdeState(theta=theta, m=zeros.copy())
-    else:
-        state = SdeState(theta=theta, m=zeros.copy(), v=zeros.copy())
+    state = SdeState.initial(np.tile(cfg.theta0, (n, 1)), opt.kind)
 
     exit_step = np.full(n, -1, dtype=np.int64)
     active = np.arange(n)
@@ -151,11 +111,11 @@ def _run_block(cfg, trial_ids):
         noise = np.stack([streams[i].draw(chunk) for i in active])
         for j in range(chunk):
             state = levy_step(state, cfg.landscape, opt, scale * noise[:, j, :])
-            ok = _inner_mask(cfg.basin, state.theta)
+            ok = cfg.basin.in_inner(state.theta)
             if not ok.all():
                 exit_step[active[~ok]] = step + j + 1
                 active = active[ok]
-                state = _select(state, ok)
+                state = state.take(ok)
                 noise = noise[ok]
                 if not active.size:
                     break

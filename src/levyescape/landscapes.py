@@ -20,7 +20,6 @@ __all__ = [
     "DoubleWell1D",
     "IntervalRegion",
     "BasinSpec",
-    "in_inner_basin",
 ]
 
 
@@ -98,26 +97,40 @@ class QuadraticBasin(Landscape):
     def minimizer(self):
         return self.center.copy()
 
+    def _offset_form(self, theta):
+        """Offsets d = theta - center and quadratic forms q = d^T H d, per row.
+
+        Elementwise products and last-axis sums keep each row's q independent
+        of the rest of the batch; einsum's summation order changes with the
+        batch size, so a point's basin membership would depend on its batch.
+        """
+        d = np.asarray(theta, dtype=float) - self.center
+        return d, np.sum(d * np.sum(self.H * d[..., None, :], axis=-1), axis=-1)
+
     def contains(self, theta):
-        return self.value(np.atleast_1d(theta)) <= self.height
+        """Basin membership of a (d,) point (0-d result) or a (..., d) batch."""
+        _, q = self._offset_form(theta)
+        return self.f_star + 0.5 * q <= self.height
 
     def boundary_distance(self, theta):
-        """Euclidean distance from ``theta`` to the basin boundary.
+        """Ray distance from ``theta`` to the basin boundary, per (..., d) row.
 
-        Exact along the ray through the center after whitening by H^(1/2):
-        the boundary point on the ray is center + r_max * d / ||d||_H-scaled,
-        and for points on a common ray the Euclidean gap is (1 - s) ||d||
-        with s = sqrt(quadratic form ratio).  For points off-center this is
-        the ray distance, a lower bound within the ellipsoid used as the
-        inner-basin margin.
+        The boundary point on the ray from the center through ``theta`` is
+        center + s d with s = sqrt(h_f_star / q), q = d^T H d, so the gap
+        along the ray is |s - 1| ||d||.  The ray ends on the boundary, so
+        this is an upper bound on the Euclidean distance to the boundary, not
+        the distance itself: the inner-basin margin admits some points that
+        lie closer to the boundary than the margin.
         """
-        d = np.atleast_1d(np.asarray(theta, dtype=float)) - self.center
-        q = float(d @ self.H @ d)
-        if q == 0.0:
-            # distance from the center along the flattest direction
-            return math.sqrt(self.h_f_star / self.ell)
-        s = math.sqrt(self.h_f_star / q)
-        return abs(s - 1.0) * float(np.linalg.norm(d))
+        d, q = self._offset_form(theta)
+        with np.errstate(divide="ignore"):
+            s = np.sqrt(self.h_f_star / np.where(q > 0, q, np.inf))
+        # at the center: the shortest semi-axis, along the steepest direction
+        return np.where(
+            q > 0,
+            np.abs(s - 1.0) * np.linalg.norm(d, axis=-1),
+            math.sqrt(self.h_f_star / self.ell),
+        )
 
 
 @dataclass
@@ -181,12 +194,13 @@ class IntervalRegion:
         return 1
 
     def contains(self, theta):
-        x = float(np.atleast_1d(theta)[0])
-        return self.lo < x < self.hi
+        """Membership of a (1,) point (0-d result) or a (..., 1) batch."""
+        x = np.asarray(theta, dtype=float)[..., 0]
+        return (self.lo < x) & (x < self.hi)
 
     def boundary_distance(self, theta):
-        x = float(np.atleast_1d(theta)[0])
-        return min(abs(x - self.lo), abs(x - self.hi))
+        x = np.asarray(theta, dtype=float)[..., 0]
+        return np.minimum(np.abs(x - self.lo), np.abs(x - self.hi))
 
 
 @dataclass
@@ -197,7 +211,7 @@ class BasinSpec:
     escape time is the first step the trajectory leaves that inner region.
     """
 
-    region: object  # anything with contains() and boundary_distance()
+    region: object  # contains() and boundary_distance() on (..., d) batches
     eps: float
     gamma: float = 1.0
 
@@ -212,12 +226,7 @@ class BasinSpec:
         return self.eps ** self.gamma
 
     def in_inner(self, theta, margin_factor=1.0):
-        return (
-            self.region.contains(theta)
-            and self.region.boundary_distance(theta) >= margin_factor * self.margin
+        """Inner-basin membership of a (d,) point or a (..., d) batch of points."""
+        return self.region.contains(theta) & (
+            self.region.boundary_distance(theta) >= margin_factor * self.margin
         )
-
-
-def in_inner_basin(spec, theta):
-    """True iff ``theta`` lies in the basin with boundary margin eps^gamma."""
-    return spec.in_inner(theta)

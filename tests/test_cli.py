@@ -129,7 +129,7 @@ def test_probe_monitors_csv(tmp_path):
     assert code == 0
     assert all(r >= 0 for r in doc["result"]["rho"])
     lines = csv.read_text().strip().splitlines()
-    assert lines[0] == "t,rho,tau_m,tau,v_min,v_max"
+    assert lines[0] == "t,rho,tau,v_min,v_max"
     assert len(lines) == len(doc["result"]["t"]) + 1
 
 

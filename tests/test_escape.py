@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -163,3 +164,42 @@ def test_calibration_hits_target():
     )
     assert abs(stats.mean_exit_steps - 80.0) <= 0.05 * 80.0
     assert 5e-5 < eps < 5e-4
+
+
+def _digest(exit_steps):
+    return hashlib.sha256(np.ascontiguousarray(exit_steps, dtype=np.int64).tobytes()).hexdigest()[:16]
+
+
+def test_frozen_seed_exit_steps():
+    # digests recorded before the exit check moved into the basin regions;
+    # any change to stepping, streams or the exit check shows up here
+    got = {}
+    cfg = escape.double_well_config(500.0, 3e-4, trials=60, max_steps=400, base_seed=3,
+                                    gamma=2.0)
+    got["double_well_sgd"] = escape.run_escape_experiment(cfg).exit_steps
+    land = landscapes.QuadraticBasin(H=np.diag([10.0, 0.1]), center=np.zeros(2), height=0.5)
+    opt = dynamics.OptimizerConfig(kind="SGD", alpha=1.5, step_h=0.05, noise_scale=0.03,
+                                   sigma=np.array([3.0, 0.1]), beta1=0.9, beta2=0.99)
+    cfg = escape.EscapeConfig(landscape=land, basin=landscapes.BasinSpec(land, 0.03, 2.0),
+                              optimizer=opt, theta0=np.zeros(2), trials=80, max_steps=300,
+                              base_seed=8)
+    rep = escape.compare_optimizers(cfg, q_fixed_adam=np.array([3.0, 0.1]))
+    for kind, stats in rep["stats"].items():
+        got[f"sigma_{kind}"] = stats.exit_steps
+    land = landscapes.QuadraticBasin(H=np.array([[3.0, 1.0], [1.0, 2.0]]),
+                                     center=np.array([0.1, -0.2]), height=0.5)
+    opt = dynamics.OptimizerConfig(kind="ADAM", alpha=1.5, step_h=0.05, noise_scale=0.1,
+                                   beta1=0.9, beta2=0.99, eps_adam=0.5, v_noise_scale=0.5)
+    cfg = escape.EscapeConfig(landscape=land, basin=landscapes.BasinSpec(land, 0.1, 2.0),
+                              optimizer=opt, theta0=np.array([0.3, -0.2]), trials=60,
+                              max_steps=300, base_seed=21)
+    got["dense_adam"] = escape.run_escape_experiment(cfg).exit_steps
+    assert {k: _digest(v) for k, v in got.items()} == {
+        "double_well_sgd": "1436548056a7ecee",
+        "sigma_SGD": "e82e0f1cbdf9c6fc",
+        "sigma_ADAM": "3f86eb34294ab83c",
+        "sigma_SGDM": "7f44a645ec57ab9d",
+        "dense_adam": "5ea3715e41c9bc4e",
+    }
+    # each ensemble mixes exits with censored trials or spreads its exits
+    assert all(np.unique(v).size > 5 for v in got.values())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyescape import landscapes
 
@@ -91,9 +93,9 @@ def test_right_basin_interval_is_level_cut():
 def test_inner_basin_interval():
     spec = landscapes.BasinSpec(region=landscapes.IntervalRegion(-1.0, 1.0),
                                 eps=0.01, gamma=1.0)
-    assert landscapes.in_inner_basin(spec, np.array([0.5]))
-    assert not landscapes.in_inner_basin(spec, np.array([0.995]))
-    assert not landscapes.in_inner_basin(spec, np.array([1.5]))
+    assert spec.in_inner(np.array([0.5]))
+    assert not spec.in_inner(np.array([0.995]))
+    assert not spec.in_inner(np.array([1.5]))
 
 
 def test_inner_basin_quadratic_center():
@@ -109,7 +111,7 @@ def test_double_well_point_left_of_crossover_outside_right_basin():
     lo, hi = dw.right_basin_interval()
     spec = landscapes.BasinSpec(region=landscapes.IntervalRegion(lo, hi),
                                 eps=0.01, gamma=1.0)
-    assert not landscapes.in_inner_basin(spec, np.array([0.5]))
+    assert not spec.in_inner(np.array([0.5]))
 
 
 def test_inner_basin_monotone_in_gamma():
@@ -130,6 +132,54 @@ def test_quadratic_boundary_distance_on_ray():
     assert qb.boundary_distance(np.array([0.2, 0.0])) == pytest.approx(0.3)
     assert qb.boundary_distance(np.array([0.0, 0.6])) == pytest.approx(0.4)
     assert qb.boundary_distance(np.zeros(2)) == pytest.approx(0.5)
+
+
+def _region(kind, d, rng):
+    if kind == "interval":
+        lo = rng.uniform(-2.0, 0.0)
+        return landscapes.IntervalRegion(lo, lo + rng.uniform(0.1, 3.0))
+    if kind == "diag":
+        h = np.diag(rng.uniform(0.1, 10.0, d))
+    else:
+        a = rng.standard_normal((d, d))
+        h = a @ a.T + 0.1 * np.eye(d)
+    return landscapes.QuadraticBasin(H=h, center=rng.standard_normal(d),
+                                     f_star=rng.uniform(-1.0, 1.0),
+                                     height=rng.uniform(1.0, 3.0))
+
+
+@given(st.sampled_from(["interval", "diag", "dense"]), st.integers(1, 3),
+       st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_batched_membership_matches_rows(kind, d, n, seed):
+    rng = np.random.default_rng(seed)
+    d = 1 if kind == "interval" else d
+    region = _region(kind, d, rng)
+    if kind == "interval":
+        center = np.array([0.5 * (region.lo + region.hi)])
+    else:
+        center = region.center
+    # the center (q == 0 for a quadratic basin), random points, a far point
+    pts = np.vstack([center,
+                     center + rng.uniform(0.0, 3.0, (n, 1)) * rng.standard_normal((n, d)),
+                     center + 100.0])
+    spec = landscapes.BasinSpec(region=region, eps=rng.uniform(0.01, 0.5),
+                                gamma=rng.uniform(0.5, 2.0))
+    calls = [region.contains, region.boundary_distance, spec.in_inner,
+             lambda x: spec.in_inner(x, margin_factor=2.0)]
+    for call in calls:
+        batch = call(pts)
+        rows = [call(p) for p in pts]
+        assert batch.shape == (pts.shape[0],)
+        assert all(np.ndim(r) == 0 for r in rows)
+        assert np.array_equal(batch, np.array(rows))
+        assert np.array_equal(call(pts.reshape(1, -1, d)), batch[None])
+    assert region.contains(center) and not region.contains(pts[-1])
+    for p, inner in zip(pts, spec.in_inner(pts)):
+        if spec.in_inner(p):
+            assert inner
+        else:
+            assert not inner
 
 
 def test_landscape_validation():
