@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -154,7 +154,6 @@ def _cmd_estimate(args):
     k2 = _i(cfg, "k2", 0) or None
     k1 = _i(cfg, "k1", 0) or None
     alpha_hat = stable.estimate_tail_index(samples, k1=k1, k2=k2)
-    import math
     k2_used = k2 if k2 else int(math.isqrt(samples.size))
     result = {"alpha_hat": alpha_hat, "n": int(samples.size),
               "k2": k2_used, "k1": k1 if k1 else int(samples.size) // k2_used,
@@ -382,7 +381,6 @@ def _build_parser():
         p.add_argument("--config")
         p.add_argument("--out")
         p.add_argument("--seed")
-        p.add_argument("--threads")
         for flag in flags:
             p.add_argument(f"--{flag.replace('_', '-')}", dest=flag)
         p.set_defaults(func=func)
@@ -391,9 +389,9 @@ def _build_parser():
     add("estimate", _cmd_estimate, ["input", "k1", "k2"])
     add("escape", _cmd_escape,
         ["a", "a_values", "noise_scale", "alpha", "trials", "max_steps",
-         "drift_scale", "drift_substeps", "gamma", "trial_csv"])
+         "drift_scale", "drift_substeps", "gamma", "trial_csv", "threads"])
     add("sweep", _cmd_sweep,
-        ["alpha", "eps_list", "b", "mu", "step_h", "trials", "max_steps", "gamma"])
+        ["alpha", "eps_list", "b", "mu", "step_h", "trials", "max_steps", "gamma", "threads"])
     add("geometry", _cmd_geometry,
         ["alpha", "lambdas", "sigmas", "batch_size", "h_f_star", "n_dirs"])
     add("probe", _cmd_probe,
@@ -402,7 +400,7 @@ def _build_parser():
     add("flow", _cmd_flow, ["kind", "mu", "theta0", "step_h", "T", "beta1", "beta2"])
     add("compare", _cmd_compare,
         ["alpha", "lambdas", "sigmas", "batch_size", "h_f_star", "noise_scale",
-         "step_h", "trials", "max_steps", "gamma", "n_dirs"])
+         "step_h", "trials", "max_steps", "gamma", "n_dirs", "threads"])
     return parser
 
 

@@ -4,23 +4,21 @@ The continuous-time models are
     SGD:   dtheta = -grad F dt + eps Sigma dL
     Adam:  dtheta = -mu_t Q_t^{-1} m dt + eps Q_t^{-1} Sigma dL
            dm = beta1 (grad F - m) dt,  dv = beta2 (grad F^2 - v) dt
-    SGD-M: Adam with Q_t = I (no second-moment preconditioning)
+    SGD-M: Adam with Q_t = I (the same update, no second-moment preconditioning)
 with dL a vector of independent symmetric alpha-stable increments,
-Q_t = diag(sqrt(omega_t v) + eps_adam), and the bias corrections
-mu_t = 1/(1 - exp(-beta1 t)), omega_t = 1/(1 - exp(-beta2 t)).
+Q_t = diag(sqrt(omega_t v) + eps_adam) (or a frozen ``q_fixed``), and the
+bias corrections mu_t = 1/(1 - exp(-beta1 t)), omega_t = 1/(1 - exp(-beta2 t)).
 
-Noise normalization: with ``noise_normalization="tail"`` (the default) the
-increment over a step h is (K h)^{1/alpha} SaS(1) per coordinate, where K is
-the tail constant of ``stable.tail_normalization``; increments then exceed a
-threshold u at rate (2/alpha) u^{-alpha} per unit time, matching the
-compound-Poisson intensity and the exit-time predictions.  ``"unit"`` uses
-the plain h^{1/alpha} SaS(1) scaling instead.
+Noise normalization: the increment over a step h is (K h)^{1/alpha} SaS(1)
+per coordinate, where K is the tail constant of ``stable.tail_normalization``;
+increments then exceed a threshold u at rate (2/alpha) u^{-alpha} per unit
+time, matching the compound-Poisson intensity and the exit-time predictions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +55,8 @@ class OptimizerConfig:
     eta^((alpha-1)/alpha); it is required for alpha <= 1, where that formula
     degenerates.  ``drift_scale`` multiplies the drift step (useful for
     iteration-time runs where step_h = 1 counts iterations), and
-    ``drift_substeps`` splits each drift step for stiff basins.
+    ``drift_substeps`` splits each SGD drift step for stiff basins (Adam and
+    SGD-M ignore it).  ``q_fixed`` freezes Adam's preconditioner diagonal.
     """
 
     kind: str = "SGD"
@@ -69,11 +68,10 @@ class OptimizerConfig:
     step_h: float = 1e-2
     sigma: np.ndarray | None = None  # None = identity; 1D = diagonal; 2D = dense
     noise_scale: float | None = None
-    noise_normalization: str = "tail"
     v_noise_scale: float = 0.0
     drift_scale: float = 1.0
     drift_substeps: int = 1
-    q_fixed: np.ndarray | None = None  # ADAM: freeze the preconditioner diagonal
+    q_fixed: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -88,10 +86,6 @@ class OptimizerConfig:
             for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
                 if not (0.0 < b < 1.0):
                     raise ParameterError(f"{name} must lie in (0, 1), got {b}")
-        if self.noise_normalization not in ("tail", "unit"):
-            raise ParameterError(
-                f"noise_normalization must be 'tail' or 'unit', got {self.noise_normalization!r}"
-            )
         if self.drift_substeps < 1:
             raise ParameterError("drift_substeps must be >= 1")
         if self.sigma is not None:
@@ -115,9 +109,22 @@ class OptimizerConfig:
 
     def increment_scale(self, h):
         """Scale turning SaS(1) draws into Lévy increments over time h."""
-        if self.noise_normalization == "tail" and self.alpha < 2.0:
+        if self.alpha < 2.0:
             return tail_normalization(self.alpha) * h ** (1.0 / self.alpha)
         return h ** (1.0 / self.alpha)
+
+    @property
+    def adaptive(self):
+        """Q_t follows the second moment v (Adam without ``q_fixed``)."""
+        return self.kind == "ADAM" and self.q_fixed is None
+
+    def preconditioner(self, v, omega_t):
+        """Adam's Q_t: 1 without preconditioning, else q_fixed or sqrt(omega_t v) + eps_adam."""
+        if self.kind != "ADAM":
+            return 1.0
+        if self.q_fixed is not None:
+            return self.q_fixed
+        return np.sqrt(omega_t * v) + self.eps_adam
 
     def assumption2_ok(self):
         return self.beta1 <= self.beta2 <= 2.0 * self.beta1
@@ -203,15 +210,11 @@ def _bias_corrections(cfg, t_next):
     return mu_t, omega_t
 
 
-def _drift(theta, landscape, cfg, h):
-    """Drift substeps theta <- theta - (h * drift_scale / K) grad, K times."""
-    step = h * cfg.drift_scale / cfg.drift_substeps
-    for _ in range(cfg.drift_substeps):
-        g = landscape.gradient(theta)
-        if not np.all(np.isfinite(g)):
-            raise DivergedError("non-finite gradient during drift", None)
-        theta = theta - step * g
-    return theta
+def _checked_gradient(landscape, theta, state):
+    g = landscape.gradient(theta)
+    if not np.all(np.isfinite(g)):
+        raise DivergedError("non-finite gradient", state)
+    return g
 
 
 def levy_step(state, landscape, cfg, noise_increment):
@@ -220,35 +223,28 @@ def levy_step(state, landscape, cfg, noise_increment):
     The caller supplies the increment already time-scaled (see
     ``OptimizerConfig.increment_scale``); this function applies the amplitude
     eps_noise, the covariance factor Sigma, and for Adam the preconditioner.
-    States with a leading batch axis step all trajectories in lockstep.
+    States with a leading batch axis step all trajectories in lockstep; a
+    non-finite gradient raises DivergedError carrying the input state.
     """
     h = cfg.step_h
     dl = cfg.apply_sigma(np.asarray(noise_increment, dtype=float))
-    g = landscape.gradient(state.theta)
-    if not np.all(np.isfinite(g)):
-        raise DivergedError("non-finite gradient", state)
+    g = _checked_gradient(landscape, state.theta, state)
     t_next = state.t + h
 
     if cfg.kind == "SGD":
-        theta = _drift(state.theta, landscape, cfg, h) + cfg.eps_noise * dl
-        return SdeState(theta=theta, t=t_next)
+        step = h * cfg.drift_scale / cfg.drift_substeps
+        theta = state.theta - step * g
+        for _ in range(cfg.drift_substeps - 1):
+            theta = theta - step * _checked_gradient(landscape, theta, state)
+        return SdeState(theta=theta + cfg.eps_noise * dl, t=t_next)
 
     mu_t, omega_t = _bias_corrections(cfg, t_next)
     m = state.m + h * cfg.beta1 * (g - state.m)
-    if cfg.kind == "SGDM":
-        theta = state.theta - h * cfg.drift_scale * mu_t * m + cfg.eps_noise * dl
-        return SdeState(theta=theta, m=m, t=t_next)
-
-    if cfg.q_fixed is not None:
-        v = state.v
-        q = cfg.q_fixed
-    else:
-        g_for_v = g
-        if cfg.v_noise_scale != 0.0:
-            g_for_v = g + cfg.v_noise_scale * dl
-        v = state.v + h * cfg.beta2 * (g_for_v ** 2 - state.v)
-        v = np.maximum(v, 0.0)
-        q = np.sqrt(omega_t * v) + cfg.eps_adam
+    v = state.v
+    if cfg.adaptive:
+        g_for_v = g + cfg.v_noise_scale * dl if cfg.v_noise_scale != 0.0 else g
+        v = np.maximum(state.v + h * cfg.beta2 * (g_for_v ** 2 - state.v), 0.0)
+    q = cfg.preconditioner(v, omega_t)
     theta = state.theta - h * cfg.drift_scale * mu_t * m / q + cfg.eps_noise * dl / q
     return SdeState(theta=theta, m=m, v=v, t=t_next)
 
@@ -319,8 +315,9 @@ def deterministic_flow(state0, landscape, cfg, T, record_stride=1):
     SGD uses a semi-implicit (backward Euler) drift step on quadratics so the
     fitted rate approaches the continuous-flow rate 2 mu from below.  The
     Lyapunov value is F - F* for SGD and, for Adam,
-    F - F* + 1/2 ||m||^2 weighted by 1/s_t with
-    s_t = (beta1/mu_t)(sqrt(omega_t v) + eps_adam).
+    F - F* + 1/2 ||m||^2 weighted by 1/s_t with s_t = (beta1/mu_t) Q_t.
+    The predicted Adam rate bounds Q_t by v_max + eps_adam, or by max(Q)
+    when Q is constant (``q_fixed``, SGD-M).
     """
     if not T > 0:
         raise ParameterError(f"horizon T must be positive, got {T}")
@@ -341,7 +338,7 @@ def deterministic_flow(state0, landscape, cfg, T, record_stride=1):
         t_eval = max(s.t, h)
         mu_t, omega_t = _bias_corrections(cfg, t_eval)
         v = s.v if s.v is not None else np.zeros_like(s.theta)
-        s_t = (cfg.beta1 / mu_t) * (np.sqrt(omega_t * v) + cfg.eps_adam)
+        s_t = (cfg.beta1 / mu_t) * cfg.preconditioner(v, omega_t)
         g_norm = float(np.linalg.norm(landscape.gradient(s.theta)))
         if g_norm > 1e-12:
             tau_sup = max(tau_sup, float(np.linalg.norm(s.m)) / g_norm)
@@ -373,8 +370,9 @@ def deterministic_flow(state0, landscape, cfg, T, record_stride=1):
         predicted = 0.0
     else:
         mu = landscape.mu
+        q_max = v_max + cfg.eps_adam if cfg.adaptive else np.max(cfg.preconditioner(None, None))
         predicted = (
-            2.0 * mu * tau / (cfg.beta1 * (v_max + cfg.eps_adam) + mu * tau)
+            2.0 * mu * tau / (cfg.beta1 * q_max + mu * tau)
         ) * (cfg.beta1 - cfg.beta2 / 4.0)
     return traj, FlowRateReport(observed, predicted, series, tau=tau, v_max=v_max)
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (OptimizerConfig, SdeState, _bias_corrections, deterministic_flow,
-                       discrete_reference_step)
+from .dynamics import SdeState, _bias_corrections, deterministic_flow, discrete_reference_step
 from .stable import SampleSizeError, StableLaw, estimate_tail_index, sample_sas
 
 __all__ = [
@@ -237,7 +236,10 @@ def noise_trajectory(model, dataset, cfg, n_steps, window=16, batch_size=32,
 
 @dataclass
 class AssumptionReport:
-    """Time series of the moment-tracking ratios and preconditioner extrema."""
+    """Time series of the moment-tracking ratios; v_min/v_max are extrema of sqrt(v).
+
+    v stays 0 under ``q_fixed``, so both extrema read 0 there.
+    """
 
     t: np.ndarray
     rho: np.ndarray
@@ -270,7 +272,7 @@ def assumption_monitors(landscape, cfg, theta0, n_steps, record_stride=1):
         mu_t, omega_t = _bias_corrections(zero_cfg, t)
         g = landscape.gradient(state.theta)
         f = landscape.value(state.theta) - f_star
-        q = np.sqrt(omega_t * state.v) + zero_cfg.eps_adam
+        q = zero_cfg.preconditioner(state.v, omega_t)
         integrand = float((g / (1.0 + f)) @ (mu_t * state.m / q))
         integral += 0.5 * (prev_integrand + integrand) * h
         prev_integrand = integrand

@@ -8,7 +8,7 @@ a Gaussian with variance 2 sigma^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -61,6 +61,7 @@ def test_parameter_errors_exit_2(tmp_path, capsys):
     assert main(["sample", "--alpha", "2.5"]) == 2
     assert main(["estimate", "--input", str(tmp_path / "missing.txt")]) == 2
     assert main(["probe", "--mode", "bogus"]) == 2
+    assert main(["sample", "--alpha", "1.5", "--threads", "2"]) == 2
     capsys.readouterr()
 
 

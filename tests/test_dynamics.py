@@ -81,24 +81,40 @@ def test_immediate_exit_predicate():
     assert exited and len(traj) == 1 and traj[0].t == 0.0
 
 
+class CountingQuadratic(PlainQuadratic):
+    """F = 1/2 theta^2 that counts gradient calls and turns NaN from call ``nan_from``."""
+
+    def __init__(self, nan_from=None):
+        super().__init__()
+        self.calls = 0
+        self.nan_from = nan_from
+
+    def gradient(self, theta):
+        self.calls += 1
+        if self.nan_from is not None and self.calls >= self.nan_from:
+            return np.full_like(np.asarray(theta, dtype=float), np.nan)
+        return super().gradient(theta)
+
+
 def test_diverged_error_carries_state():
-    class Bad(landscapes.Landscape):
-        dim, mu, ell = 1, 1.0, 1.0
+    # a NaN on the first gradient, or on the second drift substep's gradient
+    for nan_from, substeps in ((1, 1), (2, 2)):
+        cfg = OptimizerConfig(kind="SGD", step_h=0.1, noise_scale=0.0,
+                              drift_substeps=substeps)
+        state = SdeState(theta=np.array([1.0]))
+        with pytest.raises(dynamics.DivergedError) as err:
+            dynamics.levy_step(state, CountingQuadratic(nan_from), cfg, np.zeros(1))
+        assert err.value.last_state is state
 
-        def value(self, theta):
-            return float("nan")
 
-        def gradient(self, theta):
-            return np.array([float("nan")])
-
-        def minimizer(self):
-            return np.zeros(1)
-
-    cfg = OptimizerConfig(kind="SGD", step_h=0.1, noise_scale=0.0)
-    state = SdeState(theta=np.array([1.0]))
-    with pytest.raises(dynamics.DivergedError) as err:
-        dynamics.levy_step(state, Bad(), cfg, np.zeros(1))
-    assert err.value.last_state is state
+def test_sgd_step_gradient_count():
+    # the first drift substep reuses the gradient levy_step already checked
+    for substeps in (1, 20):
+        land = CountingQuadratic()
+        cfg = OptimizerConfig(kind="SGD", step_h=0.1, noise_scale=0.0,
+                              drift_substeps=substeps)
+        dynamics.levy_step(SdeState(theta=np.array([1.0])), land, cfg, np.zeros(1))
+        assert land.calls == substeps
 
 
 def test_sgd_flow_rate_band():
@@ -128,14 +144,16 @@ def test_flow_from_minimizer_reports_not_applicable():
 
 
 def test_adam_flow_lyapunov_monotone():
+    # adaptive Adam, Adam with a frozen preconditioner, and SGD-M (Q = I)
     land = quad(mu=2.0)
-    cfg = OptimizerConfig(kind="ADAM", step_h=1e-3, beta1=0.9, beta2=0.99,
-                          noise_scale=0.0)
-    state0 = SdeState.initial(np.array([1.0]), "ADAM")
-    _, rep = dynamics.deterministic_flow(state0, land, cfg, 5.0)
-    L = rep.lyapunov_series[:, 1]
-    assert np.all(np.diff(L) <= 1e-12)
-    assert rep.predicted_rate > 0
+    for kind, q_fixed in (("ADAM", None), ("ADAM", [1.5]), ("SGDM", None)):
+        cfg = OptimizerConfig(kind=kind, step_h=1e-3, beta1=0.9, beta2=0.99,
+                              noise_scale=0.0, q_fixed=q_fixed)
+        state0 = SdeState.initial(np.array([1.0]), kind)
+        _, rep = dynamics.deterministic_flow(state0, land, cfg, 5.0)
+        L = rep.lyapunov_series[:, 1]
+        assert np.all(np.diff(L) <= 1e-12), (kind, q_fixed)
+        assert rep.predicted_rate > 0
 
 
 def test_zero_noise_integrate_matches_flow():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from levyescape import dynamics, escape, geometry, landscapes
+from levyescape import dynamics, escape, geometry, landscapes, probe
 
 
 def interval_cfg(alpha=1.5, eps=0.05, b=1.0, mu=1.0, trials=400, max_steps=20000,
@@ -203,3 +203,35 @@ def test_frozen_seed_exit_steps():
     }
     # each ensemble mixes exits with censored trials or spreads its exits
     assert all(np.unique(v).size > 5 for v in got.values())
+
+
+def _float_digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_frozen_flow_and_monitor_series():
+    # digests recorded before Q_t had a single owner: adaptive Adam's flow
+    # (criterion 4's config) and monitors (criterion 10's config) must not move
+    got = {}
+    for mu in (0.5, 2.0):
+        land = landscapes.QuadraticBasin(H=np.array([[mu]]), center=np.zeros(1), height=10.0)
+        cfg = dynamics.OptimizerConfig(kind="ADAM", alpha=1.5, step_h=1e-3, beta1=0.9,
+                                       beta2=0.99, noise_scale=0.0)
+        _, rep = dynamics.deterministic_flow(
+            dynamics.SdeState.initial(np.array([1.0]), "ADAM"), land, cfg, 2.0)
+        got[f"flow_mu{mu:g}"] = _float_digest(
+            rep.lyapunov_series,
+            [rep.observed_rate, rep.predicted_rate, rep.tau, rep.v_max])
+    land = landscapes.QuadraticBasin(H=np.array([[1.0]]), center=np.zeros(1), height=10.0)
+    cfg = dynamics.OptimizerConfig(kind="ADAM", alpha=1.5, step_h=1e-2, beta1=0.9,
+                                   beta2=0.99, noise_scale=0.0)
+    rep = probe.assumption_monitors(land, cfg, np.array([2.0]), 800, record_stride=10)
+    got["monitors"] = _float_digest(rep.t, rep.rho, rep.tau, [rep.v_min, rep.v_max])
+    assert got == {
+        "flow_mu0.5": "2770fd5694b2bda1",
+        "flow_mu2": "754f24359447dc4f",
+        "monitors": "835e8ed6e99d336b",
+    }

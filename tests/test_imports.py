@@ -1,0 +1,45 @@
+"""Every top-level import in the package is used.
+
+A stdlib-``ast`` stand-in for a linter's unused-import rule: a module-level
+``import`` or ``from ... import`` binds names, and each must be read somewhere
+in the module or be listed in its ``__all__``.
+"""
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "levyescape"
+
+
+def _bound_names(node):
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    bound = [name for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             for name in _bound_names(node)]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(bound) - read - _exported(tree))
+
+
+def test_unused_import_check_catches_one():
+    assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
+        "math", "path"]
+    assert unused_imports("from . import a\n__all__ = ['a']\n") == []
+
+
+def test_no_unused_top_level_imports():
+    found = {path.name: unused_imports(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

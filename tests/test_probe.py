@@ -157,6 +157,14 @@ def test_assumption_monitors_quadratic():
     assert np.isfinite(rep.v_min) and np.isfinite(rep.v_max)
     assert rep.v_min <= rep.v_max
     assert np.all(np.isfinite(rep.t))
+    # a frozen preconditioner: rho divides by q_fixed, and v stays 0
+    land = landscapes.QuadraticBasin(H=np.array([[2.0]]), center=np.zeros(1),
+                                     height=10.0)
+    cfg = dynamics.OptimizerConfig(kind="ADAM", step_h=1e-2, beta1=0.9,
+                                   beta2=0.99, noise_scale=0.0, q_fixed=[1.5])
+    rep = probe.assumption_monitors(land, cfg, np.array([1.0]), 1000)
+    assert np.isfinite(rep.rho[-1]) and rep.rho[-1] < 10.0
+    assert rep.v_min == rep.v_max == 0.0
 
 
 def test_assumption_monitors_from_minimizer():
