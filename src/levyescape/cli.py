@@ -180,12 +180,11 @@ def _cmd_escape(args):
     t0 = time.time()
     cfg = _merge(args, "escape")
     seed = _i(cfg, "seed", 0)
-    threads = _i(cfg, "threads", 0) or None
     a_values = _flist(cfg, "a_values", [_f(cfg, "a", 150.0)])
     result = {"basin_convention": "level cut through the branch crossover"}
     for a in a_values:
         ecfg = _escape_cfg_from(cfg, a, seed)
-        stats = escape.run_escape_experiment(ecfg, threads=threads)
+        stats = escape.run_escape_experiment(ecfg)
         result[f"a_{a:g}"] = stats.summary()
         trial_csv = cfg.get("trial_csv")
         if trial_csv:
@@ -220,11 +219,10 @@ def _cmd_sweep(args):
     t0 = time.time()
     cfg = _merge(args, "sweep")
     seed = _i(cfg, "seed", 0)
-    threads = _i(cfg, "threads", 0) or None
     alpha = _f(cfg, "alpha", 1.5)
     eps_list = _flist(cfg, "eps_list")
     template = _sweep_template(cfg, alpha, seed)
-    report = escape.scaling_sweep(template, eps_list, threads=threads)
+    report = escape.scaling_sweep(template, eps_list)
     b = _f(cfg, "b", 1.0)
     m_w = (2.0 / alpha) * b ** (-alpha)
     result = {
@@ -337,7 +335,6 @@ def _cmd_compare(args):
     t0 = time.time()
     cfg = _merge(args, "compare")
     seed = _i(cfg, "seed", 0)
-    threads = _i(cfg, "threads", 0) or None
     alpha = _f(cfg, "alpha", 1.5)
     spec = _spectrum_from(cfg)
     geo = geometry.compare_measures(spec, alpha, n_dirs=_i(cfg, "n_dirs", 400_000),
@@ -357,7 +354,7 @@ def _cmd_compare(args):
         base_seed=seed,
     )
     q_fixed = spec.batch_size * spec.sigmas
-    comparison = escape.compare_optimizers(ecfg, q_fixed_adam=q_fixed, threads=threads)
+    comparison = escape.compare_optimizers(ecfg, q_fixed_adam=q_fixed)
     result = {
         "geometry": geo,
         "escape": {k: s.summary() for k, s in comparison["stats"].items()},
@@ -389,9 +386,9 @@ def _build_parser():
     add("estimate", _cmd_estimate, ["input", "k1", "k2"])
     add("escape", _cmd_escape,
         ["a", "a_values", "noise_scale", "alpha", "trials", "max_steps",
-         "drift_scale", "drift_substeps", "gamma", "trial_csv", "threads"])
+         "drift_scale", "drift_substeps", "gamma", "trial_csv"])
     add("sweep", _cmd_sweep,
-        ["alpha", "eps_list", "b", "mu", "step_h", "trials", "max_steps", "gamma", "threads"])
+        ["alpha", "eps_list", "b", "mu", "step_h", "trials", "max_steps", "gamma"])
     add("geometry", _cmd_geometry,
         ["alpha", "lambdas", "sigmas", "batch_size", "h_f_star", "n_dirs"])
     add("probe", _cmd_probe,
@@ -400,7 +397,7 @@ def _build_parser():
     add("flow", _cmd_flow, ["kind", "mu", "theta0", "step_h", "T", "beta1", "beta2"])
     add("compare", _cmd_compare,
         ["alpha", "lambdas", "sigmas", "batch_size", "h_f_star", "noise_scale",
-         "step_h", "trials", "max_steps", "gamma", "n_dirs", "threads"])
+         "step_h", "trials", "max_steps", "gamma", "n_dirs"])
     return parser
 
 

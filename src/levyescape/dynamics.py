@@ -31,7 +31,6 @@ __all__ = [
     "SasStream",
     "FlowRateReport",
     "levy_step",
-    "integrate",
     "deterministic_flow",
     "discrete_reference_step",
 ]
@@ -247,37 +246,6 @@ def levy_step(state, landscape, cfg, noise_increment):
     q = cfg.preconditioner(v, omega_t)
     theta = state.theta - h * cfg.drift_scale * mu_t * m / q + cfg.eps_noise * dl / q
     return SdeState(theta=theta, m=m, v=v, t=t_next)
-
-
-def integrate(state0, landscape, cfg, stop, seed=None, stream=None, record_stride=1):
-    """Run levy_step with seeded noise until the stop condition.
-
-    ``stop`` is either {"max_time": T} or {"max_time": T, "exit": predicate};
-    the predicate receives the current state and ends the run when true (the
-    initial state is checked too).  Returns (trajectory, exited_flag).
-    """
-    if "max_time" not in stop or stop["max_time"] <= 0:
-        raise ParameterError("stop must specify a positive max_time")
-    exit_pred = stop.get("exit")
-    if stream is None:
-        stream = SasStream(cfg.alpha, state0.theta.shape[-1], seed)
-    scale = cfg.increment_scale(cfg.step_h)
-    n_steps = int(round(stop["max_time"] / cfg.step_h))
-
-    state = state0
-    traj = [state]
-    if exit_pred is not None and exit_pred(state):
-        return traj, True
-    for k in range(n_steps):
-        dl = scale * stream.draw(1)[0]
-        state = levy_step(state, landscape, cfg, dl)
-        if (k + 1) % record_stride == 0 or k == n_steps - 1:
-            traj.append(state)
-        if exit_pred is not None and exit_pred(state):
-            if traj[-1] is not state:
-                traj.append(state)
-            return traj, True
-    return traj, False
 
 
 @dataclass

@@ -9,7 +9,6 @@ E[exit time] = alpha / (2 m(W) eps^alpha).
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -29,7 +28,6 @@ __all__ = [
     "compare_optimizers",
     "calibrate_noise_amplitude",
     "double_well_config",
-    "resolve_threads",
 ]
 
 _CHUNK = 256
@@ -123,23 +121,18 @@ def _run_block(cfg, trial_ids):
     return exit_step
 
 
-def resolve_threads(threads=None):
-    """Worker count: explicit argument, else LEVY_ESCAPE_THREADS, else 1."""
-    if threads is not None:
-        return max(int(threads), 1)
-    env = os.environ.get("LEVY_ESCAPE_THREADS")
-    return max(int(env), 1) if env else 1
-
-
 def run_escape_experiment(cfg, threads=None):
     """Run the ensemble and aggregate exit statistics.
 
     Trial i draws its noise from an independent stream seeded base_seed + i,
     so results do not depend on how trials are split across workers.
+    ``threads`` (None = serial) splits the trials over a thread pool.  The
+    pool is reachable only through this argument and is kept for the
+    benchmark's thread-scaling measurement, where two threads were slower
+    than one on every run (``bench/baseline.json``).
     """
-    threads = resolve_threads(threads)
     all_ids = np.arange(cfg.trials)
-    if threads == 1 or cfg.trials < 2 * threads:
+    if threads is None or threads <= 1 or cfg.trials < 2 * threads:
         exit_step = _run_block(cfg, all_ids)
     else:
         blocks = np.array_split(all_ids, threads)
@@ -173,7 +166,7 @@ def predicted_mean_exit(m_w, alpha, eps):
     return alpha / (2.0 * m_w * eps ** alpha)
 
 
-def scaling_sweep(cfg, eps_list, min_exits=100, threads=None):
+def scaling_sweep(cfg, eps_list, min_exits=100):
     """Fit the log-log slope of mean exit time against noise amplitude.
 
     Reruns ``cfg`` at each amplitude in ``eps_list`` (setting both the
@@ -194,7 +187,7 @@ def scaling_sweep(cfg, eps_list, min_exits=100, threads=None):
             optimizer=replace(cfg.optimizer, noise_scale=eps),
             basin=replace(cfg.basin, eps=eps),
         )
-        stats = run_escape_experiment(run_cfg, threads=threads)
+        stats = run_escape_experiment(run_cfg)
         if stats.n_exited < min_exits:
             warnings.warn(
                 f"amplitude {eps:g}: only {stats.n_exited} exits (< {min_exits}); dropped"
@@ -222,7 +215,7 @@ def scaling_sweep(cfg, eps_list, min_exits=100, threads=None):
     }
 
 
-def compare_optimizers(cfg, kinds=("SGD", "ADAM", "SGDM"), q_fixed_adam=None, threads=None):
+def compare_optimizers(cfg, kinds=("SGD", "ADAM", "SGDM"), q_fixed_adam=None):
     """Paired escape runs for several optimizers with common random numbers.
 
     All runs share the base_seed, so trial i consumes the identical
@@ -236,7 +229,7 @@ def compare_optimizers(cfg, kinds=("SGD", "ADAM", "SGDM"), q_fixed_adam=None, th
         opt = replace(cfg.optimizer, kind=kind)
         if kind == "ADAM" and q_fixed_adam is not None:
             opt = replace(opt, q_fixed=np.asarray(q_fixed_adam, dtype=float))
-        results[kind] = run_escape_experiment(replace(cfg, optimizer=opt), threads=threads)
+        results[kind] = run_escape_experiment(replace(cfg, optimizer=opt))
     ratios = {}
     if "SGD" in results and results["SGD"].n_exited:
         base = results["SGD"].mean_exit_time

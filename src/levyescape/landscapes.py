@@ -85,8 +85,7 @@ class QuadraticBasin(Landscape):
         return 2.0 * (self.height - self.f_star)
 
     def value(self, theta):
-        d = np.asarray(theta, dtype=float) - self.center
-        q = np.einsum("...i,ij,...j->...", d, self.H, d)
+        _, q = self._offset_form(theta)
         out = self.f_star + 0.5 * q
         return float(out) if out.ndim == 0 else out
 

@@ -62,6 +62,17 @@ def test_parameter_errors_exit_2(tmp_path, capsys):
     assert main(["estimate", "--input", str(tmp_path / "missing.txt")]) == 2
     assert main(["probe", "--mode", "bogus"]) == 2
     assert main(["sample", "--alpha", "1.5", "--threads", "2"]) == 2
+    # small runs that succeed without the flag, so only --threads can fail them
+    valid = {
+        "escape": ["--noise-scale", "1e-3", "--trials", "2", "--max-steps", "5"],
+        "sweep": ["--eps-list", "0.3 0.6", "--trials", "100", "--max-steps", "2000"],
+        "compare": ["--lambdas", "10 0.1", "--sigmas", "3 0.1", "--noise-scale", "0.3",
+                    "--trials", "4", "--max-steps", "50", "--n-dirs", "1000"],
+    }
+    for command in ("escape", "sweep", "compare"):
+        out = str(tmp_path / f"{command}.json")
+        argv = [command, *valid[command], "--out", out, "--threads", "2"]
+        assert main(argv) == 2, command
     capsys.readouterr()
 
 

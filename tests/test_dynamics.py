@@ -32,6 +32,16 @@ class PlainQuadratic(landscapes.Landscape):
         return np.zeros(1)
 
 
+def noisy_path(state, land, cfg, n_steps, seed):
+    """States of ``n_steps`` levy_steps driven by one seeded SasStream, as a trial steps."""
+    stream = dynamics.SasStream(cfg.alpha, state.theta.size, seed)
+    scale = cfg.increment_scale(cfg.step_h)
+    path = [state]
+    for _ in range(n_steps):
+        path.append(dynamics.levy_step(path[-1], land, cfg, scale * stream.draw(1)[0]))
+    return path
+
+
 def test_sgd_step_zero_noise():
     land = landscapes.QuadraticBasin(H=np.array([[2.0]]), center=np.zeros(1),
                                      height=10.0)  # F = theta^2
@@ -64,21 +74,9 @@ def test_adam_step_hand_evaluated():
 def test_zero_noise_trajectory_monotone_value():
     land = quad(mu=2.0)
     cfg = OptimizerConfig(kind="SGD", step_h=0.05, noise_scale=0.0)
-    traj, exited = dynamics.integrate(SdeState(theta=np.array([0.9])), land, cfg,
-                                      {"max_time": 2.0}, seed=0)
+    traj = noisy_path(SdeState(theta=np.array([0.9])), land, cfg, 40, seed=0)
     vals = [land.value(s.theta) for s in traj]
-    assert not exited
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
-
-
-def test_immediate_exit_predicate():
-    land = quad()
-    cfg = OptimizerConfig(kind="SGD", step_h=0.05, noise_scale=0.0)
-    traj, exited = dynamics.integrate(
-        SdeState(theta=np.array([0.5])), land, cfg,
-        {"max_time": 1.0, "exit": lambda s: True}, seed=0,
-    )
-    assert exited and len(traj) == 1 and traj[0].t == 0.0
 
 
 class CountingQuadratic(PlainQuadratic):
@@ -156,25 +154,13 @@ def test_adam_flow_lyapunov_monotone():
         assert rep.predicted_rate > 0
 
 
-def test_zero_noise_integrate_matches_flow():
-    land = quad(mu=1.5)
-    cfg = OptimizerConfig(kind="ADAM", step_h=1e-2, beta1=0.9, beta2=0.99,
-                          noise_scale=0.0)
-    state0 = SdeState.initial(np.array([0.7]), "ADAM")
-    traj_i, _ = dynamics.integrate(state0, land, cfg, {"max_time": 1.0}, seed=3)
-    traj_f, _ = dynamics.deterministic_flow(state0, land, cfg, 1.0)
-    assert np.allclose(traj_i[-1].theta, traj_f[-1].theta)
-    assert np.allclose(traj_i[-1].m, traj_f[-1].m)
-
-
 def test_step_size_consistency():
     land = quad(mu=1.0)
     theta0 = np.array([1.0])
     ends = {}
     for h in (0.01, 0.005):
         cfg = OptimizerConfig(kind="SGD", step_h=h, noise_scale=0.0)
-        traj, _ = dynamics.integrate(SdeState(theta=theta0), land, cfg,
-                                     {"max_time": 1.0}, seed=0)
+        traj = noisy_path(SdeState(theta=theta0), land, cfg, round(1.0 / h), seed=0)
         ends[h] = traj[-1].theta[0]
     assert abs(ends[0.01] - ends[0.005]) < 5 * 0.01 * 1.0
 
@@ -213,12 +199,8 @@ def test_v_nonnegative_preserved(seed):
     land = quad(mu=1.0)
     cfg = OptimizerConfig(kind="ADAM", step_h=0.05, beta1=0.9, beta2=0.99,
                           alpha=1.5, noise_scale=0.1, v_noise_scale=0.5)
-    state = SdeState.initial(np.array([1.0]), "ADAM")
-    stream = dynamics.SasStream(1.5, 1, seed)
-    scale = cfg.increment_scale(cfg.step_h)
-    for _ in range(50):
-        state = dynamics.levy_step(state, land, cfg, scale * stream.draw(1)[0])
-        assert np.all(state.v >= 0)
+    traj = noisy_path(SdeState.initial(np.array([1.0]), "ADAM"), land, cfg, 50, seed)
+    assert all(np.all(s.v >= 0) for s in traj)
 
 
 def test_seed_determinism():
@@ -226,8 +208,7 @@ def test_seed_determinism():
     cfg = OptimizerConfig(kind="SGD", step_h=0.05, alpha=1.5, noise_scale=0.1)
     runs = []
     for _ in range(2):
-        traj, _ = dynamics.integrate(SdeState(theta=np.array([0.2])), land, cfg,
-                                     {"max_time": 5.0}, seed=99)
+        traj = noisy_path(SdeState(theta=np.array([0.2])), land, cfg, 100, seed=99)
         runs.append(np.array([s.theta[0] for s in traj]))
     assert np.array_equal(runs[0], runs[1])
 

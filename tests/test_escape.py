@@ -51,14 +51,6 @@ def test_reproducible_and_thread_invariant():
     assert np.array_equal(a.exit_steps, c.exit_steps)
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("LEVY_ESCAPE_THREADS", "3")
-    assert escape.resolve_threads() == 3
-    assert escape.resolve_threads(2) == 2
-    monkeypatch.delenv("LEVY_ESCAPE_THREADS")
-    assert escape.resolve_threads() == 1
-
-
 def test_predicted_mean_exit_values():
     # 1D basin (-b, b): m(W) = (2/alpha) b^(-alpha)
     m_w = 2.0 / 1.0

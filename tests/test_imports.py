@@ -1,8 +1,10 @@
-"""Every top-level import in the package is used.
+"""Every top-level import in the package is used, and every export exists.
 
 A stdlib-``ast`` stand-in for a linter's unused-import rule: a module-level
 ``import`` or ``from ... import`` binds names, and each must be read somewhere
-in the module or be listed in its ``__all__``.
+in the module or be listed in its ``__all__``.  Conversely each name in
+``__all__`` must be bound at the module's top level, or
+``from module import *`` fails.
 """
 
 import ast
@@ -33,6 +35,20 @@ def unused_imports(source):
     return sorted(set(bound) - read - _exported(tree))
 
 
+def unbound_exports(source):
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(_bound_names(node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+    return sorted(_exported(tree) - bound)
+
+
 def test_unused_import_check_catches_one():
     assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
         "math", "path"]
@@ -41,5 +57,16 @@ def test_unused_import_check_catches_one():
 
 def test_no_unused_top_level_imports():
     found = {path.name: unused_imports(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_unbound_export_check_catches_one():
+    source = "import math\nX: int = 1\nclass C: pass\ndef f(): pass\n"
+    assert unbound_exports(source + "__all__ = ['math', 'X', 'C', 'f', 'gone']\n") == ["gone"]
+
+
+def test_every_export_is_bound():
+    found = {path.name: unbound_exports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}

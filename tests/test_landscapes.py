@@ -167,6 +167,10 @@ def test_batched_membership_matches_rows(kind, d, n, seed):
                                 gamma=rng.uniform(0.5, 2.0))
     calls = [region.contains, region.boundary_distance, spec.in_inner,
              lambda x: spec.in_inner(x, margin_factor=2.0)]
+    if kind != "interval":
+        calls.append(region.value)
+        assert all(bool(region.value(p) <= region.height) == bool(region.contains(p))
+                   for p in pts)
     for call in calls:
         batch = call(pts)
         rows = [call(p) for p in pts]
