@@ -17,6 +17,7 @@ time, matching the compound-Poisson intensity and the exit-time predictions.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -177,30 +178,76 @@ class SdeState:
 
 
 class SasStream:
-    """Buffered per-trial stream of SaS(1) draws.
+    """Per-trial streams of SaS(1) draws, one row of ``dim`` values per step.
 
-    Draws are generated in fixed-size blocks so that the realized values for
-    a given seed do not depend on the caller's request pattern: a single
-    trajectory stepping one draw at a time and an ensemble pulling chunks see
-    the same stream.
+    ``seed`` is an int, and ``draw(n)`` returns ``(n, dim)`` rows, or a 1-D
+    array of seeds, one trial each, and ``draw(n)`` returns
+    ``(trials, n, dim)``; trial i then sees exactly the rows of
+    ``SasStream(alpha, dim, seed[i])``.  All trials share one row cursor,
+    since an ensemble steps them in lockstep.
+
+    Block layout: each trial's generator emits its uniforms in blocks of
+    ``BLOCK`` rows, first ``BLOCK * dim`` angle uniforms, then
+    ``BLOCK * dim`` exponential uniforms, and row r of a block is the CMS
+    transform of angle row r and exponential row r.  The values for a seed
+    therefore do not depend on the request pattern: a trajectory stepping one
+    draw at a time and an ensemble pulling chunks see the same stream.
+
+    Rows are drawn lazily, without materialising the block.
+    ``Generator.random`` spends exactly one PCG64 output per float64, so with
+    a generator at angle row r, rows [r, r + k) are its next ``k * dim``
+    outputs; ``advance((BLOCK - k) * dim)`` moves it to exponential row r;
+    the next ``k * dim`` outputs are those rows' exponential uniforms; and
+    ``advance(-BLOCK * dim)`` moves it back to angle row r + k, unless
+    r + k = BLOCK finished the block, which leaves it at the next block.
+    PCG64 advances mod 2^128, so the step back is exact.  Only the rows
+    handed out are transformed, in one batched call per slice of values.
     """
 
     BLOCK = 512
+    _CMS_SLICE = 32768  # values per transform call; bounds its temporaries
 
     def __init__(self, alpha, dim, seed):
         self.alpha = alpha
         self.dim = dim
-        self.rng = np.random.default_rng(seed)
-        self._buf = np.empty((0, dim))
+        self._batched = np.ndim(seed) > 0
+        seeds = np.atleast_1d(seed).tolist()
+        self._rngs = np.empty(len(seeds), dtype=object)
+        self._rngs[:] = [np.random.default_rng(s) for s in seeds]
+        self._row = 0  # cursor within the current block, shared by all trials
+
+    def take(self, keep):
+        """The trials selected by ``keep``, continuing at the same row.
+
+        The selected generators move to the returned stream; keep drawing
+        from that one only.
+        """
+        out = copy.copy(self)
+        out._rngs = self._rngs[keep]
+        return out
 
     def draw(self, n):
-        while self._buf.shape[0] < n:
-            u_angle = self.rng.random((self.BLOCK, self.dim))
-            u_exp = self.rng.random((self.BLOCK, self.dim))
-            block = sas_from_uniforms(self.alpha, u_angle, u_exp)
-            self._buf = np.concatenate([self._buf, block], axis=0)
-        out, self._buf = self._buf[:n], self._buf[n:]
-        return out
+        d, block = self.dim, self.BLOCK
+        u_angle = np.empty((self._rngs.size, n, d))
+        u_exp = np.empty_like(u_angle)
+        done = 0
+        while done < n:
+            k = min(n - done, block - self._row)
+            finished = self._row + k == block
+            rows = slice(done, done + k)
+            for rng, angle_rows, exp_rows in zip(self._rngs, u_angle[:, rows], u_exp[:, rows]):
+                rng.random(out=angle_rows)
+                rng.bit_generator.advance((block - k) * d)
+                rng.random(out=exp_rows)
+                if not finished:
+                    rng.bit_generator.advance(-block * d)
+            self._row = 0 if finished else self._row + k
+            done += k
+        flat_angle, flat_exp = u_angle.reshape(-1), u_exp.reshape(-1)
+        for lo in range(0, flat_angle.size, self._CMS_SLICE):
+            part = slice(lo, lo + self._CMS_SLICE)
+            flat_angle[part] = sas_from_uniforms(self.alpha, flat_angle[part], flat_exp[part])
+        return u_angle if self._batched else u_angle[0]
 
 
 def _bias_corrections(cfg, t_next):

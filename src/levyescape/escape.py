@@ -30,6 +30,7 @@ __all__ = [
     "double_well_config",
 ]
 
+_FIRST_CHUNK = 8
 _CHUNK = 256
 
 
@@ -97,7 +98,7 @@ def _run_block(cfg, trial_ids):
     opt = cfg.optimizer
     d = cfg.theta0.size
     n = len(trial_ids)
-    streams = [SasStream(opt.alpha, d, cfg.base_seed + int(i)) for i in trial_ids]
+    stream = SasStream(opt.alpha, d, cfg.base_seed + trial_ids)
     scale = opt.increment_scale(opt.step_h)
     state = SdeState.initial(np.tile(cfg.theta0, (n, 1)), opt.kind)
 
@@ -105,8 +106,13 @@ def _run_block(cfg, trial_ids):
     active = np.arange(n)
     step = 0
     while step < cfg.max_steps and active.size:
-        chunk = min(_CHUNK, cfg.max_steps - step)
-        noise = np.stack([streams[i].draw(chunk) for i in active])
+        # A short first chunk, then chunks ending on multiples of _CHUNK:
+        # in a basin that trials leave within a few steps, most of them exit
+        # inside the first chunk, so the noise drawn for them and never used
+        # stays small.
+        chunk = _FIRST_CHUNK if step == 0 else _CHUNK - step % _CHUNK
+        chunk = min(chunk, cfg.max_steps - step)
+        noise = stream.draw(chunk)
         for j in range(chunk):
             state = levy_step(state, cfg.landscape, opt, scale * noise[:, j, :])
             ok = cfg.basin.in_inner(state.theta)
@@ -114,6 +120,7 @@ def _run_block(cfg, trial_ids):
                 exit_step[active[~ok]] = step + j + 1
                 active = active[ok]
                 state = state.take(ok)
+                stream = stream.take(ok)
                 noise = noise[ok]
                 if not active.size:
                     break

@@ -70,9 +70,9 @@ def sas_from_uniforms(alpha, u_angle, u_exp):
     u_angle = np.asarray(u_angle, dtype=float)
     u_exp = np.asarray(u_exp, dtype=float)
     v = np.pi * (u_angle - 0.5)
-    w = -np.log(u_exp)
     if alpha == 1.0:
         return np.tan(v)
+    w = -np.log(u_exp)
     if alpha == 2.0:
         # sin(2V)/cos(V)^(1/2) * (cos(V)/W)^(-1/2) = 2 sin(V) sqrt(W): exact
         # Gaussian endpoint, N(0, 2).

@@ -5,7 +5,7 @@ import inspect
 import pathlib
 import sys
 
-from levyescape import escape
+from levyescape import dynamics, escape
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
 
@@ -20,3 +20,8 @@ def test_span_targets_exist():
 
 def test_run_escape_experiment_accepts_threads():
     assert "threads" in inspect.signature(escape.run_escape_experiment).parameters
+
+
+def test_single_seed_stream_draws_rows():
+    # bench/microbench.stream_draws_per_s times this call
+    assert dynamics.SasStream(1.5, 1, 0).draw(256).shape == (256, 1)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from levyescape import dynamics, landscapes
 from levyescape.dynamics import OptimizerConfig, SdeState
+from levyescape.stable import sas_from_uniforms
 
 
 def quad(mu=1.0, d=1, height=10.0):
@@ -219,6 +221,69 @@ def test_stream_chunking_invariance():
     one = np.concatenate([a.draw(1) for _ in range(700)])
     bulk = b.draw(700)
     assert np.array_equal(one, bulk)
+
+
+def oracle_rows(alpha, d, seed, n):
+    """The first n rows of one seed's stream, one 512-row block at a time."""
+    rng = np.random.default_rng(seed)
+    blocks = [sas_from_uniforms(alpha, rng.random((512, d)), rng.random((512, d)))
+              for _ in range(-(-n // 512))]
+    return np.concatenate(blocks)[:n]
+
+
+def test_frozen_stream_values():
+    # digests recorded before the streams drew lazily; a seed array's digest
+    # is that of its per-seed streams stacked
+    seeds = {"int": 7, "array": np.array([3, 11, 12])}
+    got = {}
+    for kind, seed in seeds.items():
+        for d in (1, 2, 3):
+            for alpha in (1.0, 1.5, 2.0):
+                h = hashlib.sha256()
+                for pattern in ([1] * 700, [8, 248, 256], [700], [513]):
+                    stream = dynamics.SasStream(alpha, d, seed)
+                    rows = np.concatenate([stream.draw(n) for n in pattern], axis=-2)
+                    n = sum(pattern)
+                    oracle = np.stack([oracle_rows(alpha, d, s, n) for s in np.atleast_1d(seed)])
+                    assert np.array_equal(rows, oracle if kind == "array" else oracle[0])
+                    h.update(np.ascontiguousarray(rows).tobytes())
+                got[(kind, d, alpha)] = h.hexdigest()[:16]
+    assert got == {
+        ("int", 1, 1.0): "3912881fd2ccf105",
+        ("int", 1, 1.5): "2815d3d94d6fe28b",
+        ("int", 1, 2.0): "2c9ffd347c448684",
+        ("int", 2, 1.0): "0dfa7c13f6a5f0d3",
+        ("int", 2, 1.5): "c8f8ecafd301fbb3",
+        ("int", 2, 2.0): "aee7e6575c657110",
+        ("int", 3, 1.0): "60f16967f17a7fab",
+        ("int", 3, 1.5): "f46a6a102c7f58a1",
+        ("int", 3, 2.0): "1a7cd5ba7a9cd7f6",
+        ("array", 1, 1.0): "c2d22bd38ab1b00e",
+        ("array", 1, 1.5): "8da87047a67318c3",
+        ("array", 1, 2.0): "6fbb4c2f361b63a2",
+        ("array", 2, 1.0): "b96884d451839c25",
+        ("array", 2, 1.5): "4360be3688ba78ae",
+        ("array", 2, 2.0): "02c87443c4db9674",
+        ("array", 3, 1.0): "ce91be12c372bbe1",
+        ("array", 3, 1.5): "2aeb6c255f3ede4e",
+        ("array", 3, 2.0): "b2cb5f5f0b24b3f5",
+    }
+
+
+@given(st.integers(1, 3),
+       st.lists(st.tuples(st.integers(0, 300), st.lists(st.booleans(), min_size=4, max_size=4)),
+                min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_batched_stream_matches_trial_streams(d, requests):
+    seeds = np.array([5, 6, 1000, 2 ** 31])
+    batched = dynamics.SasStream(1.5, d, seeds)
+    singles = [dynamics.SasStream(1.5, d, int(s)) for s in seeds]
+    alive = np.arange(seeds.size)
+    for n, mask in requests:
+        expected = np.array([singles[i].draw(n) for i in alive]).reshape(alive.size, n, d)
+        assert np.array_equal(batched.draw(n), expected)
+        keep = np.array(mask[:alive.size], dtype=bool)
+        batched, alive = batched.take(keep), alive[keep]
 
 
 def test_discrete_reference_steps():

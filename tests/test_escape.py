@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from levyescape import dynamics, escape, geometry, landscapes, probe
+from levyescape.stable import sas_from_uniforms
 
 
 def interval_cfg(alpha=1.5, eps=0.05, b=1.0, mu=1.0, trials=400, max_steps=20000,
@@ -49,6 +50,26 @@ def test_reproducible_and_thread_invariant():
     c = escape.run_escape_experiment(cfg, threads=4)
     assert np.array_equal(a.exit_steps, b.exit_steps)
     assert np.array_equal(a.exit_steps, c.exit_steps)
+
+
+def test_noise_transformed_only_for_steps_taken(monkeypatch):
+    # every trial leaves within the first chunk of 8 steps (at steps 1 to 5),
+    # so only those 8 rows per trial may be transformed, not a 512-row block
+    counted = []
+
+    def counting(alpha, u_angle, u_exp):
+        counted.append(np.size(u_angle))
+        return sas_from_uniforms(alpha, u_angle, u_exp)
+
+    monkeypatch.setattr(dynamics, "sas_from_uniforms", counting)
+    land = landscapes.QuadraticBasin(H=np.eye(2), center=np.zeros(2), height=0.5)
+    opt = dynamics.OptimizerConfig(kind="SGD", alpha=1.5, step_h=1.0, noise_scale=0.5)
+    cfg = escape.EscapeConfig(landscape=land, basin=landscapes.BasinSpec(land, 0.1, 2.0),
+                              optimizer=opt, theta0=np.zeros(2), trials=50,
+                              max_steps=1000, base_seed=2)
+    exit_steps = escape.run_escape_experiment(cfg).exit_steps
+    assert exit_steps.min() == 1 and exit_steps.max() == 5
+    assert sum(counted) == 8 * 2 * 50
 
 
 def test_predicted_mean_exit_values():
