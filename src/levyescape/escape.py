@@ -32,6 +32,9 @@ __all__ = [
 
 _FIRST_CHUNK = 8
 _CHUNK = 256
+_SCAN_SLICE = 32768  # values per chunk-kernel slice; bounds its temporaries
+_U = 2.0 ** -53  # unit roundoff of float64
+_BOUND_SLACK = 2.0  # safety factor on the chunk kernel's rounding-error bound
 
 
 @dataclass
@@ -94,7 +97,8 @@ class EscapeStats:
         }
 
 
-def _run_block(cfg, trial_ids):
+def _run_generic(cfg, trial_ids):
+    """Step the trials with ``levy_step`` and record each one's first exit step."""
     opt = cfg.optimizer
     d = cfg.theta0.size
     n = len(trial_ids)
@@ -106,12 +110,7 @@ def _run_block(cfg, trial_ids):
     active = np.arange(n)
     step = 0
     while step < cfg.max_steps and active.size:
-        # A short first chunk, then chunks ending on multiples of _CHUNK:
-        # in a basin that trials leave within a few steps, most of them exit
-        # inside the first chunk, so the noise drawn for them and never used
-        # stays small.
-        chunk = _FIRST_CHUNK if step == 0 else _CHUNK - step % _CHUNK
-        chunk = min(chunk, cfg.max_steps - step)
+        chunk = _chunk_length(cfg, step)
         noise = stream.draw(chunk)
         for j in range(chunk):
             state = levy_step(state, cfg.landscape, opt, scale * noise[:, j, :])
@@ -124,7 +123,217 @@ def _run_block(cfg, trial_ids):
                 noise = noise[ok]
                 if not active.size:
                     break
+        del noise  # not held across the next draw
         step += chunk
+    return exit_step
+
+
+def _chunk_length(cfg, step):
+    # A short first chunk, then chunks ending on multiples of _CHUNK: in a
+    # basin that trials leave within a few steps, most of them exit inside
+    # the first chunk, so the noise drawn for them and never used stays small.
+    chunk = _FIRST_CHUNK if step == 0 else _CHUNK - step % _CHUNK
+    return min(chunk, cfg.max_steps - step)
+
+
+def _affine_drift(cfg):
+    """Constants of the chunk kernel, or None where it does not apply.
+
+    The kernel needs: kind SGD, d = 1, an ``IntervalRegion`` basin, sigma
+    None or one entry, |r| <= 1 for the substep factor r = 1 - step gamma,
+    and a gradient gamma (x - c) on every point a drift substep can start
+    from.  Those start from inner points, which lie at least half the margin
+    inside the region, and move towards c (r >= 0) or across it (r < 0).
+    Returns ``(R, rho, c, b)``: the computed R = r^K, the bound rho on |R|
+    and on the computed R's modulus, and the noise-free part b of the
+    per-step bound of ``_run_block``.
+    """
+    opt, basin = cfg.optimizer, cfg.basin
+    if (opt.kind != "SGD" or cfg.theta0.size != 1
+            or not isinstance(basin.region, IntervalRegion)
+            or (opt.sigma is not None and opt.sigma.size != 1)
+            or not basin.in_inner(cfg.theta0)):
+        return None
+    lo, hi = basin.region.lo, basin.region.hi
+    inner_lo, inner_hi = lo + 0.5 * basin.margin, hi - 0.5 * basin.margin
+    affine = cfg.landscape.affine_gradient(inner_lo, inner_hi)
+    if affine is None:
+        return None
+    gamma, c = affine
+    r = 1.0 - opt.step_h * opt.drift_scale / opt.drift_substeps * gamma
+    if not abs(r) <= 1.0:
+        return None
+    if r >= 0.0:
+        reach = (min(inner_lo, c), max(inner_hi, c))
+    else:
+        half = max(abs(inner_lo - c), abs(inner_hi - c))
+        reach = (c - half, c + half)
+    if cfg.landscape.affine_gradient(*reach) != affine:
+        return None
+    k = opt.drift_substeps
+    big_r = 1.0
+    for _ in range(k):
+        big_r *= r
+    d_r = 5.0 * k * _U  # bounds |computed R - R|
+    y_max = max(abs(lo - c), abs(hi - c))
+    b = _U * (8.1 * k + 1.01) * (abs(c) + y_max) + 2.0 * y_max * d_r
+    return big_r, abs(big_r) + d_r, c, b
+
+
+def _affine_scan(a, y0, y):
+    """Overwrite ``y`` (rows, L) with the recursion y_j = a y_{j-1} + y_j from y_0 = ``y0``.
+
+    A doubling (Hillis-Steele) scan: after pass k every entry holds the sum
+    of its last 2^k terms, so ceil(log2 L) passes of ``y[:, s:] += a^s y[:, :-s]``
+    replace the L sequential steps.  Rounding: each input term reaches output
+    j through at most ceil(log2 L) multiplications and ceil(log2 L) + 1
+    additions, the first one adding a y0, and a^s, formed by repeated
+    squaring, carries s - 1 roundings of a; so the computed y_j differs from
+    the exact recursion with this ``a`` by at most
+    gamma_N (|a|^j |y0| + sum_i |a|^(j-i) |y_i|), N = L + 2 ceil(log2 L) + 2,
+    gamma_N = N u / (1 - N u), u = 2^-53.  With nonnegative inputs every
+    rounding is relative, so the computed value is at least
+    (1 - gamma_N) times the exact one.
+    """
+    y[:, 0] += a * y0
+    shift, power = 1, a
+    while shift < y.shape[1]:
+        y[:, shift:] += power * y[:, :-shift]
+        shift, power = 2 * shift, power * power
+    return y
+
+
+def _chunk_bracket(drift, xi, y, dev):
+    """Brackets ``(low, high)``, each (rows, L), around the generic iterates of one chunk.
+
+    ``xi`` (rows, L) holds the noise terms and is overwritten; ``y`` and
+    ``dev`` (rows,), the offsets theta - c and their deviation bounds at the
+    chunk start, are advanced in place to the chunk end.  The bracket holds
+    the generic loop's iterate at every step up to a trial's first exit (see
+    ``_run_block``).
+    """
+    big_r, rho, c, b = drift
+    length = xi.shape[1]
+    n = length + 2 * math.ceil(math.log2(length)) + 2
+    gamma_n = n * _U / (1.0 - n * _U)
+    bound = np.abs(xi)
+    bound *= 1.01 * _U + gamma_n
+    bound += b
+    x = _affine_scan(big_r, y, xi)
+    half = _affine_scan(rho, dev + gamma_n * np.abs(y), bound)
+    # the abs scan rounds down by at most gamma_n
+    y[:], dev[:] = x[:, -1], half[:, -1] * (1.0 + 4.0 * gamma_n)
+    x += c
+    half += 2.0 * _U * np.abs(x)
+    half *= _BOUND_SLACK
+    return x - half, x + half
+
+
+def _chunk_outcome(basin, theta0, low, high):
+    """Per trial: the first step not certainly inside, whether there is one, and whether it certainly exits."""
+    low_in, high_in = basin.in_inner(low[..., None]), basin.in_inner(high[..., None])
+    stays = low_in & high_in
+    leaves = ~(low_in | high_in) & ((theta0 <= low) | (theta0 >= high))
+    stop = np.argmin(stays, axis=1)
+    rows = np.arange(stop.size)
+    return stop, ~stays[rows, stop], leaves[rows, stop]
+
+
+def _run_affine(cfg, trial_ids, drift):
+    """Chunk kernel: exit steps of the trials it certifies, and which ones it could not.
+
+    Returns ``(exit_step, uncertain)``; ``exit_step`` is valid where
+    ``uncertain`` is False.  See ``_run_block`` for the bound it certifies with.
+    """
+    opt = cfg.optimizer
+    c = drift[2]
+    theta0 = float(cfg.theta0[0])
+    scale = opt.increment_scale(opt.step_h)
+    stream = SasStream(opt.alpha, 1, cfg.base_seed + trial_ids)
+
+    n = len(trial_ids)
+    exit_step = np.full(n, -1, dtype=np.int64)
+    uncertain = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    y = np.full(n, theta0 - c)
+    dev = _U * np.abs(y)  # bounds |c + y - generic theta|
+    step = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < cfg.max_steps and active.size:
+            chunk = _chunk_length(cfg, step)
+            noise = stream.draw(chunk)
+            keep = np.ones(active.size, dtype=bool)
+            rows = max(1, _SCAN_SLICE // chunk)
+            for lo in range(0, active.size, rows):
+                sl = slice(lo, lo + rows)
+                # the generic step's operations, so the noise terms carry its bits
+                xi = (opt.eps_noise * opt.apply_sigma(scale * noise[sl]))[..., 0]
+                low, high = _chunk_bracket(drift, xi, y[sl], dev[sl])
+                stop, ended, leaves = _chunk_outcome(cfg.basin, theta0, low, high)
+                ids = active[sl]
+                exit_step[ids[ended & leaves]] = step + stop[ended & leaves] + 1
+                uncertain[ids[ended & ~leaves]] = True
+                keep[sl] = ~ended
+            del noise  # not held across the next draw
+            active, y, dev = active[keep], y[keep], dev[keep]
+            stream = stream.take(keep)
+            step += chunk
+    return exit_step, uncertain
+
+
+def _run_block(cfg, trial_ids):
+    """Exit steps of ``trial_ids``: the chunk kernel where it applies, else ``levy_step``.
+
+    The generic loop (``_run_generic``) steps every trial with ``levy_step``
+    and checks ``basin.in_inner`` after each step; it serves every config and
+    is the oracle.  For 1D SGD on an interval basin over an affine gradient
+    (``_affine_drift``), the drift over one step is the linear map
+    y -> R y of the offset y = theta - c, R = r^K, r = 1 - step gamma, so a
+    chunk of L steps is y_j = R y_{j-1} + xi_j.  The kernel forms
+    xi = eps_noise * apply_sigma(scale * noise) from the same ``SasStream``
+    rows with the generic step's operations, so xi carries the generic bits,
+    and runs the recursion as one ``_affine_scan`` per slice of trials.
+
+    Rounding-error bound.  Let u = 2^-53, x_j the generic loop's iterate,
+    Y = max |theta - c| over the region, and delta_j a bound on
+    |c + y~_j - x_j| for the kernel's y~_j.  While the generic iterates stay
+    inside the region (every step before the first exit), the generic step
+    differs from the exact map x -> c + R (x - c) + xi_j by at most
+    u ((8.1 K + 1.01) (|c| + Y) + 1.01 |xi_j|): each drift substep rounds
+    x - c, the two products and the subtraction, at most
+    u (|c| + 7.01 |x - c|) with step gamma <= 2, none of them grows under
+    |r| <= 1, and the noise addition rounds once.  The kernel differs from
+    that exact map through its own R, |R~ - R| <= 5 K u (r~ = 1 - step gamma
+    to 3u, then K - 1 products), applied to offsets below 2 Y, and through
+    the scan's rounding (``_affine_scan``: gamma_N per noise term and per
+    chunk-start offset).  Deviations propagate with factor |R| <= rho =
+    |R~| + 5 K u, so the per-step terms
+    b_j = u (8.1 K + 1.01) (|c| + Y) + 10 K u Y + (1.01 u + gamma_N) |xi_j|
+    run through the same scan with rho give delta_j.  The check uses
+    Delta_j = _BOUND_SLACK (delta_j + 2 u |x~_j|), which also covers forming
+    x~_j = c + y~_j and x~_j -+ Delta_j, and the abs scan's own rounding.
+
+    Interval argument.  For an ``IntervalRegion``, ``in_inner`` is
+    lo < x < hi and min(|x - lo|, |x - hi|) >= margin, and rounding is
+    monotone, so fl(x - lo) rises and fl(hi - x) falls with x: the floats
+    it accepts form an interval I, which contains theta0.  The generic x_j
+    lies in the bracket [x~_j - Delta_j, x~_j + Delta_j].  If both ends are
+    in I, so is x_j.  If both ends are outside I and theta0 is outside the
+    bracket, I lies wholly on theta0's side of the bracket, so x_j is
+    outside.  Any other answer is uncertain; the answer at x~_j itself would
+    settle no further case.
+
+    A trial is accepted only if every step up to its first exit (or to
+    max_steps) is certain.  Any other trial is re-run from step 0 on the
+    generic loop, so the exit steps equal the generic loop's by
+    construction.
+    """
+    drift = _affine_drift(cfg)
+    if drift is None:
+        return _run_generic(cfg, trial_ids)
+    exit_step, uncertain = _run_affine(cfg, trial_ids, drift)
+    if uncertain.any():
+        exit_step[uncertain] = _run_generic(cfg, trial_ids[uncertain])
     return exit_step
 
 

@@ -39,6 +39,14 @@ class Landscape:
     def minimizer(self):
         raise NotImplementedError
 
+    def affine_gradient(self, lo, hi):
+        """``(gamma, c)`` if the computed gradient is gamma (x - c) on [lo, hi], else None.
+
+        Only 1D landscapes can answer; the base class never claims an affine
+        gradient.
+        """
+        return None
+
     def eval(self, theta):
         """Return (value, gradient) at ``theta``."""
         theta = self._check(theta)
@@ -95,6 +103,12 @@ class QuadraticBasin(Landscape):
 
     def minimizer(self):
         return self.center.copy()
+
+    def affine_gradient(self, lo, hi):
+        """``(H[0, 0], center[0])`` in 1D, where the gradient is affine everywhere."""
+        if self.dim != 1:
+            return None
+        return float(self.H[0, 0]), float(self.center[0])
 
     def _offset_form(self, theta):
         """Offsets d = theta - center and quadratic forms q = d^T H d, per row.
@@ -170,6 +184,25 @@ class DoubleWell1D(Landscape):
 
     def minimizer(self):
         return np.array([1.0])
+
+    def affine_gradient(self, lo, hi):
+        """``(2a, 1)`` when [lo, hi] lies on the right branch, else None.
+
+        The right branch is where a (x - 1)^2 <= x^2: x >= x_c, and for
+        a > 1 also x <= sqrt(a) / (sqrt(a) - 1).  ``gradient`` makes that
+        test in floating point, so the interval must clear both crossings by
+        more than the test's rounding: the branch gap x^2 - a (x - 1)^2,
+        concave for a > 1 and increasing in x > 0 otherwise, is smallest at an
+        end of [lo, hi], and each branch value is largest there too.
+        """
+        if not 0.0 < lo <= hi:
+            return None
+        left = [x * x for x in (lo, hi)]
+        right = [self.a * (x - 1.0) ** 2 for x in (lo, hi)]
+        gap = min(p - q for p, q in zip(left, right))
+        if not gap > 32.0 * np.finfo(float).eps * max(left + right):
+            return None
+        return 2.0 * self.a, 1.0
 
     def right_basin_interval(self):
         """Level-cut basin of x = 1: (x_c, 2 - x_c), symmetric about 1."""

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyescape import dynamics, escape, geometry, landscapes, probe
 from levyescape.stable import sas_from_uniforms
@@ -248,3 +250,155 @@ def test_frozen_flow_and_monitor_series():
         "flow_mu2": "754f24359447dc4f",
         "monitors": "835e8ed6e99d336b",
     }
+
+
+def test_frozen_interval_exit_steps():
+    # digests recorded before the chunk kernel: 1D SGD on the sweep preset's
+    # interval basin at three tail indices, max_steps = 600 ending mid-chunk
+    got = {}
+    for alpha, eps in ((1.5, 0.05), (1.0, 0.1), (2.0, 0.3)):
+        cfg = interval_cfg(alpha=alpha, eps=eps, trials=300, max_steps=600, seed=4242)
+        got[f"alpha{alpha:g}_eps{eps:g}"] = _digest(escape.run_escape_experiment(cfg).exit_steps)
+    assert got == {
+        "alpha1.5_eps0.05": "48c96506bd399ca7",
+        "alpha1_eps0.1": "e65cb47eab857949",
+        "alpha2_eps0.3": "8054055ceea3ea9e",
+    }
+
+
+def _kernel_case(land, substeps, step_gamma, alpha, sigma, offset, rel_noise,
+                 max_steps, seed):
+    """A 1D SGD config the chunk kernel takes, with drift factor r = 1 - step_gamma."""
+    if land == "quadratic":
+        # off-centre minimum, drift_scale != 1, region (-1, 1)
+        center, half, mid, step_h, drift_scale = 0.3, 1.0, 0.0, 0.2, 0.5
+        landscape = landscapes.QuadraticBasin(
+            H=np.array([[step_gamma * substeps / (step_h * drift_scale)]]),
+            center=np.array([center]), height=1.0)
+        region = landscapes.IntervalRegion(-1.0, 1.0)
+    else:
+        landscape = landscapes.DoubleWell1D(float(land))
+        lo, hi = landscape.right_basin_interval()
+        region = landscapes.IntervalRegion(lo, hi)
+        half, mid, step_h = 0.5 * (hi - lo), 1.0, 1.0
+        drift_scale = step_gamma * substeps / (2.0 * landscape.a)
+    noise = rel_noise * half
+    opt = dynamics.OptimizerConfig(
+        kind="SGD", alpha=alpha, step_h=step_h, noise_scale=noise, drift_scale=drift_scale,
+        drift_substeps=substeps, sigma=None if sigma is None else np.array(sigma))
+    return escape.EscapeConfig(
+        landscape=landscape, basin=landscapes.BasinSpec(region, noise, 2.0), optimizer=opt,
+        theta0=np.array([mid + offset * half]), trials=30, max_steps=max_steps,
+        base_seed=seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    land=st.sampled_from(["150", "500", "1e5", "quadratic"]),
+    substeps=st.sampled_from([1, 20]),
+    step_gamma=st.sampled_from([0.05, 0.5, 1.0, 1.5, 1.95]),
+    alpha=st.sampled_from([1.0, 1.5, 2.0]),
+    sigma=st.sampled_from([None, [0.5], [[2.0]]]),
+    offset=st.floats(-0.8, 0.8),
+    rel_noise=st.floats(0.01, 0.3),
+    max_steps=st.integers(1, 600),
+    seed=st.integers(0, 2 ** 20),
+)
+def test_chunk_kernel_matches_generic_loop(land, substeps, step_gamma, alpha, sigma, offset,
+                                           rel_noise, max_steps, seed):
+    cfg = _kernel_case(land, substeps, step_gamma, alpha, sigma, offset, rel_noise,
+                       max_steps, seed)
+    assert escape._affine_drift(cfg) is not None
+    ids = np.arange(cfg.trials)
+    assert np.array_equal(escape._run_block(cfg, ids), escape._run_generic(cfg, ids))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    land=st.sampled_from(["150", "500", "1e5", "quadratic"]),
+    substeps=st.sampled_from([1, 20]),
+    step_gamma=st.sampled_from([0.05, 0.5, 1.0, 1.5, 1.95]),
+    alpha=st.sampled_from([1.0, 1.5, 2.0]),
+    sigma=st.sampled_from([None, [0.5], [[2.0]]]),
+    offset=st.floats(-0.8, 0.8),
+    rel_noise=st.floats(0.001, 0.1),
+    length=st.sampled_from([1, 8, 200]),
+    seed=st.integers(0, 2 ** 20),
+)
+def test_chunk_bracket_holds_generic_iterates(land, substeps, step_gamma, alpha, sigma,
+                                              offset, rel_noise, length, seed):
+    # the certified bracket contains the generic loop's iterate at every step
+    # up to each trial's first exit, across two chunks (the bound is carried)
+    cfg = _kernel_case(land, substeps, step_gamma, alpha, sigma, offset, rel_noise,
+                       2 * length, seed)
+    drift = escape._affine_drift(cfg)
+    opt = cfg.optimizer
+    scale = opt.increment_scale(opt.step_h)
+    noise = dynamics.SasStream(opt.alpha, 1, seed + np.arange(cfg.trials)).draw(2 * length)
+    state = dynamics.SdeState.initial(np.tile(cfg.theta0, (cfg.trials, 1)), "SGD")
+    generic = []
+    for j in range(2 * length):
+        state = dynamics.levy_step(state, cfg.landscape, opt, scale * noise[:, j, :])
+        generic.append(state.theta[:, 0])
+    generic = np.array(generic).T
+    y = np.full(cfg.trials, cfg.theta0[0] - drift[2])
+    dev = escape._U * np.abs(y)
+    brackets = [escape._chunk_bracket(
+        drift, (opt.eps_noise * opt.apply_sigma(scale * part))[..., 0], y, dev)
+        for part in (noise[:, :length], noise[:, length:])]
+    low = np.hstack([lo for lo, _ in brackets])
+    high = np.hstack([hi for _, hi in brackets])
+    inside = cfg.basin.in_inner(generic[..., None])
+    first = np.where(inside.all(axis=1), 2 * length, np.argmin(inside, axis=1))
+    checked = np.arange(2 * length) <= first[:, None]
+    assert np.all((low <= generic) & (generic <= high) | ~checked)
+
+
+def test_uncertain_trials_rerun_on_generic_loop(monkeypatch):
+    # an infinite slack leaves no step certain, so every trial falls back
+    cfg = escape.double_well_config(500.0, 3e-4, trials=40, max_steps=300, base_seed=3,
+                                    gamma=2.0)
+    ids = np.arange(cfg.trials)
+    expected = escape._run_generic(cfg, ids)
+    assert escape._affine_drift(cfg) is not None
+    assert np.unique(expected).size > 5
+    rerun = []
+    generic = escape._run_generic
+
+    def recording(cfg, trial_ids):
+        rerun.append(trial_ids.copy())
+        return generic(cfg, trial_ids)
+
+    monkeypatch.setattr(escape, "_run_generic", recording)
+    monkeypatch.setattr(escape, "_BOUND_SLACK", np.inf)
+    got = escape.run_escape_experiment(cfg).exit_steps
+    assert len(rerun) == 1 and np.array_equal(rerun[0], ids)
+    assert np.array_equal(got, expected)
+
+
+def test_chunk_kernel_engages_only_on_1d_sgd_intervals(monkeypatch):
+    calls = []
+    step = escape.levy_step
+
+    def counting(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(escape, "levy_step", counting)
+    for a in (1e5, 500.0, 150.0):  # fig3-style
+        cfg = escape.double_well_config(a, 1.58e-4, trials=200, max_steps=2000,
+                                        base_seed=700000, gamma=2.0)
+        escape.run_escape_experiment(cfg)
+    for eps in (0.02, 0.1):  # sweep-style
+        escape.run_escape_experiment(interval_cfg(eps=eps, trials=200, max_steps=5000,
+                                                  seed=4242))
+    assert calls == []
+    # compare-style: 2D, so the generic loop steps it
+    land = landscapes.QuadraticBasin(H=np.diag([10.0, 0.1]), center=np.zeros(2), height=0.5)
+    opt = dynamics.OptimizerConfig(kind="SGD", alpha=1.5, step_h=0.05, noise_scale=0.3,
+                                   sigma=np.array([3.0, 0.1]))
+    cfg = escape.EscapeConfig(landscape=land, basin=landscapes.BasinSpec(land, 0.3, 2.0),
+                              optimizer=opt, theta0=np.zeros(2), trials=50,
+                              max_steps=100, base_seed=8)
+    escape.run_escape_experiment(cfg)
+    assert len(calls) > 0

@@ -8,7 +8,10 @@ in the module or be listed in its ``__all__``.  Conversely each name in
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "levyescape"
 
@@ -70,3 +73,14 @@ def test_every_export_is_bound():
     found = {path.name: unbound_exports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal alone adds about a second and 74 MB to start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    code = "import sys, levyescape.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -199,3 +199,37 @@ def test_landscape_validation():
     qb = landscapes.QuadraticBasin(H=np.eye(2), center=np.zeros(2), height=1.0)
     with pytest.raises(ValueError):
         qb.eval(np.array([1.0, 2.0, 3.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.sampled_from([0.25, 1.0, 4.0, 150.0, 500.0, 1e5]),
+       u=st.floats(-0.2, 1.2), v=st.floats(-0.2, 1.2), seed=st.integers(0, 2 ** 16))
+def test_affine_gradient_claims_hold(a, u, v, seed):
+    # where affine_gradient claims (gamma, c), the computed gradient is
+    # gamma * (x - c) bit for bit at every point of the interval
+    dw = landscapes.DoubleWell1D(a)
+    x_c = dw.crossover()
+    far = 3.0 if a <= 1.0 else math.sqrt(a) / (math.sqrt(a) - 1.0)
+    lo, hi = sorted(x_c + t * (far - x_c) for t in (u, v))
+    claim = dw.affine_gradient(lo, hi)
+    if lo <= x_c or (a > 1.0 and hi >= far):
+        assert claim is None
+    if claim is not None:
+        gamma, c = claim
+        xs = np.random.default_rng(seed).uniform(lo, hi, 500)
+        xs = np.concatenate([xs, [lo, hi], np.nextafter([lo, hi], [hi, lo])])
+        assert np.array_equal(dw.gradient(xs[:, None])[:, 0], gamma * (xs - c))
+
+
+def test_affine_gradient_of_quadratics_and_base():
+    q = landscapes.QuadraticBasin(H=np.array([[2.5]]), center=np.array([0.3]))
+    assert q.affine_gradient(-1.0, 1.0) == (2.5, 0.3)
+    xs = np.linspace(-1.0, 1.0, 101)
+    assert np.array_equal(q.gradient(xs[:, None])[:, 0], 2.5 * (xs - 0.3))
+    assert landscapes.QuadraticBasin(H=np.eye(2), center=np.zeros(2)).affine_gradient(
+        -1.0, 1.0) is None
+    assert landscapes.Landscape().affine_gradient(-1.0, 1.0) is None
+    dw = landscapes.DoubleWell1D(150.0)
+    lo, hi = dw.right_basin_interval()
+    assert dw.affine_gradient(lo, hi) is None  # lo sits on the crossover
+    assert dw.affine_gradient(lo + 1e-9, hi) == (300.0, 1.0)
