@@ -2,10 +2,17 @@
 
 Subcommands: sample | estimate | escape | sweep | geometry | probe | flow |
 compare.  Parameters come from an INI config file (section named after the
-subcommand) and/or long-form flags; flags win.  Every run emits a JSON
-document containing {tool_version, config_echo, seed, wall_time} plus the
-command's results.  Exit codes: 0 success, 2 usage or parameter-domain
-error, 3 numerical divergence.
+subcommand) and/or long-form flags; flags win, and a config key that names
+no flag of the subcommand is an error.  Integer parameters must be integral
+(``1e6`` reads as 1000000, ``2.7`` is an error).  A parameter left unset
+takes the library's own default; the CLI states a default only where the
+library has none or the CLI's differs.
+
+``main`` owns the run document: each ``_cmd_*`` maps the merged config and
+the seed to a result dict, and ``main`` writes {tool_version, config_echo,
+seed, wall_time, result} as strict JSON, with null for NaN and infinities.
+Exit codes: 0 success, 2 usage or parameter-domain error, 3 numerical
+divergence.
 """
 
 from __future__ import annotations
@@ -39,62 +46,76 @@ def _load_config(path, section):
 
 
 def _merge(args, command):
+    """Config-file values overlaid by the flags given; unknown file keys are errors."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("config", "command", "func")}
     cfg = {}
-    if getattr(args, "config", None):
-        cfg = _load_config(args.config, command)
-    for key, val in vars(args).items():
-        if key in ("config", "command", "func") or val is None:
-            continue
-        cfg[key] = val
+    if args.config:
+        dests = {key.lower(): key for key in flags}  # configparser lowercases keys
+        for key, val in _load_config(args.config, command).items():
+            if key not in dests:
+                raise stable.ParameterError(f"unknown config key for {command}: {key}")
+            cfg[dests[key]] = val
+    cfg.update((k, v) for k, v in flags.items() if v is not None)
     return cfg
 
 
-def _f(cfg, key, default=None):
+def _raw(cfg, key, default):
     if key in cfg:
-        return float(cfg[key])
+        return cfg[key]
     if default is None:
         raise stable.ParameterError(f"missing required parameter: {key}")
     return default
+
+
+def _f(cfg, key, default=None):
+    return float(_raw(cfg, key, default))
 
 
 def _i(cfg, key, default=None):
-    if key in cfg:
-        return int(float(cfg[key]))
-    if default is None:
-        raise stable.ParameterError(f"missing required parameter: {key}")
-    return default
+    """An integer parameter read exactly: ``12`` and ``1e6``, but not ``2.7``."""
+    raw = _raw(cfg, key, default)
+    try:
+        return int(raw)
+    except ValueError:
+        value = float(raw)
+    if not value.is_integer():
+        raise stable.ParameterError(f"{key} must be an integer, got {raw!r}")
+    return int(value)
 
 
 def _s(cfg, key, default=None):
-    return str(cfg.get(key, default))
+    return str(_raw(cfg, key, default))
 
 
 def _flist(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise stable.ParameterError(f"missing required parameter: {key}")
-        return list(default)
-    raw = cfg[key]
-    if isinstance(raw, (list, tuple)):
-        return [float(x) for x in raw]
-    return [float(x) for x in str(raw).replace(",", " ").split()]
+    raw = _raw(cfg, key, default)
+    if isinstance(raw, str):
+        raw = raw.replace(",", " ").split()
+    return [float(x) for x in raw]
+
+
+def _given(cfg, **readers):
+    """The parameters among ``readers`` that the run sets, each read by its reader.
+
+    Unset ones are left out, so the library function's own default applies.
+    """
+    return {key: read(cfg, key) for key, read in readers.items() if key in cfg}
 
 
 def _jsonable(obj):
+    """Plain-JSON copy of ``obj``: numpy values unpacked, NaN and infinities as None."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and (obj != obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
 
 
-def _emit(result, cfg, seed, out_path, t0):
+def _emit(result, cfg, seed, t0):
     doc = {
         "tool_version": __version__,
         "config_echo": _jsonable(cfg),
@@ -102,9 +123,9 @@ def _emit(result, cfg, seed, out_path, t0):
         "wall_time": time.time() - t0,
         "result": _jsonable(result),
     }
-    text = json.dumps(doc, indent=2)
-    if out_path:
-        with open(out_path, "w") as fh:
+    text = json.dumps(doc, indent=2, allow_nan=False)
+    if cfg.get("out"):
+        with open(cfg["out"], "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -123,11 +144,8 @@ def _write_csv(path, header, rows):
             fh.write(",".join(cells) + "\n")
 
 
-def _cmd_sample(args):
-    t0 = time.time()
-    cfg = _merge(args, "sample")
-    seed = _i(cfg, "seed", 0)
-    law = stable.StableLaw(alpha=_f(cfg, "alpha"), sigma=_f(cfg, "sigma", 1.0))
+def _cmd_sample(cfg, seed):
+    law = stable.StableLaw(alpha=_f(cfg, "alpha"), **_given(cfg, sigma=_f))
     n = _i(cfg, "n", 100_000)
     samples = stable.sample_sas(law, n, seed=seed)
     out_samples = cfg.get("out_samples")
@@ -139,51 +157,29 @@ def _cmd_sample(args):
             "empirical": stable.empirical_char_fn(samples, omega),
             "law": float(law.char_fn(omega)),
         }
-    result = {"n": n, "alpha": law.alpha, "sigma": law.sigma,
-              "median": float(np.median(samples)), "char_fn": report}
-    _emit(result, cfg, seed, cfg.get("out"), t0)
-    return 0
+    return {"n": n, "alpha": law.alpha, "sigma": law.sigma,
+            "median": float(np.median(samples)), "char_fn": report}
 
 
-def _cmd_estimate(args):
-    t0 = time.time()
-    cfg = _merge(args, "estimate")
-    samples = np.loadtxt(cfg["input"], ndmin=1)
+def _cmd_estimate(cfg, seed):
+    samples = np.loadtxt(_s(cfg, "input"), ndmin=1)
     if samples.size == 0:
         raise stable.SampleSizeError("input file contains no samples")
     k2 = _i(cfg, "k2", 0) or None
     k1 = _i(cfg, "k1", 0) or None
     alpha_hat = stable.estimate_tail_index(samples, k1=k1, k2=k2)
     k2_used = k2 if k2 else int(math.isqrt(samples.size))
-    result = {"alpha_hat": alpha_hat, "n": int(samples.size),
-              "k2": k2_used, "k1": k1 if k1 else int(samples.size) // k2_used,
-              "k2_default_used": k2 is None}
-    _emit(result, cfg, _i(cfg, "seed", 0), cfg.get("out"), t0)
-    return 0
+    return {"alpha_hat": alpha_hat, "n": int(samples.size),
+            "k2": k2_used, "k1": k1 if k1 else int(samples.size) // k2_used,
+            "k2_default_used": k2 is None}
 
 
-def _escape_cfg_from(cfg, a, seed):
-    return escape.double_well_config(
-        a,
-        _f(cfg, "noise_scale"),
-        trials=_i(cfg, "trials", 1000),
-        max_steps=_i(cfg, "max_steps", 2000),
-        base_seed=seed,
-        alpha=_f(cfg, "alpha", 1.5),
-        drift_scale=_f(cfg, "drift_scale", 5e-5),
-        drift_substeps=_i(cfg, "drift_substeps", 20),
-        gamma=_f(cfg, "gamma", 1.0),
-    )
-
-
-def _cmd_escape(args):
-    t0 = time.time()
-    cfg = _merge(args, "escape")
-    seed = _i(cfg, "seed", 0)
-    a_values = _flist(cfg, "a_values", [_f(cfg, "a", 150.0)])
+def _cmd_escape(cfg, seed):
+    given = _given(cfg, trials=_i, max_steps=_i, alpha=_f, drift_scale=_f,
+                   drift_substeps=_i, gamma=_f)
     result = {"basin_convention": "level cut through the branch crossover"}
-    for a in a_values:
-        ecfg = _escape_cfg_from(cfg, a, seed)
+    for a in _flist(cfg, "a_values", [_f(cfg, "a", 150.0)]):
+        ecfg = escape.double_well_config(a, _f(cfg, "noise_scale"), base_seed=seed, **given)
         stats = escape.run_escape_experiment(ecfg)
         result[f"a_{a:g}"] = stats.summary()
         trial_csv = cfg.get("trial_csv")
@@ -191,178 +187,132 @@ def _cmd_escape(args):
             path = trial_csv.replace("{a}", f"{a:g}")
             _write_csv(path, ["trial", "exited", "exit_step", "exit_time"],
                        stats.exit_times)
-    _emit(result, cfg, seed, cfg.get("out"), t0)
-    return 0
+    return result
 
 
-def _sweep_template(cfg, alpha, seed):
+def _cmd_sweep(cfg, seed):
     b = _f(cfg, "b", 1.0)
     mu = _f(cfg, "mu", 1.0)
-    eps0 = _flist(cfg, "eps_list")[0]
+    eps_list = _flist(cfg, "eps_list")
     basin = landscapes.BasinSpec(
-        region=landscapes.IntervalRegion(-b, b), eps=eps0, gamma=_f(cfg, "gamma", 2.0)
+        region=landscapes.IntervalRegion(-b, b), eps=eps_list[0], gamma=_f(cfg, "gamma", 2.0)
     )
     land = landscapes.QuadraticBasin(H=np.array([[mu]]), center=np.zeros(1),
                                      height=0.5 * mu * b * b)
-    opt = dynamics.OptimizerConfig(
-        kind="SGD", eta=1e-3, alpha=alpha, step_h=_f(cfg, "step_h", 0.2),
-        noise_scale=eps0,
-    )
-    return escape.EscapeConfig(
+    opt = dynamics.OptimizerConfig(step_h=_f(cfg, "step_h", 0.2), noise_scale=eps_list[0],
+                                   **_given(cfg, alpha=_f))
+    template = escape.EscapeConfig(
         landscape=land, basin=basin, optimizer=opt, theta0=np.zeros(1),
         trials=_i(cfg, "trials", 2000), max_steps=_i(cfg, "max_steps", 20000),
         base_seed=seed,
     )
-
-
-def _cmd_sweep(args):
-    t0 = time.time()
-    cfg = _merge(args, "sweep")
-    seed = _i(cfg, "seed", 0)
-    alpha = _f(cfg, "alpha", 1.5)
-    eps_list = _flist(cfg, "eps_list")
-    template = _sweep_template(cfg, alpha, seed)
     report = escape.scaling_sweep(template, eps_list)
-    b = _f(cfg, "b", 1.0)
-    m_w = (2.0 / alpha) * b ** (-alpha)
-    result = {
+    m_w = (2.0 / opt.alpha) * b ** (-opt.alpha)
+    return {
         "slope": report["slope"], "intercept": report["intercept"],
-        "r2": report["r2"], "theory_slope": -alpha,
+        "r2": report["r2"], "theory_slope": -opt.alpha,
         "eps": report["eps"], "mean_exit_time": report["mean_exit_time"],
         "dropped": report["dropped"],
         "predicted_mean_exit_smallest_eps": escape.predicted_mean_exit(
-            m_w, alpha, report["eps"][0]
+            m_w, opt.alpha, report["eps"][0]
         ),
     }
-    _emit(result, cfg, seed, cfg.get("out"), t0)
-    return 0
 
 
 def _spectrum_from(cfg):
-    return geometry.Spectrum(
-        lambdas=np.asarray(_flist(cfg, "lambdas")),
-        sigmas=np.asarray(_flist(cfg, "sigmas")),
-        batch_size=_i(cfg, "batch_size", 1),
-        h_f_star=_f(cfg, "h_f_star", 1.0),
-    )
+    return geometry.Spectrum(lambdas=_flist(cfg, "lambdas"), sigmas=_flist(cfg, "sigmas"),
+                             **_given(cfg, batch_size=_i, h_f_star=_f))
 
 
-def _cmd_geometry(args):
-    t0 = time.time()
-    cfg = _merge(args, "geometry")
-    seed = _i(cfg, "seed", 0)
-    spec = _spectrum_from(cfg)
-    report = geometry.compare_measures(
-        spec, _f(cfg, "alpha", 1.5), n_dirs=_i(cfg, "n_dirs", 1_000_000), seed=seed
-    )
-    _emit(report, cfg, seed, cfg.get("out"), t0)
-    return 0
+def _cmd_geometry(cfg, seed):
+    # compare_measures has no default alpha; 1.5 matches OptimizerConfig's
+    return geometry.compare_measures(_spectrum_from(cfg), _f(cfg, "alpha", 1.5),
+                                     seed=seed, **_given(cfg, n_dirs=_i))
 
 
-def _cmd_probe(args):
-    t0 = time.time()
-    cfg = _merge(args, "probe")
-    seed = _i(cfg, "seed", 0)
+def _quadratic_flow(cfg, mu, theta0, **opt_defaults):
+    """The 1D quadratic mu theta^2 / 2, a zero-noise optimizer on it, and theta0."""
+    land = landscapes.QuadraticBasin(H=np.array([[_f(cfg, "mu", mu)]]), center=np.zeros(1),
+                                     height=10.0)
+    opt = dynamics.OptimizerConfig(beta2=_f(cfg, "beta2", 0.99), noise_scale=0.0,
+                                   **{**opt_defaults, **_given(cfg, step_h=_f, beta1=_f)})
+    return land, opt, np.array([_f(cfg, "theta0", theta0)])
+
+
+def _cmd_probe(cfg, seed):
     mode = _s(cfg, "mode", "noise")
     if mode == "noise":
         model = probe.MlpModel.random_init(seed=seed)
         data = probe.SyntheticDataset.blobs(seed=seed + 1)
-        opt = dynamics.OptimizerConfig(kind=_s(cfg, "kind", "SGD"),
-                                       eta=_f(cfg, "eta", 0.05), alpha=1.5)
+        opt = dynamics.OptimizerConfig(eta=_f(cfg, "eta", 0.05), **_given(cfg, kind=_s))
         records = probe.noise_trajectory(
-            model, data, opt, _i(cfg, "steps", 600),
-            window=_i(cfg, "window", 16), batch_size=_i(cfg, "batch_size", 32),
-            seed=seed, record_stride=_i(cfg, "record_stride", 50),
+            model, data, opt, _i(cfg, "steps", 600), seed=seed,
+            record_stride=_i(cfg, "record_stride", 50),
+            **_given(cfg, window=_i, batch_size=_i),
         )
         csv_path = cfg.get("noise_csv")
         if csv_path:
             _write_csv(csv_path, ["step", "alpha_hat", "noise_l2"],
                        [(r.step, r.alpha_hat if r.alpha_hat is not None else float("nan"),
                          r.noise_l2) for r in records])
-        comparison = probe.averaging_tail_comparison(records, _f(cfg, "beta1", 0.9))
-        result = {
+        # --beta1 sets the averaging only; the optimizer keeps its own beta1
+        comparison = probe.averaging_tail_comparison(records, _f(cfg, "beta1", opt.beta1))
+        return {
             "records": [{"step": r.step, "alpha_hat": r.alpha_hat,
                          "noise_l2": r.noise_l2} for r in records],
             "averaging_comparison": comparison,
             "pooling": "per-coordinate MAD standardization over the window",
         }
-    elif mode == "monitors":
-        mu = _f(cfg, "mu", 1.0)
-        land = landscapes.QuadraticBasin(H=np.array([[mu]]), center=np.zeros(1),
-                                         height=10.0)
-        opt = dynamics.OptimizerConfig(kind="ADAM", alpha=1.5, step_h=_f(cfg, "step_h", 1e-2),
-                                       beta1=_f(cfg, "beta1", 0.9),
-                                       beta2=_f(cfg, "beta2", 0.99), noise_scale=0.0)
-        report = probe.assumption_monitors(land, opt, np.array([_f(cfg, "theta0", 2.0)]),
-                                           _i(cfg, "steps", 1000),
+    if mode == "monitors":
+        land, opt, theta0 = _quadratic_flow(cfg, 1.0, 2.0, kind="ADAM")
+        report = probe.assumption_monitors(land, opt, theta0, _i(cfg, "steps", 1000),
                                            record_stride=_i(cfg, "record_stride", 10))
         csv_path = cfg.get("monitor_csv")
         if csv_path:
             _write_csv(csv_path, ["t", "rho", "tau", "v_min", "v_max"],
                        [(float(t), float(r), float(tv), report.v_min, report.v_max)
                         for t, r, tv in zip(report.t, report.rho, report.tau)])
-        result = {"t": report.t, "rho": report.rho, "tau": report.tau,
-                  "v_min": report.v_min, "v_max": report.v_max}
-    else:
-        raise stable.ParameterError(f"unknown probe mode: {mode!r}")
-    _emit(result, cfg, seed, cfg.get("out"), t0)
-    return 0
+        return {"t": report.t, "rho": report.rho, "tau": report.tau,
+                "v_min": report.v_min, "v_max": report.v_max}
+    raise stable.ParameterError(f"unknown probe mode: {mode!r}")
 
 
-def _cmd_flow(args):
-    t0 = time.time()
-    cfg = _merge(args, "flow")
-    seed = _i(cfg, "seed", 0)
-    mu = _f(cfg, "mu", 2.0)
-    kind = _s(cfg, "kind", "SGD")
-    land = landscapes.QuadraticBasin(H=np.array([[mu]]), center=np.zeros(1), height=10.0)
-    opt = dynamics.OptimizerConfig(kind=kind, alpha=1.5, step_h=_f(cfg, "step_h", 1e-3),
-                                   beta1=_f(cfg, "beta1", 0.9),
-                                   beta2=_f(cfg, "beta2", 0.99), noise_scale=0.0)
-    state0 = dynamics.SdeState.initial(np.array([_f(cfg, "theta0", 1.0)]), kind)
+def _cmd_flow(cfg, seed):
+    land, opt, theta0 = _quadratic_flow(cfg, 2.0, 1.0, step_h=1e-3, **_given(cfg, kind=_s))
+    state0 = dynamics.SdeState.initial(theta0, opt.kind)
     _, report = dynamics.deterministic_flow(state0, land, opt, _f(cfg, "T", 2.0))
-    result = {
+    return {
         "observed_rate": report.observed_rate,
         "predicted_rate": report.predicted_rate,
         "tau": report.tau, "v_max": report.v_max,
         "n_points": int(report.lyapunov_series.shape[0]),
     }
-    _emit(result, cfg, seed, cfg.get("out"), t0)
-    return 0
 
 
-def _cmd_compare(args):
-    t0 = time.time()
-    cfg = _merge(args, "compare")
-    seed = _i(cfg, "seed", 0)
-    alpha = _f(cfg, "alpha", 1.5)
+def _cmd_compare(cfg, seed):
     spec = _spectrum_from(cfg)
-    geo = geometry.compare_measures(spec, alpha, n_dirs=_i(cfg, "n_dirs", 400_000),
-                                    seed=seed)
-    height = spec.h_f_star / 2.0
-    land = landscapes.QuadraticBasin(H=np.diag(spec.lambdas),
-                                     center=np.zeros(spec.dim), height=height)
     noise_scale = _f(cfg, "noise_scale", 0.05)
-    basin = landscapes.BasinSpec(region=land, eps=noise_scale, gamma=_f(cfg, "gamma", 2.0))
     opt = dynamics.OptimizerConfig(
-        kind="SGD", eta=1e-3, alpha=alpha, step_h=_f(cfg, "step_h", 0.1),
-        noise_scale=noise_scale, sigma=spec.sigmas, beta1=0.9, beta2=0.99,
+        step_h=_f(cfg, "step_h", 0.1), noise_scale=noise_scale, sigma=spec.sigmas,
+        beta2=0.99, **_given(cfg, alpha=_f),
     )
+    geo = geometry.compare_measures(spec, opt.alpha, n_dirs=_i(cfg, "n_dirs", 400_000),
+                                    seed=seed)
+    land = landscapes.QuadraticBasin(H=np.diag(spec.lambdas),
+                                     center=np.zeros(spec.dim), height=spec.h_f_star / 2.0)
+    basin = landscapes.BasinSpec(region=land, eps=noise_scale, gamma=_f(cfg, "gamma", 2.0))
     ecfg = escape.EscapeConfig(
         landscape=land, basin=basin, optimizer=opt, theta0=np.zeros(spec.dim),
         trials=_i(cfg, "trials", 2000), max_steps=_i(cfg, "max_steps", 40000),
         base_seed=seed,
     )
-    q_fixed = spec.batch_size * spec.sigmas
-    comparison = escape.compare_optimizers(ecfg, q_fixed_adam=q_fixed)
-    result = {
+    comparison = escape.compare_optimizers(ecfg, q_fixed_adam=spec.batch_size * spec.sigmas)
+    return {
         "geometry": geo,
         "escape": {k: s.summary() for k, s in comparison["stats"].items()},
         "mean_exit_time_ratios": comparison["mean_exit_time_ratios"],
         "common_random_numbers": True,
     }
-    _emit(result, cfg, seed, cfg.get("out"), t0)
-    return 0
 
 
 def _build_parser():
@@ -402,13 +352,16 @@ def _build_parser():
 
 
 def main(argv=None):
+    t0 = time.time()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        cfg = _merge(args, args.command)
+        seed = _i(cfg, "seed", 0)
+        _emit(args.func(cfg, seed), cfg, seed, t0)
     except (stable.ParameterError, stable.SampleSizeError, ValueError, OSError,
             KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -416,6 +369,7 @@ def main(argv=None):
     except (dynamics.DivergedError, FloatingPointError) as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -55,6 +55,8 @@ class EscapeConfig:
             raise ParameterError("trials must be >= 1")
         if self.max_steps < 1:
             raise ParameterError("max_steps must be >= 1")
+        if not 0 <= int(self.base_seed) <= 2**63 - int(self.trials):
+            raise ParameterError("trial seeds base_seed + i must lie in [0, 2**63)")
         if not self.basin.in_inner(self.theta0, margin_factor=2.0):
             raise ParameterError(
                 "theta0 must lie in the basin with doubled margin 2 eps^gamma"

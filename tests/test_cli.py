@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
-from levyescape import __version__
+from levyescape import __version__, cli, escape, stable
 from levyescape.cli import main
 
 
@@ -62,17 +63,21 @@ def test_parameter_errors_exit_2(tmp_path, capsys):
     assert main(["estimate", "--input", str(tmp_path / "missing.txt")]) == 2
     assert main(["probe", "--mode", "bogus"]) == 2
     assert main(["sample", "--alpha", "1.5", "--threads", "2"]) == 2
-    # small runs that succeed without the flag, so only --threads can fail them
+    # small runs that succeed as they are, so only the appended flags can fail
+    # them: an unknown flag, a fractional integer, and a base seed whose trial
+    # seeds pass 2**63
     valid = {
         "escape": ["--noise-scale", "1e-3", "--trials", "2", "--max-steps", "5"],
         "sweep": ["--eps-list", "0.3 0.6", "--trials", "100", "--max-steps", "2000"],
         "compare": ["--lambdas", "10 0.1", "--sigmas", "3 0.1", "--noise-scale", "0.3",
                     "--trials", "4", "--max-steps", "50", "--n-dirs", "1000"],
     }
+    bad = (["--threads", "2"], ["--trials", "2.7"], ["--seed", "9300000000000000000"])
     for command in ("escape", "sweep", "compare"):
         out = str(tmp_path / f"{command}.json")
-        argv = [command, *valid[command], "--out", out, "--threads", "2"]
-        assert main(argv) == 2, command
+        for extra in bad:
+            argv = [command, *valid[command], "--out", out, *extra]
+            assert main(argv) == 2, (command, extra)
     capsys.readouterr()
 
 
@@ -182,3 +187,83 @@ def test_presets_parse_and_run_reduced(tmp_path):
                      "--trials", "50", "--n-dirs", "50000"], tmp_path, "c.json")
     assert code == 0
     assert doc["result"]["geometry"]["ratio_sgd_over_adam"] > 1.0
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+def test_document_is_strict_json(tmp_path):
+    # tau is NaN wherever the gradient vanishes, which at theta0 = 0 is everywhere
+    out = tmp_path / "mon.json"
+    assert main(["probe", "--mode", "monitors", "--theta0", "0", "--steps", "100",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert doc["result"]["tau"][0] is None
+    assert cli._jsonable({"a": np.array([[1.0, np.inf], [np.nan, -np.inf]]),
+                          "b": np.float64("nan")}) == {"a": [[1.0, None], [None, None]],
+                                                       "b": None}
+
+
+def test_integers_read_exactly(tmp_path):
+    big = 12345678901234567891
+    code, doc = run(["sample", "--alpha", "1.5", "--n", "1e3", "--seed", str(big)], tmp_path)
+    assert code == 0
+    assert doc["seed"] == big
+    assert doc["result"]["n"] == 1000
+    law = stable.StableLaw(alpha=1.5)
+    assert doc["result"]["median"] == float(np.median(stable.sample_sas(law, 1000, seed=big)))
+
+
+def test_unknown_config_key_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cmp.cfg"
+    cfg.write_text("[compare]\nlambdas = 10 0.1\nsigmas = 3 0.1\nn_dir = 1000\n")
+    assert main(["compare", "--config", str(cfg)]) == 2
+    assert "n_dir" in capsys.readouterr().err
+    # configparser lowercases keys; a mixed-case flag name still matches
+    cfg.write_text("[flow]\nT = 0.5\n")
+    code, doc = run(["flow", "--config", str(cfg)], tmp_path)
+    assert code == 0
+    assert doc["config_echo"]["T"] == "0.5"
+
+
+TINY = {
+    "sample": ["--alpha", "1.5", "--n", "500"],
+    "escape": ["--noise-scale", "1e-3", "--trials", "4", "--max-steps", "20"],
+    "sweep": ["--eps-list", "0.3 0.6", "--trials", "120", "--max-steps", "500"],
+    "geometry": ["--lambdas", "10 0.1", "--sigmas", "3 0.1", "--n-dirs", "500"],
+    "probe": ["--steps", "20", "--window", "8", "--record-stride", "10"],
+    "probe_monitors": ["--mode", "monitors", "--steps", "20"],
+    "flow": ["--T", "0.2"],
+    "compare": ["--lambdas", "10 0.1", "--sigmas", "3 0.1", "--noise-scale", "0.3",
+                "--trials", "4", "--max-steps", "50", "--n-dirs", "500"],
+}
+
+
+@pytest.mark.filterwarnings("ignore:sweep amplitudes")
+def test_every_subcommand_emits_one_document_shape(tmp_path):
+    samples = tmp_path / "s.txt"
+    np.savetxt(samples, np.random.default_rng(0).standard_cauchy(400))
+    for name, argv in {**TINY, "estimate": ["--input", str(samples)]}.items():
+        code, doc = run([name.split("_")[0], *argv, "--seed", "11"], tmp_path, f"{name}.json")
+        assert code == 0, name
+        assert set(doc) == {"tool_version", "config_echo", "seed", "wall_time", "result"}
+        assert doc["seed"] == 11, name
+
+
+def test_escape_passes_only_given_keys_to_library(tmp_path, monkeypatch):
+    seen = []
+    inner = escape.run_escape_experiment
+
+    def tap(cfg, threads=None):
+        seen.append(cfg)
+        return inner(cfg, threads=threads)
+
+    monkeypatch.setattr(escape, "run_escape_experiment", tap)
+    code, _ = run(["escape", "--noise-scale", "2e-4", "--seed", "5"], tmp_path)
+    assert code == 0
+    expect = escape.double_well_config(150.0, 2e-4, base_seed=5)
+    (got,) = seen
+    for field in dataclasses.fields(expect):
+        a, b = getattr(got, field.name), getattr(expect, field.name)
+        assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, field.name
