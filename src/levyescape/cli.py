@@ -244,7 +244,8 @@ def _cmd_probe(cfg, seed):
     if mode == "noise":
         model = probe.MlpModel.random_init(seed=seed)
         data = probe.SyntheticDataset.blobs(seed=seed + 1)
-        opt = dynamics.OptimizerConfig(eta=_f(cfg, "eta", 0.05), **_given(cfg, kind=_s))
+        opt = dynamics.OptimizerConfig(eta=_f(cfg, "eta", 0.05),
+                                       **_given(cfg, kind=_s, beta1=_f, beta2=_f))
         records = probe.noise_trajectory(
             model, data, opt, _i(cfg, "steps", 600), seed=seed,
             record_stride=_i(cfg, "record_stride", 50),
@@ -255,8 +256,7 @@ def _cmd_probe(cfg, seed):
             _write_csv(csv_path, ["step", "alpha_hat", "noise_l2"],
                        [(r.step, r.alpha_hat if r.alpha_hat is not None else float("nan"),
                          r.noise_l2) for r in records])
-        # --beta1 sets the averaging only; the optimizer keeps its own beta1
-        comparison = probe.averaging_tail_comparison(records, _f(cfg, "beta1", opt.beta1))
+        comparison = probe.averaging_tail_comparison(records, opt.beta1)
         return {
             "records": [{"step": r.step, "alpha_hat": r.alpha_hat,
                          "noise_l2": r.noise_l2} for r in records],

@@ -18,6 +18,7 @@ time, matching the compound-Poisson intensity and the exit-time predictions.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -177,31 +178,119 @@ class SdeState:
         )
 
 
+# NumPy's SeedSequence constants (pool size 4, uint32 lanes)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init, mult, n):
+    """The first n values of a SeedSequence hash constant, as uint32 scalars."""
+    consts = [init]
+    while len(consts) < n:
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return [np.uint32(c) for c in consts]
+
+
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 17)  # 16 hashmix calls in mix_entropy
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 9)  # 8 output words
+
+
+def _seed_words(seeds):
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for a uint64 array of seeds.
+
+    NumPy's hash run over all seeds at once on uint32 lanes.  A seed's
+    entropy is its little-endian 32-bit words, one below 2**32 and two from
+    there on; the pool of four words is filled with the hashed entropy and
+    then hashed zeros, and a missing high word hashes exactly as a zero, so
+    both cases take one path.  Every pool word is then mixed into every
+    other, and the pool is hashed out to eight uint32 words, read as four
+    little-endian uint64 per seed.  Returns a ``(seeds, 4)`` uint64 array.
+    """
+    lo = (seeds & 0xFFFFFFFF).astype(np.uint32)
+    zero = np.zeros_like(lo)
+    consts = iter(zip(_HASH_A, _HASH_A[1:]))
+
+    def hashmix(value):
+        xor_const, mult_const = next(consts)
+        value = (value ^ xor_const) * mult_const
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in (lo, (seeds >> 32).astype(np.uint32), zero, zero)]
+    mult_l, mult_r = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * mult_l - hashmix(pool[src]) * mult_r
+                pool[dst] = mixed ^ (mixed >> 16)
+    out = []
+    for i in range(8):
+        value = (pool[i % 4] ^ _HASH_B[i]) * _HASH_B[i + 1]
+        out.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([out[i] | (out[i + 1] << 32) for i in range(0, 8, 2)], axis=-1)
+
+
+@functools.cache
+def _state_words_type():
+    """A seed sequence type that hands a bit generator one precomputed state row.
+
+    Built on first use: subclassing ``ISeedSequence`` imports
+    ``numpy.random`` (about 15 ms on a 2-vCPU x86 host), which importing the
+    package does not.
+    """
+
+    class StateWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
+
+
+def _trial_seeds(seed):
+    """``seed`` as a 1-D uint64 array, after checking it holds integers in [0, 2**63)."""
+    seeds = np.asarray(seed)
+    if seeds.ndim > 1 or seeds.dtype.kind not in "iu":
+        raise ParameterError(f"seeds must be an int or a 1-D integer array, got {seed!r}")
+    seeds = seeds.reshape(-1)
+    if seeds.size and (seeds.min() < 0 or seeds.max() >= 2**63):
+        raise ParameterError("seeds must lie in [0, 2**63)")
+    return seeds.astype(np.uint64)
+
+
 class SasStream:
     """Per-trial streams of SaS(1) draws, one row of ``dim`` values per step.
 
     ``seed`` is an int, and ``draw(n)`` returns ``(n, dim)`` rows, or a 1-D
     array of seeds, one trial each, and ``draw(n)`` returns
     ``(trials, n, dim)``; trial i then sees exactly the rows of
-    ``SasStream(alpha, dim, seed[i])``.  All trials share one row cursor,
-    since an ensemble steps them in lockstep.
+    ``SasStream(alpha, dim, seed[i])``.  Seeds are integers in [0, 2**63).
+    All trials share one row cursor, since an ensemble steps them in
+    lockstep.
 
-    Block layout: each trial's generator emits its uniforms in blocks of
-    ``BLOCK`` rows, first ``BLOCK * dim`` angle uniforms, then
-    ``BLOCK * dim`` exponential uniforms, and row r of a block is the CMS
-    transform of angle row r and exponential row r.  The values for a seed
-    therefore do not depend on the request pattern: a trajectory stepping one
-    draw at a time and an ensemble pulling chunks see the same stream.
+    Block layout: trial i's uniforms come from the PCG64 generator of
+    ``np.random.default_rng(seed[i])``, in blocks of ``BLOCK`` rows, first
+    ``BLOCK * dim`` angle uniforms, then ``BLOCK * dim`` exponential
+    uniforms, and row r of a block is the CMS transform of angle row r and
+    exponential row r.  The values for a seed therefore do not depend on the
+    request pattern: a trajectory stepping one draw at a time and an
+    ensemble pulling chunks see the same stream.
 
-    Rows are drawn lazily, without materialising the block.
-    ``Generator.random`` spends exactly one PCG64 output per float64, so with
-    a generator at angle row r, rows [r, r + k) are its next ``k * dim``
-    outputs; ``advance((BLOCK - k) * dim)`` moves it to exponential row r;
-    the next ``k * dim`` outputs are those rows' exponential uniforms; and
-    ``advance(-BLOCK * dim)`` moves it back to angle row r + k, unless
-    r + k = BLOCK finished the block, which leaves it at the next block.
-    PCG64 advances mod 2^128, so the step back is exact.  Only the rows
-    handed out are transformed, in one batched call per slice of values.
+    Seeding: the generators' ``SeedSequence`` states are hashed for the
+    whole seed array in one vectorized pass (``_seed_words``) and handed to
+    ``PCG64`` directly, so no trial builds a ``SeedSequence``.
+
+    Reading: ``Generator.random`` spends exactly one PCG64 output per
+    float64, so each trial keeps two cursors on its generator's output
+    sequence, an angle cursor at its angle row r and an exponential cursor
+    ``BLOCK * dim`` outputs ahead, at exponential row r.  Rows [r, r + k)
+    are then one ``random`` call on each.  When a block ends, the
+    exponential cursor sits at the next block's angle row 0, so the two
+    swap roles and the old angle cursor, at the old block's exponential row
+    0, moves ``2 * BLOCK * dim`` outputs ahead.  Only the rows handed out
+    are transformed, in one batched call per slice of values.
     """
 
     BLOCK = 512
@@ -211,9 +300,14 @@ class SasStream:
         self.alpha = alpha
         self.dim = dim
         self._batched = np.ndim(seed) > 0
-        seeds = np.atleast_1d(seed).tolist()
-        self._rngs = np.empty(len(seeds), dtype=object)
-        self._rngs[:] = [np.random.default_rng(s) for s in seeds]
+        state_words = _state_words_type()
+        states = [state_words(w) for w in _seed_words(_trial_seeds(seed))]
+        self._angle = np.empty(len(states), dtype=object)
+        self._angle[:] = [np.random.Generator(np.random.PCG64(s)) for s in states]
+        self._exp = np.empty_like(self._angle)
+        self._exp[:] = [np.random.Generator(np.random.PCG64(s)) for s in states]
+        for rng in self._exp:
+            rng.bit_generator.advance(self.BLOCK * dim)
         self._row = 0  # cursor within the current block, shared by all trials
 
     def take(self, keep):
@@ -223,25 +317,27 @@ class SasStream:
         from that one only.
         """
         out = copy.copy(self)
-        out._rngs = self._rngs[keep]
+        out._angle, out._exp = self._angle[keep], self._exp[keep]
         return out
 
     def draw(self, n):
         d, block = self.dim, self.BLOCK
-        u_angle = np.empty((self._rngs.size, n, d))
+        u_angle = np.empty((self._angle.size, n, d))
         u_exp = np.empty_like(u_angle)
         done = 0
         while done < n:
             k = min(n - done, block - self._row)
-            finished = self._row + k == block
             rows = slice(done, done + k)
-            for rng, angle_rows, exp_rows in zip(self._rngs, u_angle[:, rows], u_exp[:, rows]):
-                rng.random(out=angle_rows)
-                rng.bit_generator.advance((block - k) * d)
-                rng.random(out=exp_rows)
-                if not finished:
-                    rng.bit_generator.advance(-block * d)
-            self._row = 0 if finished else self._row + k
+            for angle, exp, angle_rows, exp_rows in zip(
+                    self._angle, self._exp, u_angle[:, rows], u_exp[:, rows]):
+                angle.random(out=angle_rows)
+                exp.random(out=exp_rows)
+            self._row += k
+            if self._row == block:
+                self._angle, self._exp = self._exp, self._angle
+                for rng in self._exp:
+                    rng.bit_generator.advance(2 * block * d)
+                self._row = 0
             done += k
         flat_angle, flat_exp = u_angle.reshape(-1), u_exp.reshape(-1)
         for lo in range(0, flat_angle.size, self._CMS_SLICE):

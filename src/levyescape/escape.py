@@ -342,8 +342,10 @@ def _run_block(cfg, trial_ids):
 def run_escape_experiment(cfg, threads=None):
     """Run the ensemble and aggregate exit statistics.
 
-    Trial i draws its noise from an independent stream seeded base_seed + i,
-    so results do not depend on how trials are split across workers.
+    Trial i draws its noise from its own stream, the ``SasStream`` seeded
+    base_seed + i, so results do not depend on how trials are split across
+    workers.  Streams are keyed by that sum alone, so neighbouring base
+    seeds share all but one of their trials' streams, shifted by one trial.
     ``threads`` (None = serial) splits the trials over a thread pool.  The
     pool is reachable only through this argument and is kept for the
     benchmark's thread-scaling measurement, where two threads were slower
@@ -495,15 +497,19 @@ def calibrate_noise_amplitude(target_mean_steps, a=1e5, lo=1e-5, hi=1e-2,
 
     Runs the stiff reference well (default a = 1e5) at each candidate
     amplitude with a fixed seed; mean exit steps decrease monotonically in
-    the amplitude, so plain bisection converges.  Returns (amplitude, stats).
+    the amplitude, so plain bisection converges.  Returns (amplitude, stats);
+    if no amplitude hits the target within ``max_iter`` evaluations, the
+    last amplitude evaluated and its own stats.
     """
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
+
     def mean_steps(eps):
         cfg = double_well_config(
             a, eps, trials=trials, max_steps=max_steps, base_seed=base_seed, **kwargs
         )
         return run_escape_experiment(cfg)
 
-    stats = None
     for _ in range(max_iter):
         mid = math.sqrt(lo * hi)
         stats = mean_steps(mid)
@@ -517,4 +523,4 @@ def calibrate_noise_amplitude(target_mean_steps, a=1e5, lo=1e-5, hi=1e-2,
             lo = mid
         else:
             hi = mid
-    return math.sqrt(lo * hi), stats
+    return mid, stats

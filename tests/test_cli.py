@@ -150,6 +150,17 @@ def test_probe_monitors_csv(tmp_path):
     assert len(lines) == len(doc["result"]["t"]) + 1
 
 
+def test_probe_betas_reach_the_optimizer(tmp_path):
+    argv = ["probe", "--kind", "ADAM", "--steps", "40", "--window", "8",
+            "--record-stride", "10"]
+    noise = {}
+    for beta1 in ("0.5", "0.9"):
+        code, doc = run(argv + ["--beta1", beta1], tmp_path, f"b{beta1}.json")
+        assert code == 0
+        noise[beta1] = [r["noise_l2"] for r in doc["result"]["records"]]
+    assert noise["0.5"] != noise["0.9"]
+
+
 def test_compare_small_run(tmp_path):
     code, doc = run(["compare", "--lambdas", "10 0.1", "--sigmas", "3 0.1",
                      "--noise-scale", "0.3", "--trials", "100",

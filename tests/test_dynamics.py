@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levyescape import dynamics, landscapes
 from levyescape.dynamics import OptimizerConfig, SdeState
-from levyescape.stable import sas_from_uniforms
+from levyescape.stable import ParameterError, sas_from_uniforms
 
 
 def quad(mu=1.0, d=1, height=10.0):
@@ -268,6 +268,42 @@ def test_frozen_stream_values():
         ("array", 3, 1.5): "2aeb6c255f3ede4e",
         ("array", 3, 2.0): "b2cb5f5f0b24b3f5",
     }
+
+
+@given(st.integers(0, 2 ** 63 - 1))
+@example(0)
+@example(2 ** 32 - 1)
+@example(2 ** 32)
+@example(2 ** 63 - 1)
+@settings(max_examples=200, deadline=None)
+def test_seed_words_match_seed_sequence(seed):
+    words = dynamics._seed_words(np.array([seed], dtype=np.uint64))[0]
+    assert np.array_equal(words, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("seeds", [2 ** 32 - 3 + np.arange(6), 2 ** 63 - 1 - np.arange(3)])
+def test_stream_rows_for_wide_seeds(seeds):
+    # the frozen digests use seeds below 2**32 only, one entropy word each;
+    # these cross into two-word seeds and reach the top of the seed range
+    rows = dynamics.SasStream(1.5, 2, seeds).draw(600)
+    assert np.array_equal(rows, np.stack([oracle_rows(1.5, 2, int(s), 600) for s in seeds]))
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 63, np.array([0, -1]),
+                                  np.array([2 ** 63], dtype=np.uint64), 1.0, np.array([[1, 2]])])
+def test_stream_rejects_bad_seeds(seed):
+    with pytest.raises(ParameterError):
+        dynamics.SasStream(1.5, 1, seed)
+
+
+def test_stream_seeds_ensemble_in_one_pass(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-trial seeding")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    rows = dynamics.SasStream(1.5, 1, np.arange(1000)).draw(600)
+    assert rows.shape == (1000, 600, 1) and np.all(np.isfinite(rows))
 
 
 @given(st.integers(1, 3),

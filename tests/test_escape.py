@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyescape import dynamics, escape, geometry, landscapes, probe
-from levyescape.stable import sas_from_uniforms
+from levyescape.stable import ParameterError, sas_from_uniforms
 
 
 def interval_cfg(alpha=1.5, eps=0.05, b=1.0, mu=1.0, trials=400, max_steps=20000,
@@ -179,6 +179,20 @@ def test_calibration_hits_target():
     )
     assert abs(stats.mean_exit_steps - 80.0) <= 0.05 * 80.0
     assert 5e-5 < eps < 5e-4
+
+
+def test_calibration_returns_the_evaluated_pair():
+    # tol = 0 never converges, so the last bisection point comes back
+    kwargs = dict(trials=40, max_steps=300, base_seed=4, gamma=2.0)
+    eps, stats = escape.calibrate_noise_amplitude(80.0, lo=5e-5, hi=5e-4, tol=0.0,
+                                                  max_iter=2, **kwargs)
+    again = escape.run_escape_experiment(escape.double_well_config(1e5, eps, **kwargs))
+    assert np.array_equal(stats.exit_steps, again.exit_steps)
+
+
+def test_calibration_needs_an_iteration():
+    with pytest.raises(ParameterError):
+        escape.calibrate_noise_amplitude(80.0, max_iter=0)
 
 
 def _digest(exit_steps):
