@@ -16,8 +16,8 @@ def main():
                              sigmas=np.array([3.0, 0.1]),
                              batch_size=1, h_f_star=1.0)
     geo = geometry.compare_measures(spec, 1.5, n_dirs=400_000, seed=1)
-    print(f"m(W_sgd)  = {geo['m_sgd']:.3f} +- {geo['m_sgd_stderr']:.3f}")
-    print(f"m(W_adam) = {geo['m_adam']:.3f} +- {geo['m_adam_stderr']:.3f}")
+    print(f"m(W_sgd)  = {geo['m_sgd']:.3f} +- {geo['m_sgd_stderr']:.1e}")
+    print(f"m(W_adam) = {geo['m_adam']:.3f} +- {geo['m_adam_stderr']:.1e}")
     print(f"measure ratio sgd/adam = {geo['ratio_sgd_over_adam']:.2f} "
           f"-> predicted exit-time ratio "
           f"{geo['predicted_exit_time_ratio_sgd_over_adam']:.3f}")

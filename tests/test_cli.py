@@ -81,6 +81,12 @@ def test_parameter_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_n_dirs_exit_2(capsys):
+    for n_dirs in ("0", "-5"):
+        assert main(["geometry", "--lambdas", "4 1", "--sigmas", "2 1", "--n-dirs", n_dirs]) == 2
+        assert "n_dirs" in capsys.readouterr().err
+
+
 def test_unknown_command_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
@@ -260,6 +266,11 @@ def test_every_subcommand_emits_one_document_shape(tmp_path):
         assert code == 0, name
         assert set(doc) == {"tool_version", "config_echo", "seed", "wall_time", "result"}
         assert doc["seed"] == 11, name
+        if name in ("geometry", "compare"):
+            geo = doc["result"] if name == "geometry" else doc["result"]["geometry"]
+            assert geo["n_dirs"] == 500, name
+            assert set(geo["radon_evaluations"]) == {"sgd", "adam"}, name
+            assert all(0 < n <= 500 for n in geo["radon_evaluations"].values()), name
 
 
 def test_escape_passes_only_given_keys_to_library(tmp_path, monkeypatch):

@@ -166,3 +166,76 @@ def test_shared_rotation_keeps_alignment():
     # same eigenvectors: the product of the two A matrices commutes
     assert np.allclose(w_sgd.A @ w_adam.A, w_adam.A @ w_sgd.A, atol=1e-9)
     assert np.linalg.eigvalsh(w_sgd.A) == pytest.approx([0.25, 16.0], rel=1e-9)
+
+
+def test_quadrature_exact_at_alpha_two():
+    # at alpha = 2 the sphere mean of u^T A u / c is tr(A) / (c d)
+    rng = np.random.default_rng(21)
+    for d in (2, 3):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        for a in (np.diag(np.arange(1.0, d + 1.0)), q @ np.diag(rng.uniform(0.1, 9.0, d)) @ q.T):
+            w = geometry.QuadraticEscapeSet(A=a, c=1.7)
+            exact = geometry.sphere_surface_area(d) * np.trace(a) / (2.0 * 1.7 * d)
+            m, err = geometry.radon_measure(w, 2.0, n_dirs=10_000, with_stderr=True)
+            assert m == pytest.approx(exact, rel=1e-12)
+            assert 0.0 < err < 1e-11 * m
+
+
+def test_quadrature_matches_grid_oracle_2d_tightly():
+    for i in range(3):
+        a = random_spd(2, 200 + i)
+        w = geometry.QuadraticEscapeSet(A=a, c=0.9)
+        oracle = radon_measure_grid_2d(a, 0.9, 1.3)
+        assert geometry.radon_measure(w, 1.3, n_dirs=100_000) == pytest.approx(oracle, rel=1e-9)
+
+
+def test_compare_spectrum_exact_values():
+    spec = geometry.Spectrum(lambdas=np.array([10.0, 0.1]), sigmas=np.array([3.0, 0.1]))
+    rep = geometry.compare_measures(spec, 1.5, n_dirs=400_000)
+    assert rep["m_sgd"] == pytest.approx(68.1049359655, rel=1e-9)
+    assert rep["m_adam"] == pytest.approx(13.2694593261, rel=1e-9)
+    assert 0.0 < rep["m_sgd_stderr"] < 1e-9 * rep["m_sgd"]
+    assert set(rep["radon_evaluations"]) == {"sgd", "adam"}
+    assert all(0 < n <= 400_000 for n in rep["radon_evaluations"].values())
+
+
+@pytest.mark.parametrize("diag, budget", [
+    ([4.0, 0.0], 1_000),         # singular, d = 2
+    ([4.0, 1.0, 0.0], 5_000),    # singular, d = 3
+    ([90.0, 1e-3], 1_000),       # anisotropy 9e4, as the compare preset's SGD set
+    ([90.0, 1e-3], 400_000),
+    ([90.0, 1.0, 1e-3], 20_000),
+    ([4.0, 1.0], 3),             # below the first rule's size
+])
+def test_quadrature_budget_and_error_cover_reference(diag, budget):
+    w = geometry.QuadraticEscapeSet(A=np.diag(diag), c=1.0)
+    for alpha in (0.5, 1.5):
+        m, err, used = geometry.radon_measure(w, alpha, n_dirs=budget, with_stderr=True,
+                                              with_evaluations=True)
+        ref, ref_err = geometry.radon_measure(w, alpha, n_dirs=2_000_000, with_stderr=True)
+        assert used <= budget
+        assert ref_err <= err
+        assert abs(m - ref) <= err
+
+
+def test_quadrature_ignores_seed():
+    for d in (2, 3):
+        w = geometry.QuadraticEscapeSet(A=random_spd(d, 30 + d), c=1.0)
+        values = {geometry.radon_measure(w, 1.5, n_dirs=50_000, seed=s) for s in (0, 1, 99)}
+        assert len(values) == 1
+
+
+def test_sampler_reproducible_in_d4():
+    w = geometry.QuadraticEscapeSet(A=random_spd(4, 8), c=1.0)
+    a = geometry.radon_measure(w, 1.5, n_dirs=20_000, seed=3, with_stderr=True,
+                               with_evaluations=True)
+    assert a == geometry.radon_measure(w, 1.5, n_dirs=20_000, seed=3, with_stderr=True,
+                                       with_evaluations=True)
+    assert a[0] != geometry.radon_measure(w, 1.5, n_dirs=20_000, seed=4)
+    assert a[1] > 0.0 and a[2] == 20_000
+
+
+def test_closed_form_error_is_a_rounding_bound():
+    w = geometry.QuadraticEscapeSet(A=np.array([[3.0]]), c=2.0)
+    m, err = geometry.radon_measure(w, 1.2, with_stderr=True)
+    assert 0.0 < err < 1e-14 * m

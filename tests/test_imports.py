@@ -84,3 +84,19 @@ def test_cli_import_leaves_out_scipy_signal():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_geometry_and_compare_leave_out_scipy():
+    # scipy.special alone adds about 0.4 s to start-up on a 2-vCPU x86 host
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    spectrum = ["--lambdas", "10 0.1", "--sigmas", "3 0.1", "--n-dirs", "500",
+                "--out", os.devnull]
+    code = ("import sys; from levyescape.cli import main; "
+            f"assert main(['geometry', *{spectrum!r}]) == 0; "
+            f"assert main(['compare', *{spectrum!r}, '--trials', '4', '--max-steps', '50']) == 0; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
