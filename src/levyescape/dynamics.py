@@ -260,6 +260,107 @@ def _trial_seeds(seed):
     return seeds.astype(np.uint64)
 
 
+# PCG64 as NumPy runs it (O'Neill 2014): a 128-bit LCG, state -> state * _PCG_MULT
+# + inc modulo 2**128 with a per-stream odd inc, whose output is the XSL-RR
+# permutation of the new state.  A 128-bit value is a (high, low) pair of
+# uint64 arrays; uint64 arithmetic wraps modulo 2**64.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW32 = 0xFFFFFFFF
+
+
+def _mul_hi64(a, b):
+    """High 64 bits of the 128-bit product of a uint64 array and an int below 2**64.
+
+    Schoolbook on 32-bit halves; no partial sum below can pass 2**64.
+    """
+    a_lo, a_hi = a & _LOW32, a >> 32
+    b_lo, b_hi = b & _LOW32, b >> 32
+    cross = a_hi * b_lo + ((a_lo * b_lo) >> 32)
+    mid = a_lo * b_hi + (cross & _LOW32)
+    return a_hi * b_hi + (cross >> 32) + (mid >> 32)
+
+
+def _mul_add128(x, mult, y):
+    """x * mult + y modulo 2**128, for (high, low) pairs x and y and an int mult."""
+    (x_hi, x_lo), (y_hi, y_lo) = x, y
+    m_hi, m_lo = mult >> 64, mult & 0xFFFFFFFFFFFFFFFF
+    lo = x_lo * m_lo + y_lo
+    return _mul_hi64(x_lo, m_lo) + x_lo * m_hi + x_hi * m_lo + y_hi + (lo < y_lo), lo
+
+
+def _pcg_seed(words):
+    """(state, inc) of ``PCG64`` seeded with ``_seed_words`` rows, before its first output.
+
+    Words 0-1 are the initial state and words 2-3 the stream, high word
+    first; the increment is stream * 2 + 1, and seeding steps from state 0,
+    adds the initial state and steps again.
+    """
+    w = words.T
+    inc = ((w[2] << 1) | (w[3] >> 63), (w[3] << 1) | 1)
+    lo = inc[1] + w[1]
+    return _mul_add128((inc[0] + w[0] + (lo < w[1]), lo), _PCG_MULT, inc), inc
+
+
+@functools.cache
+def _pcg_jump_constants(delta):
+    """(A, G) with delta steps taking state s to A s + G inc modulo 2**128.
+
+    A = M**delta and G = 1 + M + ... + M**(delta - 1) for M = _PCG_MULT;
+    G = (M**delta - 1) / (M - 1) is exact once M**delta is reduced modulo
+    (M - 1) * 2**128.
+    """
+    a = pow(_PCG_MULT, delta, 2**128)
+    g = (pow(_PCG_MULT, delta, (_PCG_MULT - 1) << 128) - 1) // (_PCG_MULT - 1)
+    return a, g
+
+
+def _pcg_jump(state, inc, delta):
+    """The states ``delta`` steps after ``state`` (``bit_generator.advance(delta)``)."""
+    a, g = _pcg_jump_constants(delta)
+    return _mul_add128(state, a, _mul_add128(inc, g, (0, 0)))
+
+
+@functools.cache
+def _pcg_unseed_constants():
+    """(A, G) with the initial state that seeds to s being A s + G inc modulo 2**128.
+
+    Seeding ends in s = (init + inc) M + inc, so init = (s - inc) / M - inc;
+    M is odd, hence invertible modulo 2**128.
+    """
+    inverse = pow(_PCG_MULT, -1, 2**128)
+    return inverse, -(inverse + 1) % 2**128
+
+
+def _pcg_words_for(state, inc):
+    """``_seed_words`` rows that ``PCG64`` seeds to ``state`` with increment ``inc``.
+
+    The inverse of ``_pcg_seed``, so a generator can start at any cursor
+    without an ``advance`` call.  Returns uint64 words along a new last axis.
+    """
+    a, g = _pcg_unseed_constants()
+    init = _mul_add128(state, a, _mul_add128(inc, g, (0, 0)))
+    stream = (inc[0] >> 1, (inc[1] >> 1) | (inc[0] << 63))
+    return np.stack(np.broadcast_arrays(*init, *stream), axis=-1)
+
+
+def _pcg_doubles(hi, lo):
+    """``Generator.random``'s doubles for the states whose outputs they are.
+
+    XSL-RR: the xor of the state's halves rotated right by its top six bits;
+    a double is the output's top 53 bits times 2**-53.  Works in place in
+    ``hi`` and ``lo``.
+    """
+    out = np.bitwise_xor(hi, lo, out=lo)
+    rot = np.right_shift(hi, 58, out=hi)
+    right = out >> rot
+    np.subtract(64, rot, out=rot)
+    rot &= 63
+    out <<= rot
+    out |= right
+    out >>= 11
+    return out * 2.0 ** -53
+
+
 class SasStream:
     """Per-trial streams of SaS(1) draws, one row of ``dim`` values per step.
 
@@ -279,14 +380,24 @@ class SasStream:
     ensemble pulling chunks see the same stream.
 
     Seeding: the generators' ``SeedSequence`` states are hashed for the
-    whole seed array in one vectorized pass (``_seed_words``) and handed to
-    ``PCG64`` directly, so no trial builds a ``SeedSequence``.
+    whole seed array in one vectorized pass (``_seed_words``), so no trial
+    builds a ``SeedSequence``.
 
     Reading: ``Generator.random`` spends exactly one PCG64 output per
     float64, so each trial keeps two cursors on its generator's output
     sequence, an angle cursor at its angle row r and an exponential cursor
     ``BLOCK * dim`` outputs ahead, at exponential row r.  Rows [r, r + k)
-    are then one ``random`` call on each.  When a block ends, the
+    are then the next k * dim outputs of each.
+
+    First rows: the cursors start as PCG64 states of the whole ensemble,
+    stepped together in uint64 arithmetic (``_pcg_seed``, ``_pcg_jump``,
+    ``_mul_add128``), which serves every draw that ends within the first
+    ``_STEPPED`` outputs of each cursor.  Most trials of a basin they leave
+    within a few steps never get further.  The first draw past them builds
+    per-trial generators for the trials still present, each
+    ``Generator(PCG64(words))`` with words that seed it to its cursor's
+    state (``_pcg_words_for``); from then on rows [r, r + k) are one
+    ``random`` call on each cursor's generator.  When a block ends, the
     exponential cursor sits at the next block's angle row 0, so the two
     swap roles and the old angle cursor, at the old block's exponential row
     0, moves ``2 * BLOCK * dim`` outputs ahead.  Only the rows handed out
@@ -294,20 +405,22 @@ class SasStream:
     """
 
     BLOCK = 512
+    # Outputs per cursor the stepper serves.  Measured against building and
+    # reading generators (2-vCPU x86): the stepper costs less up to about 64
+    # outputs at 2000 trials and about 20 at 100; 32 covers the escape
+    # loops' 8-row first chunk up to dim 4.
+    _STEPPED = 32
     _CMS_SLICE = 32768  # values per transform call; bounds its temporaries
 
     def __init__(self, alpha, dim, seed):
         self.alpha = alpha
         self.dim = dim
         self._batched = np.ndim(seed) > 0
-        state_words = _state_words_type()
-        states = [state_words(w) for w in _seed_words(_trial_seeds(seed))]
-        self._angle = np.empty(len(states), dtype=object)
-        self._angle[:] = [np.random.Generator(np.random.PCG64(s)) for s in states]
-        self._exp = np.empty_like(self._angle)
-        self._exp[:] = [np.random.Generator(np.random.PCG64(s)) for s in states]
-        for rng in self._exp:
-            rng.bit_generator.advance(self.BLOCK * dim)
+        state, inc = _pcg_seed(_seed_words(_trial_seeds(seed)))
+        exp = _pcg_jump(state, inc, self.BLOCK * dim)
+        self._cursors = np.stack([state, exp], axis=1)  # (high/low word, angle/exp, trial)
+        self._inc = np.stack(inc)
+        self._angle = self._exp = None  # per-trial generators, once built
         self._row = 0  # cursor within the current block, shared by all trials
 
     def take(self, keep):
@@ -317,11 +430,40 @@ class SasStream:
         from that one only.
         """
         out = copy.copy(self)
-        out._angle, out._exp = self._angle[keep], self._exp[keep]
+        out._cursors, out._inc = self._cursors[..., keep], self._inc[:, keep]
+        if self._angle is not None:
+            out._angle, out._exp = self._angle[keep], self._exp[keep]
         return out
 
     def draw(self, n):
+        if self._angle is None and (self._row + n) * self.dim <= self._STEPPED:
+            u_angle, u_exp = self._stepped_uniforms(n)
+        else:
+            u_angle, u_exp = self._generated_uniforms(n)
+        flat_angle, flat_exp = u_angle.reshape(-1), u_exp.reshape(-1)
+        for lo in range(0, flat_angle.size, self._CMS_SLICE):
+            part = slice(lo, lo + self._CMS_SLICE)
+            flat_angle[part] = sas_from_uniforms(self.alpha, flat_angle[part], flat_exp[part])
+        return u_angle if self._batched else u_angle[0]
+
+    def _stepped_uniforms(self, n):
+        """Angle and exponential uniforms of the next n rows, stepped from the cursors."""
+        trials = self._cursors.shape[2]
+        outputs = (2, trials, n * self.dim)
+        hi, lo = np.empty(outputs, dtype=np.uint64), np.empty(outputs, dtype=np.uint64)
+        state, inc = tuple(self._cursors), tuple(self._inc)
+        for j in range(outputs[-1]):
+            state = _mul_add128(state, _PCG_MULT, inc)
+            hi[..., j], lo[..., j] = state
+        self._cursors = np.stack(state)
+        self._row += n
+        return _pcg_doubles(hi, lo).reshape(2, trials, n, self.dim)
+
+    def _generated_uniforms(self, n):
+        """Angle and exponential uniforms of the next n rows, from per-trial generators."""
         d, block = self.dim, self.BLOCK
+        if self._angle is None:
+            self._build_generators()
         u_angle = np.empty((self._angle.size, n, d))
         u_exp = np.empty_like(u_angle)
         done = 0
@@ -339,11 +481,17 @@ class SasStream:
                     rng.bit_generator.advance(2 * block * d)
                 self._row = 0
             done += k
-        flat_angle, flat_exp = u_angle.reshape(-1), u_exp.reshape(-1)
-        for lo in range(0, flat_angle.size, self._CMS_SLICE):
-            part = slice(lo, lo + self._CMS_SLICE)
-            flat_angle[part] = sas_from_uniforms(self.alpha, flat_angle[part], flat_exp[part])
-        return u_angle if self._batched else u_angle[0]
+        return u_angle, u_exp
+
+    def _build_generators(self):
+        """Each trial's two cursors as generators, seeded to start at the cursors' states."""
+        state_words = _state_words_type()
+        generators = []
+        for words in _pcg_words_for(tuple(self._cursors), tuple(self._inc)):
+            rngs = np.empty(len(words), dtype=object)
+            rngs[:] = [np.random.Generator(np.random.PCG64(state_words(w))) for w in words]
+            generators.append(rngs)
+        self._angle, self._exp = generators
 
 
 def _bias_corrections(cfg, t_next):

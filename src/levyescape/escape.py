@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,11 +103,13 @@ def _run_generic(cfg, trial_ids):
     opt = cfg.optimizer
     d = cfg.theta0.size
     n = len(trial_ids)
+    # the result outlives the run: allocated before the stream and the step
+    # temporaries, it does not pin a hole among them in the heap
+    exit_step = np.full(n, -1, dtype=np.int64)
     stream = SasStream(opt.alpha, d, cfg.base_seed + trial_ids)
     scale = opt.increment_scale(opt.step_h)
     state = SdeState.initial(np.tile(cfg.theta0, (n, 1)), opt.kind)
 
-    exit_step = np.full(n, -1, dtype=np.int64)
     active = np.arange(n)
     step = 0
     while step < cfg.max_steps and active.size:
@@ -251,10 +252,10 @@ def _run_affine(cfg, trial_ids, drift):
     c = drift[2]
     theta0 = float(cfg.theta0[0])
     scale = opt.increment_scale(opt.step_h)
+    n = len(trial_ids)
+    exit_step = np.full(n, -1, dtype=np.int64)  # before the stream, as in _run_generic
     stream = SasStream(opt.alpha, 1, cfg.base_seed + trial_ids)
 
-    n = len(trial_ids)
-    exit_step = np.full(n, -1, dtype=np.int64)
     uncertain = np.zeros(n, dtype=bool)
     active = np.arange(n)
     y = np.full(n, theta0 - c)
@@ -355,6 +356,8 @@ def run_escape_experiment(cfg, threads=None):
     if threads is None or threads <= 1 or cfg.trials < 2 * threads:
         exit_step = _run_block(cfg, all_ids)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # about 6 ms to import
+
         blocks = np.array_split(all_ids, threads)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda ids: _run_block(cfg, ids), blocks))

@@ -134,9 +134,10 @@ def radon_measure(w, alpha, n_dirs=1_000_000, seed=0, with_stderr=False,
       evaluations, and ``seed`` is not used;
     - d >= 4: the mean over ``n_dirs`` seeded normalized-Gaussian directions.
 
-    With ``with_stderr`` the error estimate follows the value: the sampling
-    standard error for d >= 4, otherwise the change in the last node doubling
-    plus a rounding bound (never 0).  With ``with_evaluations`` the number of
+    With ``with_stderr`` the error estimate follows the value, never 0: for
+    d >= 4 the sampling standard error (the integrand's range below two
+    directions) floored at a rounding bound, otherwise the change in the
+    last node doubling plus that bound.  With ``with_evaluations`` the number of
     integrand evaluations made comes last.
     """
     if not (0.0 < alpha <= 2.0):
@@ -163,7 +164,12 @@ def radon_measure(w, alpha, n_dirs=1_000_000, seed=0, with_stderr=False,
 
 
 def _sampled_sphere_mean(w, p, n_dirs, seed):
-    """Mean of (u^T A u / c)^p over seeded uniform directions, with its standard error."""
+    """Mean of (u^T A u / c)^p over seeded uniform directions, with its error.
+
+    The error is the standard error, or, below two samples, the integrand's
+    range over the sphere, lam_max^p - lam_min^p for the eigenvalues lam of
+    A / c; either is floored at ``_rounding_floor``, so it is never 0.
+    """
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
@@ -178,8 +184,12 @@ def _sampled_sphere_mean(w, p, n_dirs, seed):
         total_sq += float(np.sum(f ** 2))
         n_done += nb
     mean = total / n_dirs
-    var = max(total_sq / n_dirs - mean ** 2, 0.0)
-    return mean, math.sqrt(var / n_dirs)
+    lam = np.clip(np.linalg.eigvalsh(w.A / w.c), 0.0, None)
+    if n_dirs < 2:
+        err = float(lam[-1] ** p - lam[0] ** p)
+    else:
+        err = math.sqrt(max(total_sq / n_dirs - mean ** 2, 0.0) / n_dirs)
+    return mean, max(err, _rounding_floor(lam, p, mean))
 
 
 def _ring_means(a, b, p, n):

@@ -64,22 +64,41 @@ def sas_from_uniforms(alpha, u_angle, u_exp):
 
     ``u_angle`` maps to the angle V = pi * (u_angle - 1/2) and ``u_exp`` to
     the exponential W = -log(u_exp).  Mapping u_angle -> 1 - u_angle negates
-    the output, which is the symmetry the tests rely on.
+    the output, which is the symmetry the tests rely on.  The arithmetic
+    runs in place on three temporaries of its own; the inputs are not
+    written.
     """
     _check_alpha(alpha)
     u_angle = np.asarray(u_angle, dtype=float)
     u_exp = np.asarray(u_exp, dtype=float)
-    v = np.pi * (u_angle - 0.5)
+    v = np.subtract(u_angle, 0.5, out=np.empty(u_angle.shape))
+    v *= np.pi
     if alpha == 1.0:
-        return np.tan(v)
-    w = -np.log(u_exp)
+        return np.tan(v, out=v)[()]  # [()]: a scalar for 0-d inputs
+    shape = np.broadcast_shapes(u_angle.shape, u_exp.shape)
+    w = np.log(u_exp, out=np.empty(shape))
+    np.negative(w, out=w)
     if alpha == 2.0:
         # sin(2V)/cos(V)^(1/2) * (cos(V)/W)^(-1/2) = 2 sin(V) sqrt(W): exact
         # Gaussian endpoint, N(0, 2).
-        return 2.0 * np.sin(v) * np.sqrt(w)
-    t = np.sin(alpha * v) / np.cos(v) ** (1.0 / alpha)
-    s = (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
-    return t * s
+        np.sin(v, out=v)
+        v *= 2.0
+        np.sqrt(w, out=w)
+        w *= v
+        return w[()]
+    # t = sin(alpha V) / cos(V)^(1/alpha) and s = (cos((1 - alpha) V) / W)^((1 - alpha)/alpha);
+    # ``**=`` takes the same scalar-exponent paths (sqrt, square, ...) as ``**``
+    t = np.multiply(1.0 - alpha, v, out=np.empty(shape))
+    np.cos(t, out=t)
+    s = np.divide(t, w, out=w)
+    s **= (1.0 - alpha) / alpha
+    np.multiply(alpha, v, out=t)
+    np.sin(t, out=t)
+    np.cos(v, out=v)
+    v **= 1.0 / alpha
+    t /= v
+    t *= s
+    return t[()]
 
 
 def sample_sas(law, n, seed=None, rng=None):

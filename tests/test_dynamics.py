@@ -306,9 +306,59 @@ def test_stream_seeds_ensemble_in_one_pass(monkeypatch):
     assert rows.shape == (1000, 600, 1) and np.all(np.isfinite(rows))
 
 
+@given(st.integers(0, 2 ** 63 - 1), st.integers(1, 3))
+@example(0, 1)
+@example(2 ** 32 - 1, 2)
+@example(2 ** 32, 3)
+@example(2 ** 63 - 1, 2)
+@settings(max_examples=100, deadline=None)
+def test_stepper_matches_numpy_pcg64(seed, d):
+    # the angle cursor at output 0 and the exponential cursor BLOCK * d ahead
+    angle = np.random.Generator(np.random.PCG64(seed))
+    exp = np.random.Generator(np.random.PCG64(seed))
+    exp.bit_generator.advance(dynamics.SasStream.BLOCK * d)
+    stream = dynamics.SasStream(1.5, d, seed)
+    assert stream.draw(0).shape == (0, d)
+    rows = dynamics.SasStream._STEPPED // d
+    for n in (1, rows - 1):
+        u_angle, u_exp = stream._stepped_uniforms(n)
+        assert np.array_equal(u_angle[0], angle.random((n, d)))
+        assert np.array_equal(u_exp[0], exp.random((n, d)))
+    # words that seed a generator to each cursor, as its next draw shows
+    cursors, inc = tuple(stream._cursors), tuple(stream._inc)
+    for words, rng in zip(dynamics._pcg_words_for(cursors, inc), (angle, exp)):
+        state = np.random.PCG64(dynamics._state_words_type()(words[0])).state["state"]
+        assert state == rng.bit_generator.state["state"]
+
+
+def test_stream_steps_first_chunk_without_generators(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-trial generator")
+
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    monkeypatch.setattr(np.random, "PCG64", refuse)
+    seeds = np.arange(1000)
+    stream = dynamics.SasStream(1.5, 2, seeds)
+    first = stream.draw(8)
+    keep = seeds % 16 == 0  # the trials that outlive the first chunk
+    second = stream.take(keep).draw(dynamics.SasStream._STEPPED // 2 - 8)
+    monkeypatch.undo()
+    oracle = np.stack([oracle_rows(1.5, 2, int(s), dynamics.SasStream._STEPPED // 2)
+                       for s in seeds])
+    assert np.array_equal(first, oracle[:, :8])
+    assert np.array_equal(second, oracle[keep, 8:])
+
+
+_SMALL = dynamics.SasStream._STEPPED // 4  # rows of a stepped draw at d = 2
+
+
 @given(st.integers(1, 3),
        st.lists(st.tuples(st.integers(0, 300), st.lists(st.booleans(), min_size=4, max_size=4)),
                 min_size=1, max_size=6))
+@example(2, [(_SMALL, [True, False, True, True]), (_SMALL, [True, True, False, True]),
+             (300, [True, True]), (2, [False, True])])
+@example(1, [(3, [True, True, True, True]), (600, [True, False, True, False]),
+             (1, [True, True])])
 @settings(max_examples=40, deadline=None)
 def test_batched_stream_matches_trial_streams(d, requests):
     seeds = np.array([5, 6, 1000, 2 ** 31])

@@ -239,3 +239,20 @@ def test_closed_form_error_is_a_rounding_bound():
     w = geometry.QuadraticEscapeSet(A=np.array([[3.0]]), c=2.0)
     m, err = geometry.radon_measure(w, 1.2, with_stderr=True)
     assert 0.0 < err < 1e-14 * m
+
+
+def test_sampler_error_is_never_zero():
+    # one direction: the error is the integrand's range, which covers the
+    # distance from any sample to the true mean
+    w = geometry.QuadraticEscapeSet(A=np.diag([4.0, 3.0, 2.0, 1.0]), c=1.0)
+    m, err = geometry.radon_measure(w, 1.5, n_dirs=1, with_stderr=True)
+    factor = geometry.sphere_surface_area(4) / 1.5
+    assert err == pytest.approx(factor * (4.0 ** 0.75 - 1.0), rel=1e-12)
+    ref, ref_err = geometry.radon_measure(w, 1.5, n_dirs=100_000, seed=5, with_stderr=True)
+    assert abs(m - ref) <= err + 3.0 * ref_err
+    # a constant integrand: every sample is exact, and the error is rounding
+    iso = geometry.QuadraticEscapeSet(A=2.0 * np.eye(4), c=1.0)
+    for n_dirs in (1, 10):
+        m, err = geometry.radon_measure(iso, 1.5, n_dirs=n_dirs, with_stderr=True)
+        assert 0.0 < err < 1e-10 * m
+        assert abs(m - factor * 2.0 ** 0.75) <= err

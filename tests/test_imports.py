@@ -100,3 +100,17 @@ def test_geometry_and_compare_leave_out_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_out_random_and_thread_pool():
+    # numpy.random costs about 15 ms to import and concurrent.futures about 6 ms;
+    # only per-trial generators and the thread pool need them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    code = ("import sys, levyescape.cli; from levyescape import dynamics; "
+            "print(sorted({'numpy.random', 'concurrent.futures'} & set(sys.modules)), "
+            "dynamics._pcg_jump_constants.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["[]", "0"]

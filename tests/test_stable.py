@@ -72,6 +72,34 @@ def test_uniform_negation_negates_sample(alpha, u, w):
     assert np.allclose(x, -y, atol=1e-9 * (1 + abs(float(x[0]))))
 
 
+def cms_reference(alpha, u_angle, u_exp):
+    """The CMS transform written out of place, one new array per operation."""
+    v = np.pi * (np.asarray(u_angle, dtype=float) - 0.5)
+    if alpha == 1.0:
+        return np.tan(v)
+    w = -np.log(np.asarray(u_exp, dtype=float))
+    if alpha == 2.0:
+        return 2.0 * np.sin(v) * np.sqrt(w)
+    t = np.sin(alpha * v) / np.cos(v) ** (1.0 / alpha)
+    return t * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 2.0 / 3.0, 1.0, 1.5, 1.999, 2.0])
+def test_transform_in_place_matches_reference(alpha):
+    # 0.5 and 2/3 put exponents 2, 1 and 1/2 on ``**``'s special-cased paths
+    rng = np.random.default_rng(11)
+    u_angle, u_exp = rng.random((64, 3)), rng.random((64, 3))
+    before = u_angle.copy(), u_exp.copy()
+    with np.errstate(all="ignore"):
+        got = stable.sas_from_uniforms(alpha, u_angle, u_exp)
+        assert got.tobytes() == cms_reference(alpha, u_angle, u_exp).tobytes()
+        assert np.array_equal(u_angle, before[0]) and np.array_equal(u_exp, before[1])
+        wide = stable.sas_from_uniforms(alpha, u_angle[:, :1], u_exp[0])
+        assert np.array_equal(wide, cms_reference(alpha, u_angle[:, :1], u_exp[0]))
+        one = stable.sas_from_uniforms(alpha, 0.3, 0.6)
+        assert np.ndim(one) == 0 and one == cms_reference(alpha, 0.3, 0.6)
+
+
 def test_sampler_determinism():
     law = stable.StableLaw(1.7)
     a = stable.sample_sas(law, 1000, seed=5)
