@@ -307,7 +307,8 @@ def _pcg_jump_constants(delta):
 
     A = M**delta and G = 1 + M + ... + M**(delta - 1) for M = _PCG_MULT;
     G = (M**delta - 1) / (M - 1) is exact once M**delta is reduced modulo
-    (M - 1) * 2**128.
+    (M - 1) * 2**128.  delta = -1 rewinds one step: M is odd and coprime to
+    M - 1, so M is invertible modulo (M - 1) * 2**128.
     """
     a = pow(_PCG_MULT, delta, 2**128)
     g = (pow(_PCG_MULT, delta, (_PCG_MULT - 1) << 128) - 1) // (_PCG_MULT - 1)
@@ -320,25 +321,16 @@ def _pcg_jump(state, inc, delta):
     return _mul_add128(state, a, _mul_add128(inc, g, (0, 0)))
 
 
-@functools.cache
-def _pcg_unseed_constants():
-    """(A, G) with the initial state that seeds to s being A s + G inc modulo 2**128.
-
-    Seeding ends in s = (init + inc) M + inc, so init = (s - inc) / M - inc;
-    M is odd, hence invertible modulo 2**128.
-    """
-    inverse = pow(_PCG_MULT, -1, 2**128)
-    return inverse, -(inverse + 1) % 2**128
-
-
 def _pcg_words_for(state, inc):
     """``_seed_words`` rows that ``PCG64`` seeds to ``state`` with increment ``inc``.
 
     The inverse of ``_pcg_seed``, so a generator can start at any cursor
-    without an ``advance`` call.  Returns uint64 words along a new last axis.
+    without an ``advance`` call.  Seeding ends in s = (init + inc) M + inc,
+    so init is s rewound one step, minus inc.  Returns uint64 words along a
+    new last axis.
     """
-    a, g = _pcg_unseed_constants()
-    init = _mul_add128(state, a, _mul_add128(inc, g, (0, 0)))
+    a, g = _pcg_jump_constants(-1)
+    init = _mul_add128(state, a, _mul_add128(inc, (g - 1) % 2**128, (0, 0)))
     stream = (inc[0] >> 1, (inc[1] >> 1) | (inc[0] << 63))
     return np.stack(np.broadcast_arrays(*init, *stream), axis=-1)
 

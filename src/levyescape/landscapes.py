@@ -120,13 +120,8 @@ class QuadraticBasin(Landscape):
         d = np.asarray(theta, dtype=float) - self.center
         return d, np.sum(d * np.sum(self.H * d[..., None, :], axis=-1), axis=-1)
 
-    def contains(self, theta):
-        """Basin membership of a (d,) point (0-d result) or a (..., d) batch."""
-        _, q = self._offset_form(theta)
-        return self.f_star + 0.5 * q <= self.height
-
     def boundary_distance(self, theta):
-        """Ray distance from ``theta`` to the basin boundary, per (..., d) row.
+        """Ray distance from ``theta`` to the basin boundary per (..., d) row, -inf outside.
 
         The boundary point on the ray from the center through ``theta`` is
         center + s d with s = sqrt(h_f_star / q), q = d^T H d, so the gap
@@ -139,11 +134,9 @@ class QuadraticBasin(Landscape):
         with np.errstate(divide="ignore"):
             s = np.sqrt(self.h_f_star / np.where(q > 0, q, np.inf))
         # at the center: the shortest semi-axis, along the steepest direction
-        return np.where(
-            q > 0,
-            np.abs(s - 1.0) * np.linalg.norm(d, axis=-1),
-            math.sqrt(self.h_f_star / self.ell),
-        )
+        gap = np.where(q > 0, np.abs(s - 1.0) * np.linalg.norm(d, axis=-1),
+                       math.sqrt(self.h_f_star / self.ell))
+        return np.where(self.f_star + 0.5 * q <= self.height, gap, -np.inf)
 
 
 @dataclass
@@ -221,18 +214,11 @@ class IntervalRegion:
         if not self.lo < self.hi:
             raise ValueError("interval must have lo < hi")
 
-    @property
-    def dim(self):
-        return 1
-
-    def contains(self, theta):
-        """Membership of a (1,) point (0-d result) or a (..., 1) batch."""
-        x = np.asarray(theta, dtype=float)[..., 0]
-        return (self.lo < x) & (x < self.hi)
-
     def boundary_distance(self, theta):
+        """Distance to the nearer end per (..., 1) row, -inf outside (lo, hi)."""
         x = np.asarray(theta, dtype=float)[..., 0]
-        return np.minimum(np.abs(x - self.lo), np.abs(x - self.hi))
+        gap = np.minimum(np.abs(x - self.lo), np.abs(x - self.hi))
+        return np.where((self.lo < x) & (x < self.hi), gap, -np.inf)
 
 
 @dataclass
@@ -243,7 +229,7 @@ class BasinSpec:
     escape time is the first step the trajectory leaves that inner region.
     """
 
-    region: object  # contains() and boundary_distance() on (..., d) batches
+    region: object  # boundary_distance() on (..., d) batches, -inf outside
     eps: float
     gamma: float = 1.0
 
@@ -259,6 +245,4 @@ class BasinSpec:
 
     def in_inner(self, theta, margin_factor=1.0):
         """Inner-basin membership of a (d,) point or a (..., d) batch of points."""
-        return self.region.contains(theta) & (
-            self.region.boundary_distance(theta) >= margin_factor * self.margin
-        )
+        return self.region.boundary_distance(theta) >= margin_factor * self.margin

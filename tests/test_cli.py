@@ -63,6 +63,8 @@ def test_parameter_errors_exit_2(tmp_path, capsys):
     assert main(["estimate", "--input", str(tmp_path / "missing.txt")]) == 2
     assert main(["probe", "--mode", "bogus"]) == 2
     assert main(["sample", "--alpha", "1.5", "--threads", "2"]) == 2
+    assert main(["sweep", "--eps-list", "0.1 0 0.2 0.3", "--trials", "5",
+                 "--max-steps", "10"]) == 2
     # small runs that succeed as they are, so only the appended flags can fail
     # them: an unknown flag, a fractional integer, and a base seed whose trial
     # seeds pass 2**63
@@ -79,6 +81,12 @@ def test_parameter_errors_exit_2(tmp_path, capsys):
             argv = [command, *valid[command], "--out", out, *extra]
             assert main(argv) == 2, (command, extra)
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow on the way out
+def test_divergence_exit_3(capsys):
+    assert main(["flow", "--kind", "SGDM", "--mu", "1e200", "--step-h", "5", "--T", "50"]) == 3
+    assert "numerical divergence" in capsys.readouterr().err
 
 
 def test_bad_n_dirs_exit_2(capsys):

@@ -116,6 +116,9 @@ def test_sweep_degenerate_input_errors():
     cfg = interval_cfg(trials=50, max_steps=100)
     with pytest.raises(Exception):
         escape.scaling_sweep(cfg, [0.05])
+    for eps_list in ([0.1, 0.0, 0.2, 0.3], [0.1, 0.0], [0.1, 1.5], [-0.1, 0.2]):
+        with pytest.raises(ParameterError):
+            escape.scaling_sweep(cfg, eps_list)
 
 
 def test_sweep_drops_low_exit_points():
@@ -366,6 +369,31 @@ def test_chunk_bracket_holds_generic_iterates(land, substeps, step_gamma, alpha,
     first = np.where(inside.all(axis=1), 2 * length, np.argmin(inside, axis=1))
     checked = np.arange(2 * length) <= first[:, None]
     assert np.all((low <= generic) & (generic <= high) | ~checked)
+
+
+def _fallback_case(landscape, lo, hi, theta0, step_h=1.0, drift_scale=1.0):
+    opt = dynamics.OptimizerConfig(kind="SGD", alpha=1.5, step_h=step_h, noise_scale=1e-4,
+                                   drift_scale=drift_scale)
+    basin = landscapes.BasinSpec(landscapes.IntervalRegion(lo, hi), 1e-4, 2.0)
+    return escape.EscapeConfig(landscape=landscape, basin=basin, optimizer=opt,
+                               theta0=np.array([theta0]), trials=20, max_steps=300,
+                               base_seed=11)
+
+
+@pytest.mark.parametrize("cfg", [
+    # |r| > 1: r = 1 - 2.5 * 1 = -1.5
+    _fallback_case(landscapes.QuadraticBasin(H=np.eye(1), center=np.zeros(1)),
+                   -1.0, 1.0, 0.0, step_h=2.5),
+    # the inner interval spans the double well's crossover: no affine gradient
+    _fallback_case(landscapes.DoubleWell1D(150.0), 0.5, 1.5, 1.0),
+    # r = -0.5 swings the offsets across c = 1 onto the left branch
+    _fallback_case(landscapes.DoubleWell1D(1e4), 1.0005, 1.0100, 1.005,
+                   drift_scale=1.5 / 2e4),
+], ids=["r_above_1", "not_affine", "reach_leaves_branch"])
+def test_chunk_kernel_declines_to_generic_loop(cfg):
+    assert escape._affine_drift(cfg) is None
+    ids = np.arange(cfg.trials)
+    assert np.array_equal(escape._run_block(cfg, ids), escape._run_generic(cfg, ids))
 
 
 def test_uncertain_trials_rerun_on_generic_loop(monkeypatch):

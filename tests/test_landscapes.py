@@ -96,6 +96,9 @@ def test_inner_basin_interval():
     assert spec.in_inner(np.array([0.5]))
     assert not spec.in_inner(np.array([0.995]))
     assert not spec.in_inner(np.array([1.5]))
+    # -inf outside the open interval, its ends included
+    assert np.array_equal(spec.region.boundary_distance(np.array([[-1.0], [0.5], [2.0]])),
+                          [-np.inf, 0.5, -np.inf])
 
 
 def test_inner_basin_quadratic_center():
@@ -132,6 +135,24 @@ def test_quadratic_boundary_distance_on_ray():
     assert qb.boundary_distance(np.array([0.2, 0.0])) == pytest.approx(0.3)
     assert qb.boundary_distance(np.array([0.0, 0.6])) == pytest.approx(0.4)
     assert qb.boundary_distance(np.zeros(2)) == pytest.approx(0.5)
+    assert qb.boundary_distance(np.array([0.6, 0.0])) == -np.inf
+
+
+def test_in_inner_forms_the_quadratic_once(monkeypatch):
+    qb = landscapes.QuadraticBasin(H=np.diag([4.0, 1.0]), center=np.zeros(2),
+                                   height=0.5)
+    spec = landscapes.BasinSpec(region=qb, eps=0.05, gamma=1.0)
+    calls = []
+    form = qb._offset_form
+
+    def counting(theta):
+        calls.append(1)
+        return form(theta)
+
+    monkeypatch.setattr(qb, "_offset_form", counting)
+    spec.in_inner(np.zeros(2))
+    spec.in_inner(np.zeros((7, 2)), margin_factor=2.0)
+    assert len(calls) == 2
 
 
 def _region(kind, d, rng):
@@ -165,11 +186,15 @@ def test_batched_membership_matches_rows(kind, d, n, seed):
                      center + 100.0])
     spec = landscapes.BasinSpec(region=region, eps=rng.uniform(0.01, 0.5),
                                 gamma=rng.uniform(0.5, 2.0))
-    calls = [region.contains, region.boundary_distance, spec.in_inner,
+
+    def contains(x):
+        return region.boundary_distance(x) > -np.inf
+
+    calls = [contains, region.boundary_distance, spec.in_inner,
              lambda x: spec.in_inner(x, margin_factor=2.0)]
     if kind != "interval":
         calls.append(region.value)
-        assert all(bool(region.value(p) <= region.height) == bool(region.contains(p))
+        assert all(bool(region.value(p) <= region.height) == bool(contains(p))
                    for p in pts)
     for call in calls:
         batch = call(pts)
@@ -178,7 +203,7 @@ def test_batched_membership_matches_rows(kind, d, n, seed):
         assert all(np.ndim(r) == 0 for r in rows)
         assert np.array_equal(batch, np.array(rows))
         assert np.array_equal(call(pts.reshape(1, -1, d)), batch[None])
-    assert region.contains(center) and not region.contains(pts[-1])
+    assert contains(center) and not contains(pts[-1])
     for p, inner in zip(pts, spec.in_inner(pts)):
         if spec.in_inner(p):
             assert inner
