@@ -207,7 +207,7 @@ def _cmd_sweep(cfg, seed):
         base_seed=seed,
     )
     report = escape.scaling_sweep(template, eps_list)
-    m_w = (2.0 / opt.alpha) * b ** (-opt.alpha)
+    m_w = geometry.radon_measure(geometry.QuadraticEscapeSet(A=[[1.0]], c=b * b), opt.alpha)
     return {
         "slope": report["slope"], "intercept": report["intercept"],
         "r2": report["r2"], "theory_slope": -opt.alpha,
@@ -361,7 +361,9 @@ def main(argv=None):
     try:
         cfg = _merge(args, args.command)
         seed = _i(cfg, "seed", 0)
-        _emit(args.func(cfg, seed), cfg, seed, t0)
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+            result = args.func(cfg, seed)
+        _emit(result, cfg, seed, t0)
     except (stable.ParameterError, stable.SampleSizeError, ValueError, OSError,
             KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -551,75 +551,64 @@ def _fit_decay_rate(ts, ls):
     return -float(slope)
 
 
-def _backward_euler_sgd(theta, landscape, h):
-    # exact backward Euler on quadratics: (I + hH)(theta' - c) = theta - c
-    if isinstance(getattr(landscape, "H", None), np.ndarray):
-        d = theta - landscape.center
-        a = np.eye(landscape.dim) + h * landscape.H
-        return landscape.center + np.linalg.solve(a, d)
-    return theta - h * landscape.gradient(theta)
+def _momentum_ratio(m, g):
+    """tau = ||m|| / ||grad F||, or NaN where ||grad F|| is below 1e-12."""
+    g_norm = float(np.linalg.norm(g))
+    return float(np.linalg.norm(m)) / g_norm if g_norm > 1e-12 else math.nan
 
 
-def deterministic_flow(state0, landscape, cfg, T, record_stride=1):
-    """Integrate the noise-free flow and fit the Lyapunov decay rate.
+def _lyapunov(state, landscape, cfg, f_star):
+    """F - F*, plus 1/2 ||m||^2 weighted by 1/s_t, s_t = (beta1/mu_t) Q_t, once m exists."""
+    gap = landscape.value(state.theta) - f_star
+    if cfg.kind == "SGD" or state.m is None:
+        return gap
+    mu_t, omega_t = _bias_corrections(cfg, max(state.t, cfg.step_h))
+    s_t = (cfg.beta1 / mu_t) * cfg.preconditioner(state.v, omega_t)
+    return gap + 0.5 * float(np.sum(state.m ** 2 / s_t))
 
-    SGD uses a semi-implicit (backward Euler) drift step on quadratics so the
-    fitted rate approaches the continuous-flow rate 2 mu from below.  The
-    Lyapunov value is F - F* for SGD and, for Adam,
-    F - F* + 1/2 ||m||^2 weighted by 1/s_t with s_t = (beta1/mu_t) Q_t.
-    The predicted Adam rate bounds Q_t by v_max + eps_adam, or by max(Q)
-    when Q is constant (``q_fixed``, SGD-M).
+
+def deterministic_flow(state0, landscape, cfg, T):
+    """Integrate the noise-free flow and fit the decay rate of its Lyapunov value.
+
+    SGD on a quadratic (a landscape with an ndarray ``H``) takes the exact
+    backward Euler step, so the fitted rate approaches the continuous-flow
+    rate 2 mu from below; every other flow steps through ``levy_step`` with
+    zero noise.  The predicted Adam rate uses tau, the sup of
+    ``_momentum_ratio`` over the trajectory, and bounds Q_t by
+    v_max + eps_adam, or by max(Q) when Q is constant (``q_fixed``, SGD-M).
     """
     if not T > 0:
         raise ParameterError(f"horizon T must be positive, got {T}")
     h = cfg.step_h
-    n_steps = int(round(T / h))
+    if cfg.kind == "SGD" and isinstance(getattr(landscape, "H", None), np.ndarray):
+        # (I + hH)(theta' - c) = theta - c
+        a, c = np.eye(landscape.dim) + h * landscape.H, landscape.center
+
+        def step(s):
+            return SdeState(theta=c + np.linalg.solve(a, s.theta - c), t=s.t + h)
+    else:
+        zero_noise = replace(cfg, noise_scale=0.0)
+
+        def step(s):
+            return levy_step(s, landscape, zero_noise, np.zeros_like(s.theta))
+
+    traj = [state0]
+    for _ in range(int(round(T / h))):
+        traj.append(step(traj[-1]))
     f_star = landscape.value(landscape.minimizer())
-
-    state = state0
-    traj = [state]
-    ts, ls = [state.t], []
-    tau_sup, v_max = 0.0, 0.0
-
-    def lyapunov(s):
-        nonlocal tau_sup, v_max
-        gap = landscape.value(s.theta) - f_star
-        if cfg.kind == "SGD" or s.m is None:
-            return gap
-        t_eval = max(s.t, h)
-        mu_t, omega_t = _bias_corrections(cfg, t_eval)
-        v = s.v if s.v is not None else np.zeros_like(s.theta)
-        s_t = (cfg.beta1 / mu_t) * cfg.preconditioner(v, omega_t)
-        g_norm = float(np.linalg.norm(landscape.gradient(s.theta)))
-        if g_norm > 1e-12:
-            tau_sup = max(tau_sup, float(np.linalg.norm(s.m)) / g_norm)
-        v_max = max(v_max, float(np.max(np.sqrt(v))) if v.size else 0.0)
-        return gap + 0.5 * float(np.sum(s.m ** 2 / s_t))
-
-    ls.append(lyapunov(state))
-    zero_noise = replace(cfg, noise_scale=0.0)
-    for k in range(n_steps):
-        if cfg.kind == "SGD":
-            theta = _backward_euler_sgd(state.theta, landscape, h)
-            state = SdeState(theta=theta, t=state.t + h)
-        else:
-            state = levy_step(state, landscape, zero_noise, np.zeros_like(state.theta))
-        if (k + 1) % record_stride == 0 or k == n_steps - 1:
-            traj.append(state)
-            ts.append(state.t)
-            ls.append(lyapunov(state))
-
+    ts, ls = [s.t for s in traj], [_lyapunov(s, landscape, cfg, f_star) for s in traj]
     series = np.column_stack([ts, ls])
     if ls[0] <= 1e-300:
         return traj, FlowRateReport(None, 0.0, series)
     observed = _fit_decay_rate(ts, ls)
     if cfg.kind == "SGD":
-        predicted = 2.0 * landscape.mu
-        return traj, FlowRateReport(observed, predicted, series)
-    tau = tau_sup if tau_sup > 0 else None
-    if tau is None:
-        predicted = 0.0
-    else:
+        return traj, FlowRateReport(observed, 2.0 * landscape.mu, series)
+    ratios = [_momentum_ratio(s.m, landscape.gradient(s.theta)) for s in traj]
+    tau = max((r for r in ratios if r > 0), default=None)
+    v_max = max((float(np.max(np.sqrt(s.v))) for s in traj if s.v is not None and s.v.size),
+                default=0.0)
+    predicted = 0.0
+    if tau is not None:
         mu = landscape.mu
         q_max = v_max + cfg.eps_adam if cfg.adaptive else np.max(cfg.preconditioner(None, None))
         predicted = (

@@ -56,6 +56,10 @@ class EscapeConfig:
             raise ParameterError("max_steps must be >= 1")
         if not 0 <= int(self.base_seed) <= 2**63 - int(self.trials):
             raise ParameterError("trial seeds base_seed + i must lie in [0, 2**63)")
+        if self.theta0.size != self.landscape.dim:
+            raise ParameterError(
+                f"theta0 has {self.theta0.size} coordinates, the landscape {self.landscape.dim}"
+            )
         if not self.basin.in_inner(self.theta0, margin_factor=2.0):
             raise ParameterError(
                 "theta0 must lie in the basin with doubled margin 2 eps^gamma"

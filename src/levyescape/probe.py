@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import SdeState, _bias_corrections, deterministic_flow, discrete_reference_step
+from .dynamics import (SdeState, _bias_corrections, _momentum_ratio, deterministic_flow,
+                       discrete_reference_step)
 from .stable import SampleSizeError, StableLaw, estimate_tail_index, sample_sas
 
 __all__ = [
@@ -284,8 +285,7 @@ def assumption_monitors(landscape, cfg, theta0, n_steps, record_stride=1):
         if k % record_stride == 0 or k == n_steps:
             ts.append(t)
             rhos.append((10.0 / t) * integral)
-            g_norm = float(np.linalg.norm(g))
-            taus.append(float(np.linalg.norm(state.m)) / g_norm if g_norm > 1e-12 else math.nan)
+            taus.append(_momentum_ratio(state.m, g))
 
     return AssumptionReport(
         t=np.asarray(ts),

@@ -83,10 +83,10 @@ def test_parameter_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow on the way out
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy overflow warning gets out
 def test_divergence_exit_3(capsys):
     assert main(["flow", "--kind", "SGDM", "--mu", "1e200", "--step-h", "5", "--T", "50"]) == 3
-    assert "numerical divergence" in capsys.readouterr().err
+    assert capsys.readouterr().err == "numerical divergence: non-finite gradient\n"
 
 
 def test_bad_n_dirs_exit_2(capsys):

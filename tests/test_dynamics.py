@@ -117,6 +117,25 @@ def test_sgd_step_gradient_count():
         assert land.calls == substeps
 
 
+def test_sgd_flow_checks_every_gradient():
+    # off quadratics the SGD flow steps through levy_step, which raises on a
+    # non-finite gradient
+    cfg = OptimizerConfig(kind="SGD", step_h=0.1, noise_scale=0.0)
+    with pytest.raises(dynamics.DivergedError):
+        dynamics.deterministic_flow(SdeState(theta=np.array([1.0])),
+                                    CountingQuadratic(nan_from=5), cfg, 1.0)
+
+
+def test_sgd_flow_takes_drift_substeps():
+    for substeps in (1, 4):
+        land = CountingQuadratic()
+        cfg = OptimizerConfig(kind="SGD", step_h=0.1, noise_scale=0.0,
+                              drift_substeps=substeps)
+        traj, _ = dynamics.deterministic_flow(SdeState(theta=np.array([1.0])), land, cfg, 1.0)
+        assert land.calls == 10 * substeps
+        assert traj[-1].theta[0] == pytest.approx((1 - 0.1 / substeps) ** (10 * substeps))
+
+
 def test_sgd_flow_rate_band():
     for mu in (0.5, 2.0):
         land = quad(mu=mu)

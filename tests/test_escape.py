@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -43,6 +44,17 @@ def test_theta0_precondition():
             optimizer=interval_cfg().optimizer, theta0=np.array([0.999]),
             trials=10, max_steps=10, base_seed=0,
         )
+
+
+def test_theta0_must_match_landscape_dim():
+    # a 1-D start on a 2-D basin, and a 2-D start on the 1-D double well
+    land = landscapes.QuadraticBasin(H=np.diag([4.0, 1.0]), center=np.zeros(2), height=1.0)
+    opt = dynamics.OptimizerConfig(kind="SGD", step_h=0.1, noise_scale=0.05)
+    with pytest.raises(ParameterError, match="coordinates"):
+        escape.EscapeConfig(landscape=land, basin=landscapes.BasinSpec(region=land, eps=0.05),
+                            optimizer=opt, theta0=np.zeros(1), trials=10, max_steps=10)
+    with pytest.raises(ParameterError, match="coordinates"):
+        dataclasses.replace(escape.double_well_config(500, 1e-3), theta0=np.ones(2))
 
 
 def test_reproducible_and_thread_invariant():
