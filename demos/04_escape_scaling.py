@@ -8,7 +8,7 @@ presets/scaling_alpha15.cfg holds the full configuration.
 
 import numpy as np
 
-from levyescape import dynamics, escape, landscapes
+from levyescape import dynamics, escape, geometry, landscapes
 
 
 def main():
@@ -23,7 +23,7 @@ def main():
                               theta0=np.zeros(1), trials=500,
                               max_steps=30000, base_seed=4242)
 
-    eps_list = [0.02, 0.05, 0.1]
+    eps_list = [0.01, 0.02, 0.05, 0.1]
     rep = escape.scaling_sweep(cfg, eps_list)
     print("eps      mean exit time")
     for e, t in zip(rep["eps"], rep["mean_exit_time"]):
@@ -31,7 +31,8 @@ def main():
     print(f"log-log slope {rep['slope']:.3f} (theory {-alpha:g}), "
           f"r^2 {rep['r2']:.4f}")
 
-    m_w = 2.0 / alpha  # tail measure of the exit set for the unit interval
+    # tail measure of the exit set {|y| >= 1} of the unit interval
+    m_w = geometry.radon_measure(geometry.QuadraticEscapeSet(A=[[1.0]], c=1.0), alpha)
     pred = escape.predicted_mean_exit(m_w, alpha, eps_list[0])
     print(f"predicted mean exit at eps={eps_list[0]}: {pred:.2f}, "
           f"observed {rep['mean_exit_time'][0]:.2f}")

@@ -227,7 +227,7 @@ def _spectrum_from(cfg):
 def _cmd_geometry(cfg, seed):
     # compare_measures has no default alpha; 1.5 matches OptimizerConfig's
     return geometry.compare_measures(_spectrum_from(cfg), _f(cfg, "alpha", 1.5),
-                                     seed=seed, **_given(cfg, n_dirs=_i))
+                                     **_given(cfg, n_dirs=_i))
 
 
 def _quadratic_flow(cfg, mu, theta0, **opt_defaults):
@@ -296,8 +296,7 @@ def _cmd_compare(cfg, seed):
         step_h=_f(cfg, "step_h", 0.1), noise_scale=noise_scale, sigma=spec.sigmas,
         beta2=0.99, **_given(cfg, alpha=_f),
     )
-    geo = geometry.compare_measures(spec, opt.alpha, n_dirs=_i(cfg, "n_dirs", 400_000),
-                                    seed=seed)
+    geo = geometry.compare_measures(spec, opt.alpha, n_dirs=_i(cfg, "n_dirs", 400_000))
     land = landscapes.QuadraticBasin(H=np.diag(spec.lambdas),
                                      center=np.zeros(spec.dim), height=spec.h_f_star / 2.0)
     basin = landscapes.BasinSpec(region=land, eps=noise_scale, gamma=_f(cfg, "gamma", 2.0))

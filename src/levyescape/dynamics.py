@@ -383,17 +383,19 @@ class SasStream:
 
     First rows: the cursors start as PCG64 states of the whole ensemble,
     stepped together in uint64 arithmetic (``_pcg_seed``, ``_pcg_jump``,
-    ``_mul_add128``), which serves every draw that ends within the first
-    ``_STEPPED`` outputs of each cursor.  Most trials of a basin they leave
-    within a few steps never get further.  The first draw past them builds
-    per-trial generators for the trials still present, each
-    ``Generator(PCG64(words))`` with words that seed it to its cursor's
-    state (``_pcg_words_for``); from then on rows [r, r + k) are one
-    ``random`` call on each cursor's generator.  When a block ends, the
-    exponential cursor sits at the next block's angle row 0, so the two
-    swap roles and the old angle cursor, at the old block's exponential row
-    0, moves ``2 * BLOCK * dim`` outputs ahead.  Only the rows handed out
-    are transformed, in one batched call per slice of values.
+    ``_mul_add128``), which serves every draw of a batched stream that ends
+    within the first ``_STEPPED`` outputs of each cursor.  Most trials of a
+    basin they leave within a few steps never get further.  The first draw
+    past them, and a one-trial stream's first draw (a generator read costs
+    it less than a stepped output), build per-trial generators for the
+    trials still present, each ``Generator(PCG64(words))`` with words that
+    seed it to its cursor's state (``_pcg_words_for``); from then on rows
+    [r, r + k) are one ``random`` call on each cursor's generator.  When a
+    block ends, the exponential cursor sits at the next block's angle row 0,
+    so the two swap roles and the old angle cursor, at the old block's
+    exponential row 0, moves ``2 * BLOCK * dim`` outputs ahead.  Only the
+    rows handed out are transformed, in one batched call per slice of
+    values.
     """
 
     BLOCK = 512
@@ -428,7 +430,7 @@ class SasStream:
         return out
 
     def draw(self, n):
-        if self._angle is None and (self._row + n) * self.dim <= self._STEPPED:
+        if self._batched and self._angle is None and (self._row + n) * self.dim <= self._STEPPED:
             u_angle, u_exp = self._stepped_uniforms(n)
         else:
             u_angle, u_exp = self._generated_uniforms(n)

@@ -7,12 +7,12 @@ and the measure that controls mean exit times is
     m(W) = int_W ||y||^{-(d+alpha)} dy
          = (1/alpha) int_{S^{d-1}} (u^T A u / c)^{alpha/2} dsigma(u)
 for W = {y : y^T A y >= c}.  The sphere integral depends only on the
-eigenvalues of A / c.  It is closed-form in d = 1 and computed by
-deterministic quadrature in d = 2 and 3: a trapezoid rule on the circle, and
-Gauss-Legendre in the cosine of the polar angle with that circle rule on
-each latitude ring.  Node counts double until two estimates agree, within
-a budget of ``n_dirs`` integrand evaluations.  For d >= 4 it is estimated
-by seeded direction sampling.
+eigenvalues lam of A / c.  It is closed-form in d = 1 and at alpha = 2.
+Otherwise, with p = alpha / 2, one integral over the line serves every d:
+    m(W) = pi^{d/2} / (Gamma(1-p) Gamma(d/2+p))
+           * int_R (1 - prod_i (1 + lam_i e^x)^{-1/2}) e^{-p x} dx,
+computed by a trapezoid rule whose step halves until two estimates agree,
+within a budget of ``n_dirs`` integrand evaluations.
 """
 
 from __future__ import annotations
@@ -120,25 +120,26 @@ def sphere_surface_area(d):
 
 
 _EPS = float(np.finfo(float).eps)
-_REL_TOL = 1e-12  # two successive quadrature estimates agreeing this closely end the doubling
+_LN2 = math.log(2.0)
+_REL_TOL = 1e-12  # two successive trapezoid estimates agreeing this closely end the halving
+_FIRST_INTERVALS = 8
 
 
 def radon_measure(w, alpha, n_dirs=1_000_000, seed=0, with_stderr=False,
                   with_evaluations=False):
     """Tail measure m(W) = int_W ||y||^{-(d+alpha)} dy of a quadratic set.
 
-    The value is (S_d / alpha) times the sphere mean of (u^T A u / c)^{alpha/2}:
-    - d = 1: closed form;
-    - d = 2 and 3: deterministic quadrature over the eigenvalues of A / c
-      (see ``_sphere_quadrature``).  ``n_dirs`` is the budget of integrand
-      evaluations, and ``seed`` is not used;
-    - d >= 4: the mean over ``n_dirs`` seeded normalized-Gaussian directions.
+    The value is (S_d / alpha) times the sphere mean of (u^T A u / c)^{alpha/2},
+    which depends only on the eigenvalues of A / c.  It is closed-form in
+    d = 1 and at alpha = 2; otherwise it is one deterministic integral over
+    those eigenvalues in every d (see ``_sphere_quadrature``), and ``n_dirs``
+    is its budget of integrand evaluations.  ``seed`` is ignored; it stays
+    in the signature so that callers passing it keep working.
 
-    With ``with_stderr`` the error estimate follows the value, never 0: for
-    d >= 4 the sampling standard error (the integrand's range below two
-    directions) floored at a rounding bound, otherwise the change in the
-    last node doubling plus that bound.  With ``with_evaluations`` the number of
-    integrand evaluations made comes last.
+    With ``with_stderr`` an error bound follows the value, never 0: a
+    rounding bound for the closed forms, otherwise the change in the last
+    step halving plus the cut-off tails plus that bound.  With
+    ``with_evaluations`` the number of integrand evaluations made comes last.
     """
     if not (0.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
@@ -152,125 +153,83 @@ def radon_measure(w, alpha, n_dirs=1_000_000, seed=0, with_stderr=False,
         val = (2.0 / alpha) * (float(w.A[0, 0]) / w.c) ** p
         err, evals = 4.0 * _EPS * val, 1
     else:
-        if d <= 3:
-            mean, mean_err, evals = _sphere_quadrature(np.linalg.eigvalsh(w.A / w.c), p, n_dirs)
-        else:
-            mean, mean_err = _sampled_sphere_mean(w, p, n_dirs, seed)
-            evals = n_dirs
+        mean, mean_err, evals = _sphere_quadrature(np.linalg.eigvalsh(w.A / w.c), p, n_dirs)
         factor = sphere_surface_area(d) / alpha
         val, err = factor * mean, factor * mean_err
     out = (val,) + ((err,) if with_stderr else ()) + ((evals,) if with_evaluations else ())
     return out if len(out) > 1 else val
 
 
-def _sampled_sphere_mean(w, p, n_dirs, seed):
-    """Mean of (u^T A u / c)^p over seeded uniform directions, with its error.
+def _radon_integrand(x, log_mu, log_mu_sum, p):
+    """(1 - prod_i (1 + mu_i e^x)^{-1/2}) e^{-p x} at each x, mu = exp(log_mu).
 
-    The error is the standard error, or, below two samples, the integrand's
-    range over the sphere, lam_max^p - lam_min^p for the eigenvalues lam of
-    A / c; either is floored at ``_rounding_floor``, so it is never 0.
+    Far below the spectrum, where every mu_i e^x < e^-40, the bracket is
+    sum(mu) e^x / 2 to rounding, and the value is taken in log form so that
+    neither e^x nor e^{-p x} leaves the float range.
     """
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    n_done = 0
-    block = 200_000
-    while n_done < n_dirs:
-        nb = min(block, n_dirs - n_done)
-        u = rng.standard_normal((nb, w.dim))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        f = (np.einsum("ni,ij,nj->n", u, w.A, u) / w.c) ** p
-        total += float(np.sum(f))
-        total_sq += float(np.sum(f ** 2))
-        n_done += nb
-    mean = total / n_dirs
-    lam = np.clip(np.linalg.eigvalsh(w.A / w.c), 0.0, None)
-    if n_dirs < 2:
-        err = float(lam[-1] ** p - lam[0] ** p)
-    else:
-        err = math.sqrt(max(total_sq / n_dirs - mean ** 2, 0.0) / n_dirs)
-    return mean, max(err, _rounding_floor(lam, p, mean))
-
-
-def _ring_means(a, b, p, n):
-    """Circle means of (a cos^2 phi + b sin^2 phi)^p for arrays a, b.
-
-    Trapezoid rule with n intervals on the quarter circle, which by the
-    integrand's symmetry is the periodic trapezoid rule with 4n nodes; it
-    converges exponentially while a and b are both positive.
-    """
-    phi = np.linspace(0.0, 0.5 * math.pi, n + 1)
-    weights = np.full(n + 1, 1.0 / n)
-    weights[[0, -1]] *= 0.5
-    q = np.multiply.outer(a, np.cos(phi) ** 2) + np.multiply.outer(b, np.sin(phi) ** 2)
-    return q ** p @ weights
-
-
-def _gauss_legendre_half(m):
-    """Positive nodes and their weights of the 2m-point Gauss-Legendre rule.
-
-    Newton's method on the Legendre recurrence from Tricomi's initial
-    guesses, which are within O(n^-4) of the roots; the weights of the half
-    sum to 1.
-    """
-    n = 2 * m
-    x = (1.0 - (n - 1.0) / (8.0 * n ** 3)) * np.cos(
-        math.pi * (np.arange(1, m + 1) - 0.25) / (n + 0.5))
-    done = False
-    for _ in range(10):
-        p0, p1 = np.ones_like(x), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1.0)
-        if done:
-            break
-        dx = p1 / dp
-        x = x - dx
-        done = float(np.max(np.abs(dx))) <= 4.0 * _EPS
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
-def _sphere_rule(lam, p, n):
-    """Sphere mean of (u^T diag(lam) u)^p at resolution n.
-
-    lam is ascending.  In d = 2 the circle rule with n intervals; in d = 3
-    Gauss-Legendre with n positive nodes in t = cos(polar angle), measured
-    from the axis of the smallest eigenvalue, times the circle rule on each
-    latitude ring.
-    """
-    if lam.size == 2:
-        return float(_ring_means(lam[1], lam[0], p, n))
-    t, wt = _gauss_legendre_half(n)
-    sin2, cos2 = (1.0 - t) * (1.0 + t), t * t
-    rings = _ring_means(sin2 * lam[2] + cos2 * lam[0], sin2 * lam[1] + cos2 * lam[0], p, n)
-    return float(rings @ wt)
+    far = x + log_mu_sum < -40.0
+    out = np.empty_like(x)
+    out[far] = np.exp((1.0 - p) * x[far] + log_mu_sum - _LN2)
+    near = x[~far]
+    half_log = 0.5 * np.logaddexp(0.0, np.add.outer(near, log_mu)).sum(axis=1)
+    out[~far] = -np.expm1(-half_log) * np.exp(-p * near)
+    return out
 
 
 def _sphere_quadrature(lam, p, budget):
-    """(mean, error bound, evaluations) of (u^T diag(lam) u)^p over S^{d-1}, d = 2, 3.
+    """(mean, error bound, evaluations) of (u^T diag(lam) u)^p over S^{d-1}, d >= 2.
 
-    Doubles n in ``_sphere_rule`` from 4 until two successive estimates agree
-    to ``_REL_TOL`` or the next one would take the evaluations past
-    ``budget``, and returns the last estimate.  Its error bound is the last
-    change plus a rounding floor.  Every rule here integrates quadratics
-    exactly, so by Jensen's inequality (p <= 1) both an estimate and the true
-    mean lie in [0, mean(lam)^p]; while fewer than two estimates fit the
-    budget, that bound is the error and mean(lam)^p the value.
+    lam is ascending.  By z^p = p / Gamma(1-p) int_0^inf (1 - e^{-sz}) s^{-1-p} ds
+    and E exp(-s X^T diag(lam) X) = prod_i (1 + 2 s lam_i)^{-1/2} for
+    X ~ N(0, I), the mean is max(lam)^p p Gamma(d/2) / (Gamma(1-p) Gamma(d/2+p))
+    times I = int_R f(x) dx, with f from ``_radon_integrand`` at
+    mu = lam / max(lam), for p < 1.  Since f <= (sum(mu)/2) e^{(1-p)x} and
+    f <= e^{-px}, cutting the line at X0 and X1 leaves tails of at most
+    (sum(mu)/2) e^{(1-p)X0} / (1-p) and e^{-pX1} / p; each is set to eps
+    times a lower bound on I, the integral for the largest eigenvalue alone.
+    On [X0, X1], in y with x = sinh y, the trapezoid step halves from
+    ``_FIRST_INTERVALS`` intervals, reusing the earlier nodes, until two
+    estimates agree to ``_REL_TOL`` or the next level would take the
+    evaluations past ``budget``.  The error bound is the last change, the
+    two tails and a rounding floor.
+
+    By Jensen's inequality (p <= 1) the mean lies in [lam_min^p, mean(lam)^p]:
+    at p = 1 it is mean(lam), and while fewer than two levels fit the
+    budget, mean(lam)^p is the value and the interval's width the error.
     """
     lam = np.clip(lam, 0.0, None)
+    d, top = lam.size, float(lam[-1])
     jensen = float(np.mean(lam)) ** p
-    value, change, used, n = jensen, jensen, 0, 4
+    if p == 1.0:
+        return jensen, _rounding_floor(lam, p, jensen), 1
+    if budget < 2 * _FIRST_INTERVALS + 1:
+        return jensen, jensen - float(lam[0]) ** p + _rounding_floor(lam, p, jensen), 0
+    mu = lam[lam > 0.0] / top
+    log_mu, log_mu_sum = np.log(mu), math.log(float(np.sum(mu)))
+    # I >= int_R (1 - (1 + e^x)^{-1/2}) e^{-px} dx = Gamma(1-p) Gamma(1/2+p) / (p sqrt(pi))
+    tail = _EPS * math.exp(math.lgamma(1.0 - p) + math.lgamma(0.5 + p)
+                           - math.log(p * math.sqrt(math.pi)))
+    y0 = math.asinh((math.log(tail * (1.0 - p)) - log_mu_sum + _LN2) / (1.0 - p))
+    y1 = math.asinh(-math.log(p * tail) / p)
+    scale = top ** p * math.exp(math.log(p) + math.lgamma(d / 2.0) - math.lgamma(1.0 - p)
+                                - math.lgamma(d / 2.0 + p))
+    value, change, total, used, n = 0.0, math.inf, 0.0, 0, _FIRST_INTERVALS
     while True:
-        cost = (n + 1) * (1 if lam.size == 2 else n)
-        if used + cost > budget:
+        k = np.arange(1, n, 2) if used else np.arange(n + 1)
+        if used + k.size > budget:
             break
-        est = _sphere_rule(lam, p, n)
+        y = y0 + (y1 - y0) / n * k
+        f = _radon_integrand(np.sinh(y), log_mu, log_mu_sum, p) * np.cosh(y)
+        if not used:
+            f[[0, -1]] *= 0.5
+        total += float(np.sum(f))
+        est = scale * (y1 - y0) / n * total
         if used:
             change = abs(est - value)
-        value, used, n = est, used + cost, 2 * n
+        value, used, n = est, used + k.size, 2 * n
         if change <= _REL_TOL * value:
             break
-    return value, change + _rounding_floor(lam, p, value), used
+    return value, change + 2.0 * scale * tail + _rounding_floor(lam, p, value), used
 
 
 def _rounding_floor(lam, p, value):
@@ -317,12 +276,15 @@ def legacy_volume_echo(lambdas, batch_size, h_f_star):
 
 
 def compare_measures(spec, alpha, n_dirs=1_000_000, seed=0):
-    """Tail measures of both escaping sets plus the implied exit-time ratio."""
+    """Tail measures of both escaping sets plus the implied exit-time ratio.
+
+    ``seed`` is ignored, as in ``radon_measure``.
+    """
     w_sgd, w_adam = build_escape_sets(spec)
-    m_sgd, err_sgd, evals_sgd = radon_measure(w_sgd, alpha, n_dirs=n_dirs, seed=seed,
-                                              with_stderr=True, with_evaluations=True)
-    m_adam, err_adam, evals_adam = radon_measure(w_adam, alpha, n_dirs=n_dirs, seed=seed,
-                                                 with_stderr=True, with_evaluations=True)
+    m_sgd, err_sgd, evals_sgd = radon_measure(w_sgd, alpha, n_dirs=n_dirs, with_stderr=True,
+                                              with_evaluations=True)
+    m_adam, err_adam, evals_adam = radon_measure(w_adam, alpha, n_dirs=n_dirs, with_stderr=True,
+                                                 with_evaluations=True)
     vol_adam = ellipsoid_volume(w_adam.A, w_adam.c)
     echo = legacy_volume_echo(spec.lambdas, spec.batch_size, spec.h_f_star)
     return {

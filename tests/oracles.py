@@ -1,9 +1,10 @@
 """Independent numerical oracles used by the test suite.
 
 Everything here is computed by a different method than the library uses:
-characteristic-function inversion instead of sampling, polar/spherical grid
-quadrature instead of sphere sampling, hit-or-miss Monte Carlo instead of
-closed-form volumes.
+characteristic-function inversion instead of sampling; polar/spherical grid
+quadrature, a closed form for d = 4 and sphere sampling instead of the
+library's one-dimensional integral over the eigenvalues; hit-or-miss Monte
+Carlo instead of closed-form volumes.
 """
 
 import math
@@ -45,6 +46,39 @@ def radon_measure_grid_3d(a, c, alpha, n_theta=400, n_phi=800):
     u = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
     f = (np.einsum("ni,ij,nj->n", u, a, u) / c) ** (alpha / 2.0)
     return float(np.mean(f)) * 4.0 * math.pi / alpha
+
+
+def radon_measure_d4_pairs(a, b, c, alpha):
+    """m(W) for A with eigenvalues (a, a, b, b), a != b, in closed form.
+
+    For u uniform on S^3, s = u_1^2 + u_2^2 is uniform on [0, 1], so the
+    sphere mean of (u^T A u / c)^p is the mean of ((b + (a - b) s) / c)^p over s.
+    """
+    p = alpha / 2.0
+    a, b = a / c, b / c
+    mean = (a ** (p + 1.0) - b ** (p + 1.0)) / ((p + 1.0) * (a - b))
+    return 2.0 * math.pi ** 2 / alpha * mean
+
+
+def radon_measure_sampled(a, c, alpha, n_dirs, seed):
+    """(m(W), standard error) from n_dirs seeded uniform directions, any d."""
+    a = np.asarray(a, dtype=float)
+    d = a.shape[0]
+    rng = np.random.default_rng(seed)
+    total = total_sq = 0.0
+    done = 0
+    while done < n_dirs:
+        nb = min(200_000, n_dirs - done)
+        u = rng.standard_normal((nb, d))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        f = (np.einsum("ni,ij,nj->n", u, a, u) / c) ** (alpha / 2.0)
+        total += float(np.sum(f))
+        total_sq += float(np.sum(f ** 2))
+        done += nb
+    mean = total / n_dirs
+    stderr = math.sqrt(max(total_sq / n_dirs - mean ** 2, 0.0) / n_dirs)
+    factor = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0) / alpha
+    return factor * mean, factor * stderr
 
 
 def ellipsoid_volume_mc(a, c, n=10_000_000, seed=0):

@@ -6,6 +6,7 @@ import pytest
 DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
+@pytest.mark.filterwarnings("error::UserWarning")
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_and_prints(path, capsys):
     runpy.run_path(str(path), run_name="__main__")

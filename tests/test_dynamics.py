@@ -391,6 +391,16 @@ def test_batched_stream_matches_trial_streams(d, requests):
         batched, alive = batched.take(keep), alive[keep]
 
 
+def test_scalar_stream_reads_its_generator(monkeypatch):
+    def refuse(self, n):
+        raise AssertionError("a one-trial stream stepped its cursors")
+
+    monkeypatch.setattr(dynamics.SasStream, "_stepped_uniforms", refuse)
+    stream = dynamics.SasStream(1.5, 2, 7)
+    rows = [stream.draw(1) for _ in range(3)]
+    assert all(r.shape == (1, 2) for r in rows)
+
+
 def test_discrete_reference_steps():
     cfg = OptimizerConfig(kind="SGD", eta=0.1)
     s = dynamics.discrete_reference_step(SdeState(theta=np.zeros(2)),

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from levyescape import geometry
 
-from oracles import ellipsoid_volume_mc, radon_measure_grid_2d, radon_measure_grid_3d
+from oracles import (
+    ellipsoid_volume_mc,
+    radon_measure_d4_pairs,
+    radon_measure_grid_2d,
+    radon_measure_grid_3d,
+    radon_measure_sampled,
+)
 
 
 def random_spd(d, seed):
@@ -219,20 +225,31 @@ def test_quadrature_budget_and_error_cover_reference(diag, budget):
 
 
 def test_quadrature_ignores_seed():
-    for d in (2, 3):
+    for d in (2, 3, 4, 6):
         w = geometry.QuadraticEscapeSet(A=random_spd(d, 30 + d), c=1.0)
         values = {geometry.radon_measure(w, 1.5, n_dirs=50_000, seed=s) for s in (0, 1, 99)}
         assert len(values) == 1
 
 
-def test_sampler_reproducible_in_d4():
-    w = geometry.QuadraticEscapeSet(A=random_spd(4, 8), c=1.0)
-    a = geometry.radon_measure(w, 1.5, n_dirs=20_000, seed=3, with_stderr=True,
-                               with_evaluations=True)
-    assert a == geometry.radon_measure(w, 1.5, n_dirs=20_000, seed=3, with_stderr=True,
-                                       with_evaluations=True)
-    assert a[0] != geometry.radon_measure(w, 1.5, n_dirs=20_000, seed=4)
-    assert a[1] > 0.0 and a[2] == 20_000
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 1.5, 1.99])
+def test_integral_matches_d4_closed_form(alpha):
+    rng = np.random.default_rng(41)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    for a, b in ((3.0, 1.0), (900.0, 1.0), (1e-3, 90.0)):
+        w = geometry.QuadraticEscapeSet(A=q @ np.diag([a, b, a, b]) @ q.T, c=1.3)
+        exact = radon_measure_d4_pairs(a, b, 1.3, alpha)
+        m, err = geometry.radon_measure(w, alpha, with_stderr=True)
+        assert abs(m - exact) <= 1e-12 * exact
+        assert abs(m - exact) <= err
+
+
+def test_integral_matches_sampled_oracle_d6():
+    a = random_spd(6, 61)
+    m, err = geometry.radon_measure(geometry.QuadraticEscapeSet(A=a, c=0.8), 1.3,
+                                    with_stderr=True)
+    sampled, stderr = radon_measure_sampled(a, 0.8, 1.3, n_dirs=1_000_000, seed=62)
+    assert err < 1e-10 * m
+    assert abs(m - sampled) <= 4.0 * stderr
 
 
 def test_closed_form_error_is_a_rounding_bound():
@@ -242,12 +259,12 @@ def test_closed_form_error_is_a_rounding_bound():
 
 
 def test_sampler_error_is_never_zero():
-    # one direction: the error is the integrand's range, which covers the
-    # distance from any sample to the true mean
+    # a budget of one evaluation: the value is mean(lam)^p and the error
+    # mean(lam)^p - lam_min^p, which by Jensen's inequality covers the true mean
     w = geometry.QuadraticEscapeSet(A=np.diag([4.0, 3.0, 2.0, 1.0]), c=1.0)
     m, err = geometry.radon_measure(w, 1.5, n_dirs=1, with_stderr=True)
     factor = geometry.sphere_surface_area(4) / 1.5
-    assert err == pytest.approx(factor * (4.0 ** 0.75 - 1.0), rel=1e-12)
+    assert err == pytest.approx(factor * (2.5 ** 0.75 - 1.0), rel=1e-12)
     ref, ref_err = geometry.radon_measure(w, 1.5, n_dirs=100_000, seed=5, with_stderr=True)
     assert abs(m - ref) <= err + 3.0 * ref_err
     # a constant integrand: every sample is exact, and the error is rounding
