@@ -38,11 +38,9 @@ def _load_config(path, section):
     read = cp.read(path)
     if not read:
         raise stable.ParameterError(f"config file not found: {path}")
-    if cp.has_section(section):
-        return dict(cp.items(section))
-    if cp.has_section("common"):
-        return dict(cp.items("common"))
-    return {}
+    if not cp.has_section(section):
+        raise stable.ParameterError(f"config file {path} has no [{section}] section")
+    return dict(cp.items(section))
 
 
 def _merge(args, command):
@@ -177,12 +175,15 @@ def _cmd_estimate(cfg, seed):
 def _cmd_escape(cfg, seed):
     given = _given(cfg, trials=_i, max_steps=_i, alpha=_f, drift_scale=_f,
                    drift_substeps=_i, gamma=_f)
+    a_values = _flist(cfg, "a_values", [_f(cfg, "a", 150.0)])
+    trial_csv = cfg.get("trial_csv")
+    if trial_csv and len(a_values) > 1 and "{a}" not in trial_csv:
+        raise stable.ParameterError("trial_csv must contain {a} when several a values run")
     result = {"basin_convention": "level cut through the branch crossover"}
-    for a in _flist(cfg, "a_values", [_f(cfg, "a", 150.0)]):
+    for a in a_values:
         ecfg = escape.double_well_config(a, _f(cfg, "noise_scale"), base_seed=seed, **given)
         stats = escape.run_escape_experiment(ecfg)
         result[f"a_{a:g}"] = stats.summary()
-        trial_csv = cfg.get("trial_csv")
         if trial_csv:
             path = trial_csv.replace("{a}", f"{a:g}")
             _write_csv(path, ["trial", "exited", "exit_step", "exit_time"],

@@ -13,6 +13,10 @@ Noise normalization: the increment over a step h is (K h)^{1/alpha} SaS(1)
 per coordinate, where K is the tail constant of ``stable.tail_normalization``;
 increments then exceed a threshold u at rate (2/alpha) u^{-alpha} per unit
 time, matching the compound-Poisson intensity and the exit-time predictions.
+
+``deterministic_flow`` steps each noise-free state with its one gradient and,
+in one pass over the states, reports the Lyapunov value and, for Adam and SGD-M,
+the assumption monitors rho_t and tau_t that ``probe.assumption_monitors`` selects.
 """
 
 from __future__ import annotations
@@ -510,9 +514,14 @@ def levy_step(state, landscape, cfg, noise_increment):
     States with a leading batch axis step all trajectories in lockstep; a
     non-finite gradient raises DivergedError carrying the input state.
     """
+    g = _checked_gradient(landscape, state.theta, state)
+    return _advance(state, g, landscape, cfg, noise_increment)
+
+
+def _advance(state, g, landscape, cfg, noise_increment):
+    """``levy_step`` from g, the gradient at ``state.theta`` already checked finite."""
     h = cfg.step_h
     dl = cfg.apply_sigma(np.asarray(noise_increment, dtype=float))
-    g = _checked_gradient(landscape, state.theta, state)
     t_next = state.t + h
 
     if cfg.kind == "SGD":
@@ -542,6 +551,7 @@ class FlowRateReport:
     lyapunov_series: np.ndarray  # columns (t, L)
     tau: float | None = None
     v_max: float | None = None
+    monitor_series: np.ndarray | None = None  # momentum: (t, rho, tau) from state 1 on
 
 
 def _fit_decay_rate(ts, ls):
@@ -559,14 +569,17 @@ def _momentum_ratio(m, g):
     return float(np.linalg.norm(m)) / g_norm if g_norm > 1e-12 else math.nan
 
 
-def _lyapunov(state, landscape, cfg, f_star):
-    """F - F*, plus 1/2 ||m||^2 weighted by 1/s_t, s_t = (beta1/mu_t) Q_t, once m exists."""
+def _momentum_terms(state, g, landscape, cfg, f_star):
+    """(L, rho integrand, tau) at one state of a momentum flow, g its gradient.
+
+    L = F - F* + 1/2 ||m||^2 weighted by 1/s_t, s_t = (beta1/mu_t) Q_t; the
+    integrand is <g / (1 + F - F*), mu_t Q_t^{-1} m>; tau is ``_momentum_ratio``.
+    """
     gap = landscape.value(state.theta) - f_star
-    if cfg.kind == "SGD" or state.m is None:
-        return gap
     mu_t, omega_t = _bias_corrections(cfg, max(state.t, cfg.step_h))
-    s_t = (cfg.beta1 / mu_t) * cfg.preconditioner(state.v, omega_t)
-    return gap + 0.5 * float(np.sum(state.m ** 2 / s_t))
+    q = cfg.preconditioner(state.v, omega_t)
+    return (gap + 0.5 * float(np.sum(state.m ** 2 / ((cfg.beta1 / mu_t) * q))),
+            float((g / (1.0 + gap)) @ (mu_t * state.m / q)), _momentum_ratio(state.m, g))
 
 
 def deterministic_flow(state0, landscape, cfg, T):
@@ -574,38 +587,50 @@ def deterministic_flow(state0, landscape, cfg, T):
 
     SGD on a quadratic (a landscape with an ndarray ``H``) takes the exact
     backward Euler step, so the fitted rate approaches the continuous-flow
-    rate 2 mu from below; every other flow steps through ``levy_step`` with
-    zero noise.  The predicted Adam rate uses tau, the sup of
-    ``_momentum_ratio`` over the trajectory, and bounds Q_t by
-    v_max + eps_adam, or by max(Q) when Q is constant (``q_fixed``, SGD-M).
+    rate 2 mu from below; every other flow takes ``levy_step``'s step with
+    zero noise, from the one checked gradient of each state.  A momentum
+    flow also reports the assumption monitors in ``monitor_series``:
+    rho_t = (10/t) times the trapezoidal integral of the integrand of
+    ``_momentum_terms`` from the first state, and tau_t = ``_momentum_ratio``.
+    The predicted Adam rate uses tau, the sup of tau_t over the trajectory,
+    and bounds Q_t by v_max + eps_adam, or by max(Q) when Q is constant
+    (``q_fixed``, SGD-M).
     """
     if not T > 0:
         raise ParameterError(f"horizon T must be positive, got {T}")
     h = cfg.step_h
+    traj, grads = [state0], []
     if cfg.kind == "SGD" and isinstance(getattr(landscape, "H", None), np.ndarray):
         # (I + hH)(theta' - c) = theta - c
         a, c = np.eye(landscape.dim) + h * landscape.H, landscape.center
-
-        def step(s):
-            return SdeState(theta=c + np.linalg.solve(a, s.theta - c), t=s.t + h)
+        for _ in range(int(round(T / h))):
+            s = traj[-1]
+            traj.append(SdeState(theta=c + np.linalg.solve(a, s.theta - c), t=s.t + h))
     else:
         zero_noise = replace(cfg, noise_scale=0.0)
-
-        def step(s):
-            return levy_step(s, landscape, zero_noise, np.zeros_like(s.theta))
-
-    traj = [state0]
-    for _ in range(int(round(T / h))):
-        traj.append(step(traj[-1]))
+        for _ in range(int(round(T / h))):
+            s = traj[-1]
+            grads.append(_checked_gradient(landscape, s.theta, s))
+            traj.append(_advance(s, grads[-1], landscape, zero_noise, np.zeros_like(s.theta)))
     f_star = landscape.value(landscape.minimizer())
-    ts, ls = [s.t for s in traj], [_lyapunov(s, landscape, cfg, f_star) for s in traj]
+    ts = np.array([s.t for s in traj])
+    if cfg.kind == "SGD":
+        ls, monitors = [landscape.value(s.theta) - f_star for s in traj], None
+    else:
+        grads.append(_checked_gradient(landscape, traj[-1].theta, traj[-1]))
+        ls, integrands, ratios = zip(*(_momentum_terms(s, g, landscape, cfg, f_star)
+                                       for s, g in zip(traj, grads)))
+        integrands = np.array(integrands)
+        # a leading 0.0 makes cumsum an accumulator started at 0.0, down to the sign of zero
+        trapezoids = np.r_[0.0, 0.5 * (integrands[:-1] + integrands[1:]) * h]
+        rho = (10.0 / ts[1:]) * np.cumsum(trapezoids)[1:]
+        monitors = np.column_stack([ts[1:], rho, ratios[1:]])
     series = np.column_stack([ts, ls])
     if ls[0] <= 1e-300:
-        return traj, FlowRateReport(None, 0.0, series)
+        return traj, FlowRateReport(None, 0.0, series, monitor_series=monitors)
     observed = _fit_decay_rate(ts, ls)
     if cfg.kind == "SGD":
         return traj, FlowRateReport(observed, 2.0 * landscape.mu, series)
-    ratios = [_momentum_ratio(s.m, landscape.gradient(s.theta)) for s in traj]
     tau = max((r for r in ratios if r > 0), default=None)
     v_max = max((float(np.max(np.sqrt(s.v))) for s in traj if s.v is not None and s.v.size),
                 default=0.0)
@@ -616,7 +641,7 @@ def deterministic_flow(state0, landscape, cfg, T):
         predicted = (
             2.0 * mu * tau / (cfg.beta1 * q_max + mu * tau)
         ) * (cfg.beta1 - cfg.beta2 / 4.0)
-    return traj, FlowRateReport(observed, predicted, series, tau=tau, v_max=v_max)
+    return traj, FlowRateReport(observed, predicted, series, tau, v_max, monitors)
 
 
 def discrete_reference_step(state, minibatch_gradient, cfg):

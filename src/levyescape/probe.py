@@ -12,9 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (SdeState, _bias_corrections, _momentum_ratio, deterministic_flow,
-                       discrete_reference_step)
-from .stable import SampleSizeError, StableLaw, estimate_tail_index, sample_sas
+from .dynamics import SdeState, deterministic_flow, discrete_reference_step
+from .stable import ParameterError, SampleSizeError, StableLaw, estimate_tail_index, sample_sas
 
 __all__ = [
     "MlpModel",
@@ -205,6 +204,8 @@ def noise_trajectory(model, dataset, cfg, n_steps, window=16, batch_size=32,
     ``inject_alpha`` replaces u_t with known synthetic stable draws, which
     exercises the estimation path against an exact oracle.
     """
+    if record_stride < 1:
+        raise ParameterError(f"record_stride must be >= 1, got {record_stride}")
     rng = np.random.default_rng(seed)
     state = SdeState.initial(model.params.copy(), cfg.kind)
     records = []
@@ -255,45 +256,20 @@ def assumption_monitors(landscape, cfg, theta0, n_steps, record_stride=1):
     rho_t is the trapezoidal accumulation of
     <grad F(theta_s) / (1 + F(theta_s)), mu_s Q_s^{-1} m_s> scaled by 10/t;
     tau is the ratio ||m_t|| / ||grad F(theta_t)||, reported as NaN at steps
-    where the gradient norm is below 1e-12.
+    where the gradient norm is below 1e-12.  Both are rows of the flow's
+    ``monitor_series``: every ``record_stride``-th step and the last.
     """
-    h = cfg.step_h
+    if record_stride < 1:
+        raise ParameterError(f"record_stride must be >= 1, got {record_stride}")
     zero_cfg = replace(cfg, kind="ADAM", noise_scale=0.0)
-    traj, _ = deterministic_flow(SdeState.initial(theta0, "ADAM"), landscape, zero_cfg,
-                                 n_steps * h)
-    f_star = landscape.value(landscape.minimizer())
-
-    ts, rhos, taus = [], [], []
-    v_min, v_max = math.inf, -math.inf
-    integral = 0.0
-    prev_integrand = 0.0
-
-    for k, state in enumerate(traj[1:], start=1):
-        t = state.t
-        mu_t, omega_t = _bias_corrections(zero_cfg, t)
-        g = landscape.gradient(state.theta)
-        f = landscape.value(state.theta) - f_star
-        q = zero_cfg.preconditioner(state.v, omega_t)
-        integrand = float((g / (1.0 + f)) @ (mu_t * state.m / q))
-        integral += 0.5 * (prev_integrand + integrand) * h
-        prev_integrand = integrand
-
-        sq = np.sqrt(state.v)
-        v_min = min(v_min, float(sq.min()))
-        v_max = max(v_max, float(sq.max()))
-
-        if k % record_stride == 0 or k == n_steps:
-            ts.append(t)
-            rhos.append((10.0 / t) * integral)
-            taus.append(_momentum_ratio(state.m, g))
-
-    return AssumptionReport(
-        t=np.asarray(ts),
-        rho=np.asarray(rhos),
-        tau=np.asarray(taus),
-        v_min=v_min,
-        v_max=v_max,
-    )
+    traj, flow = deterministic_flow(SdeState.initial(theta0, "ADAM"), landscape, zero_cfg,
+                                    n_steps * cfg.step_h)
+    n = len(flow.monitor_series)
+    rows = np.unique(np.r_[record_stride - 1:n:record_stride, n - 1])
+    t, rho, tau = flow.monitor_series[rows].T
+    sq = np.sqrt([s.v for s in traj[1:]])
+    return AssumptionReport(t=t, rho=rho, tau=tau, v_min=float(sq.min()),
+                            v_max=float(sq.max()))
 
 
 def averaging_tail_comparison(records, beta1):

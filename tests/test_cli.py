@@ -65,6 +65,20 @@ def test_parameter_errors_exit_2(tmp_path, capsys):
     assert main(["sample", "--alpha", "1.5", "--threads", "2"]) == 2
     assert main(["sweep", "--eps-list", "0.1 0 0.2 0.3", "--trials", "5",
                  "--max-steps", "10"]) == 2
+    for mode in ("monitors", "noise"):
+        for stride in ("0", "-1"):
+            assert main(["probe", "--mode", mode, "--steps", "20", "--record-stride", stride]) == 2
+    sweep_only = tmp_path / "sweep_only.cfg"
+    sweep_only.write_text("[sweep]\nalpha = 1.5\n")
+    capsys.readouterr()
+    assert main(["sample", "--config", str(sweep_only), "--alpha", "1.5", "--n", "10",
+                 "--out", str(tmp_path / "sample.json")]) == 2
+    assert "[sample]" in capsys.readouterr().err
+    # one trial file per basin needs {a} in its path, checked before any ensemble runs
+    trial_csv = tmp_path / "t.csv"
+    assert main(["escape", "--a-values", "500 150", "--noise-scale", "1e-3", "--trials", "2",
+                 "--max-steps", "5", "--trial-csv", str(trial_csv)]) == 2
+    assert not trial_csv.exists()
     # small runs that succeed as they are, so only the appended flags can fail
     # them: an unknown flag, a fractional integer, and a base seed whose trial
     # seeds pass 2**63

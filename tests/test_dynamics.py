@@ -175,6 +175,47 @@ def test_adam_flow_lyapunov_monotone():
         assert rep.predicted_rate > 0
 
 
+def test_momentum_flow_one_gradient_per_state():
+    # each state's gradient steps the flow and also gives its L, rho and tau
+    for kind in ("ADAM", "SGDM"):
+        land = CountingQuadratic()
+        cfg = OptimizerConfig(kind=kind, step_h=0.1, beta1=0.9, beta2=0.99, noise_scale=0.0)
+        dynamics.deterministic_flow(SdeState.initial(np.array([1.0]), kind), land, cfg, 1.0)
+        assert land.calls == 11, kind
+
+
+def stepwise_monitors(traj, land, cfg):
+    """(t, rho, tau) rows after the first state, accumulated one state at a time."""
+    f_star = land.value(land.minimizer())
+    rows, integral, prev = [], 0.0, 0.0
+    for state in traj[1:]:
+        mu_t, omega_t = dynamics._bias_corrections(cfg, state.t)
+        g = land.gradient(state.theta)
+        f = land.value(state.theta) - f_star
+        q = cfg.preconditioner(state.v, omega_t)
+        integrand = float((g / (1.0 + f)) @ (mu_t * state.m / q))
+        integral += 0.5 * (prev + integrand) * cfg.step_h
+        prev = integrand
+        g_norm = float(np.linalg.norm(g))
+        tau = float(np.linalg.norm(state.m)) / g_norm if g_norm > 1e-12 else math.nan
+        rows.append((state.t, (10.0 / state.t) * integral, tau))
+    return np.array(rows)
+
+
+def test_flow_monitor_series_matches_stepwise_reference():
+    land = landscapes.QuadraticBasin(H=np.diag([2.0, 0.5]), center=np.zeros(2), height=10.0)
+    for kind, q_fixed in (("ADAM", None), ("ADAM", [1.5, 0.5]), ("SGDM", None)):
+        cfg = OptimizerConfig(kind=kind, step_h=1e-2, beta1=0.9, beta2=0.99,
+                              noise_scale=0.0, q_fixed=q_fixed)
+        traj, rep = dynamics.deterministic_flow(
+            SdeState.initial(np.array([1.0, -0.5]), kind), land, cfg, 0.5)
+        assert rep.monitor_series.shape == (50, 3)
+        np.testing.assert_array_equal(rep.monitor_series, stepwise_monitors(traj, land, cfg))
+    sgd = OptimizerConfig(kind="SGD", step_h=1e-2, noise_scale=0.0)
+    _, rep = dynamics.deterministic_flow(SdeState(theta=np.array([1.0, -0.5])), land, sgd, 0.5)
+    assert rep.monitor_series is None
+
+
 def test_step_size_consistency():
     land = quad(mu=1.0)
     theta0 = np.array([1.0])

@@ -1,4 +1,5 @@
-"""Every top-level import in the package is used, and every export exists.
+"""Every top-level import in the package is used, every export exists, and
+no module imports another package module's underscore-prefixed names.
 
 A stdlib-``ast`` stand-in for a linter's unused-import rule: a module-level
 ``import`` or ``from ... import`` binds names, and each must be read somewhere
@@ -52,6 +53,15 @@ def unbound_exports(source):
     return sorted(_exported(tree) - bound)
 
 
+def private_imports(source):
+    """Underscore-prefixed names, dunders aside, imported from a package module."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").split(".")[0] == PACKAGE.name)
+                  for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.endswith("__"))
+
+
 def test_unused_import_check_catches_one():
     assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
         "math", "path"]
@@ -71,6 +81,19 @@ def test_unbound_export_check_catches_one():
 
 def test_every_export_is_bound():
     found = {path.name: unbound_exports(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_private_import_check_catches_one():
+    source = ("from . import __version__\nfrom .dynamics import SdeState, _advance\n"
+              "def f():\n    from levyescape.stable import _cms\n"
+              "from numpy.linalg import _umath_linalg\n")
+    assert private_imports(source) == ["_advance", "_cms"]
+
+
+def test_no_private_imports_between_modules():
+    found = {path.name: private_imports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
 

@@ -4,6 +4,7 @@ import pytest
 from levyescape import dynamics, landscapes, probe
 
 from oracles import finite_difference_gradient
+from test_dynamics import CountingQuadratic
 
 
 def small_setup(seed=0):
@@ -175,6 +176,27 @@ def test_assumption_monitors_from_minimizer():
     rep = probe.assumption_monitors(land, cfg, np.zeros(1), 100, record_stride=10)
     assert np.allclose(rep.rho, 0.0)
     assert np.all(np.isnan(rep.tau))  # gradient stays zero: not applicable
+
+
+def test_assumption_monitors_one_gradient_per_state():
+    land = CountingQuadratic()
+    cfg = dynamics.OptimizerConfig(kind="ADAM", step_h=0.1, beta1=0.9, beta2=0.99,
+                                   noise_scale=0.0)
+    probe.assumption_monitors(land, cfg, np.array([1.0]), 10)
+    assert land.calls == 11
+
+
+def test_assumption_monitors_are_rows_of_the_flow_series():
+    land = landscapes.QuadraticBasin(H=np.array([[1.0]]), center=np.zeros(1), height=10.0)
+    cfg = dynamics.OptimizerConfig(kind="ADAM", step_h=1e-2, beta1=0.9, beta2=0.99,
+                                   noise_scale=0.0)
+    _, flow = dynamics.deterministic_flow(
+        dynamics.SdeState.initial(np.array([2.0]), "ADAM"), land, cfg, 100 * cfg.step_h)
+    # every record_stride-th step, and the last
+    for stride, steps in ((1, range(1, 101)), (7, [*range(7, 100, 7), 100])):
+        rep = probe.assumption_monitors(land, cfg, np.array([2.0]), 100, record_stride=stride)
+        np.testing.assert_array_equal(np.column_stack([rep.t, rep.rho, rep.tau]),
+                                      flow.monitor_series[np.asarray(steps) - 1])
 
 
 def test_averaging_preserves_injected_alpha():
