@@ -406,7 +406,8 @@ class SasStream:
     # Outputs per cursor the stepper serves.  Measured against building and
     # reading generators (2-vCPU x86): the stepper costs less up to about 64
     # outputs at 2000 trials and about 20 at 100; 32 covers the escape
-    # loops' 8-row first chunk up to dim 4.
+    # loops' first two 8-row chunks up to dim 2 (and the first up to dim 4),
+    # so trials that leave a thinning basin by step 16 build no generators.
     _STEPPED = 32
     _CMS_SLICE = 32768  # values per transform call; bounds its temporaries
 

@@ -77,6 +77,21 @@ class EscapeStats:
     n_exited: int
     exit_steps: np.ndarray  # -1 for trials that never exited
     step_h: float
+    max_steps: int
+
+    @property
+    def censored_mean_exit_steps(self):
+        """Right-censored exponential MLE of the mean exit step.
+
+        sum_i min(T_i, max_steps) / n_exited: a trial still inside at
+        ``max_steps`` counts its max_steps steps but no exit.  NaN when no
+        trial exited.
+        """
+        if not self.n_exited:
+            return float("nan")
+        exited = self.exit_steps[self.exit_steps > 0]
+        censored = self.n_trials - self.n_exited
+        return (int(exited.sum()) + censored * self.max_steps) / self.n_exited
 
     @property
     def ci95_escape_prob(self):
@@ -95,6 +110,7 @@ class EscapeStats:
         return {
             "escape_prob": self.escape_prob,
             "mean_exit_steps": self.mean_exit_steps,
+            "censored_mean_exit_steps": self.censored_mean_exit_steps,
             "mean_exit_time": self.mean_exit_time,
             "n_trials": self.n_trials,
             "n_exited": self.n_exited,
@@ -115,9 +131,10 @@ def _run_generic(cfg, trial_ids):
     state = SdeState.initial(np.tile(cfg.theta0, (n, 1)), opt.kind)
 
     active = np.arange(n)
-    step = 0
+    step, thinned = 0, True
     while step < cfg.max_steps and active.size:
-        chunk = _chunk_length(cfg, step)
+        chunk = _chunk_length(cfg, step, thinned)
+        started = active.size
         noise = stream.draw(chunk)
         for j in range(chunk):
             state = levy_step(state, cfg.landscape, opt, scale * noise[:, j, :])
@@ -132,14 +149,22 @@ def _run_generic(cfg, trial_ids):
                     break
         del noise  # not held across the next draw
         step += chunk
+        thinned = 2 * active.size <= started
     return exit_step
 
 
-def _chunk_length(cfg, step):
-    # A short first chunk, then chunks ending on multiples of _CHUNK: in a
-    # basin that trials leave within a few steps, most of them exit inside
-    # the first chunk, so the noise drawn for them and never used stays small.
-    chunk = _FIRST_CHUNK if step == 0 else _CHUNK - step % _CHUNK
+def _chunk_length(cfg, step, thinned):
+    # Noise for the next chunk, drawn before anyone knows who will exit in
+    # it.  The first chunk, and any chunk after one in which at least half of
+    # the trials exited, is as long as the steps taken so far (8, 8, 16, 32,
+    # ..., 256), so an ensemble that keeps thinning draws little noise for
+    # trials about to leave.  An ensemble that stopped thinning runs to the
+    # next multiple of _CHUNK, in few long draws.  Both kinds end on a power
+    # of two or a multiple of _CHUNK, so no chunk straddles a SasStream.BLOCK.
+    if thinned:
+        chunk = min(max(step, _FIRST_CHUNK), _CHUNK)
+    else:
+        chunk = _CHUNK - step % _CHUNK
     return min(chunk, cfg.max_steps - step)
 
 
@@ -264,10 +289,10 @@ def _run_affine(cfg, trial_ids, drift):
     active = np.arange(n)
     y = np.full(n, theta0 - c)
     dev = _U * np.abs(y)  # bounds |c + y - generic theta|
-    step = 0
+    step, thinned = 0, True
     with np.errstate(over="ignore", invalid="ignore"):
         while step < cfg.max_steps and active.size:
-            chunk = _chunk_length(cfg, step)
+            chunk = _chunk_length(cfg, step, thinned)
             noise = stream.draw(chunk)
             keep = np.ones(active.size, dtype=bool)
             rows = max(1, _SCAN_SLICE // chunk)
@@ -282,6 +307,7 @@ def _run_affine(cfg, trial_ids, drift):
                 uncertain[ids[ended & ~leaves]] = True
                 keep[sl] = ~ended
             del noise  # not held across the next draw
+            thinned = 2 * int(keep.sum()) <= active.size
             active, y, dev = active[keep], y[keep], dev[keep]
             stream = stream.take(keep)
             step += chunk
@@ -380,6 +406,7 @@ def run_escape_experiment(cfg, threads=None):
         n_exited=n_exited,
         exit_steps=exit_step,
         step_h=h,
+        max_steps=cfg.max_steps,
     )
 
 

@@ -194,6 +194,13 @@ def _pooled_alpha(window_rows):
         return None
 
 
+def _check_steps(n_steps, record_stride):
+    if n_steps < 1:
+        raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
+    if record_stride < 1:
+        raise ParameterError(f"record_stride must be >= 1, got {record_stride}")
+
+
 def noise_trajectory(model, dataset, cfg, n_steps, window=16, batch_size=32,
                      seed=0, record_stride=25, inject_alpha=None):
     """Train with the discrete optimizer and record gradient-noise tails.
@@ -204,8 +211,7 @@ def noise_trajectory(model, dataset, cfg, n_steps, window=16, batch_size=32,
     ``inject_alpha`` replaces u_t with known synthetic stable draws, which
     exercises the estimation path against an exact oracle.
     """
-    if record_stride < 1:
-        raise ParameterError(f"record_stride must be >= 1, got {record_stride}")
+    _check_steps(n_steps, record_stride)
     rng = np.random.default_rng(seed)
     state = SdeState.initial(model.params.copy(), cfg.kind)
     records = []
@@ -259,8 +265,7 @@ def assumption_monitors(landscape, cfg, theta0, n_steps, record_stride=1):
     where the gradient norm is below 1e-12.  Both are rows of the flow's
     ``monitor_series``: every ``record_stride``-th step and the last.
     """
-    if record_stride < 1:
-        raise ParameterError(f"record_stride must be >= 1, got {record_stride}")
+    _check_steps(n_steps, record_stride)
     zero_cfg = replace(cfg, kind="ADAM", noise_scale=0.0)
     traj, flow = deterministic_flow(SdeState.initial(theta0, "ADAM"), landscape, zero_cfg,
                                     n_steps * cfg.step_h)

@@ -68,6 +68,11 @@ def test_parameter_errors_exit_2(tmp_path, capsys):
     for mode in ("monitors", "noise"):
         for stride in ("0", "-1"):
             assert main(["probe", "--mode", mode, "--steps", "20", "--record-stride", stride]) == 2
+    capsys.readouterr()
+    # step counts are checked by name, not by what they break downstream
+    assert main(["probe", "--mode", "monitors", "--steps", "-3"]) == 2
+    assert main(["probe", "--mode", "noise", "--steps", "0"]) == 2
+    assert capsys.readouterr().err.count("n_steps must be >= 1") == 2
     sweep_only = tmp_path / "sweep_only.cfg"
     sweep_only.write_text("[sweep]\nalpha = 1.5\n")
     capsys.readouterr()

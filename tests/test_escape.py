@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ def test_zero_noise_never_escapes():
     stats = escape.run_escape_experiment(cfg)
     assert stats.escape_prob == 0.0
     assert math.isnan(stats.mean_exit_time)
+    assert math.isnan(stats.censored_mean_exit_steps)
 
 
 def test_theta0_precondition():
@@ -66,9 +68,8 @@ def test_reproducible_and_thread_invariant():
     assert np.array_equal(a.exit_steps, c.exit_steps)
 
 
-def test_noise_transformed_only_for_steps_taken(monkeypatch):
-    # every trial leaves within the first chunk of 8 steps (at steps 1 to 5),
-    # so only those 8 rows per trial may be transformed, not a 512-row block
+def _count_transforms(monkeypatch):
+    """Sizes of every batch of values passed to the CMS transform."""
     counted = []
 
     def counting(alpha, u_angle, u_exp):
@@ -76,6 +77,13 @@ def test_noise_transformed_only_for_steps_taken(monkeypatch):
         return sas_from_uniforms(alpha, u_angle, u_exp)
 
     monkeypatch.setattr(dynamics, "sas_from_uniforms", counting)
+    return counted
+
+
+def test_noise_transformed_only_for_steps_taken(monkeypatch):
+    # every trial leaves within the first chunk of 8 steps (at steps 1 to 5),
+    # so only those 8 rows per trial may be transformed, not a 512-row block
+    counted = _count_transforms(monkeypatch)
     land = landscapes.QuadraticBasin(H=np.eye(2), center=np.zeros(2), height=0.5)
     opt = dynamics.OptimizerConfig(kind="SGD", alpha=1.5, step_h=1.0, noise_scale=0.5)
     cfg = escape.EscapeConfig(landscape=land, basin=landscapes.BasinSpec(land, 0.1, 2.0),
@@ -84,6 +92,104 @@ def test_noise_transformed_only_for_steps_taken(monkeypatch):
     exit_steps = escape.run_escape_experiment(cfg).exit_steps
     assert exit_steps.min() == 1 and exit_steps.max() == 5
     assert sum(counted) == 8 * 2 * 50
+
+
+def _record_draws(monkeypatch):
+    """Row counts of every ``SasStream.draw``, in call order."""
+    rows = []
+    draw = dynamics.SasStream.draw
+
+    def recording(self, n):
+        rows.append(n)
+        return draw(self, n)
+
+    monkeypatch.setattr(dynamics.SasStream, "draw", recording)
+    return rows
+
+
+def _compare_basin_cfg(kind, eps, trials, max_steps, seed):
+    # the compare preset's basin: H = diag(10, 0.1), height 0.5, sigma = (3, 0.1)
+    land = landscapes.QuadraticBasin(H=np.diag([10.0, 0.1]), center=np.zeros(2), height=0.5)
+    sigma = np.array([3.0, 0.1])
+    opt = dynamics.OptimizerConfig(kind=kind, alpha=1.5, step_h=0.05, noise_scale=eps,
+                                   sigma=sigma, beta2=0.99,
+                                   q_fixed=sigma if kind == "ADAM" else None)
+    return escape.EscapeConfig(landscape=land, basin=landscapes.BasinSpec(land, eps, 2.0),
+                               optimizer=opt, theta0=np.zeros(2), trials=trials,
+                               max_steps=max_steps, base_seed=seed)
+
+
+def test_thinning_ensemble_transforms_little_unused_noise(monkeypatch):
+    # Adam keeps 74 of 400 trials past step 8 and exits by step 30: chunks of
+    # 8, 8 and 16 rows transform about 8.0 k values for the 4352 it uses,
+    # where a 248-row second chunk transformed about 43 k
+    counted = _count_transforms(monkeypatch)
+    rows = _record_draws(monkeypatch)
+    cfg = _compare_basin_cfg("ADAM", 0.3, trials=400, max_steps=5000, seed=3)
+    stats = escape.run_escape_experiment(cfg)
+    assert stats.n_exited == cfg.trials
+    used = int(stats.exit_steps.sum()) * 2
+    assert rows == [8, 8, 16]
+    assert sum(counted) < 2 * used
+
+
+def test_non_thinning_ensemble_keeps_long_chunks(monkeypatch):
+    # fewer than half the trials leave in any chunk, so after the first 8
+    # rows every chunk runs to the next multiple of 256 (the chunk kernel)
+    rows = _record_draws(monkeypatch)
+    cfg = escape.double_well_config(500.0, 1.58e-4, trials=200, max_steps=2000,
+                                    base_seed=700000, gamma=2.0)
+    stats = escape.run_escape_experiment(cfg)
+    assert 0 < stats.n_exited < cfg.trials // 2
+    assert rows == [8, 248] + [256] * 6 + [208]
+
+
+def test_blocks_thinning_differently_give_serial_exit_steps(monkeypatch):
+    # 2-D SGD on the generic loop; each thread's block picks its own chunks
+    cfg = _compare_basin_cfg("SGD", 0.1, trials=100, max_steps=300, seed=3)
+    rows = _record_draws(monkeypatch)
+    schedules = []
+    for block in np.array_split(np.arange(cfg.trials), 2):
+        escape._run_generic(cfg, block)
+        schedules.append(rows.copy())
+        rows.clear()
+    assert schedules[0] != schedules[1]
+    serial = escape.run_escape_experiment(cfg).exit_steps
+    assert np.unique(serial).size > 10
+    assert np.array_equal(escape.run_escape_experiment(cfg, threads=2).exit_steps, serial)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+       trials=st.integers(1, 5000), max_steps=st.integers(1, 20000))
+def test_chunks_never_cross_a_multiple_of_256(fractions, trials, max_steps):
+    # any sequence of active counts: each chunk keeps a fraction of its trials
+    cfg = types.SimpleNamespace(max_steps=max_steps)
+    step, active, thinned = 0, trials, True
+    for keep in fractions:
+        if step >= max_steps or not active:
+            break
+        chunk = escape._chunk_length(cfg, step, thinned)
+        assert chunk >= 1
+        assert step in (0, 8, 16, 32, 64, 128) or step % 256 == 0
+        assert step // 256 == (step + chunk - 1) // 256
+        started, active = active, int(keep * active)
+        step += chunk
+        thinned = 2 * active <= started
+
+
+def test_censored_mean_exit_steps():
+    cfg = escape.double_well_config(500.0, 3e-4, trials=60, max_steps=400, base_seed=3,
+                                    gamma=2.0)
+    stats = escape.run_escape_experiment(cfg)
+    t = stats.exit_steps
+    assert 0 < stats.n_exited < stats.n_trials  # some trials are censored
+    expected = np.where(t > 0, np.minimum(t, cfg.max_steps), cfg.max_steps).sum() / (t > 0).sum()
+    assert stats.censored_mean_exit_steps == pytest.approx(expected, rel=1e-15)
+    assert stats.censored_mean_exit_steps > stats.mean_exit_steps
+    summary = stats.summary()
+    assert summary["censored_mean_exit_steps"] == stats.censored_mean_exit_steps
+    assert summary["mean_exit_steps"] == stats.mean_exit_steps
 
 
 def test_predicted_mean_exit_values():
