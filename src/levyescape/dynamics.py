@@ -131,9 +131,6 @@ class OptimizerConfig:
             return self.q_fixed
         return np.sqrt(omega_t * v) + self.eps_adam
 
-    def assumption2_ok(self):
-        return self.beta1 <= self.beta2 <= 2.0 * self.beta1
-
     def apply_sigma(self, dl):
         if self.sigma is None:
             return dl
@@ -357,6 +354,13 @@ def _pcg_doubles(hi, lo):
     return out * 2.0 ** -53
 
 
+# The start of the last batched stream whose first draw the stepper served, as
+# ((alpha, dim, n), seeds, rows, cursors, inc) with every array read-only; see
+# SasStream.  One tuple, replaced whole, so threads read it without a lock.
+_start_memo = None
+_START_MEMO_BYTES = 1 << 20  # larger rows are not kept; the buffer they view is twice their size
+
+
 class SasStream:
     """Per-trial streams of SaS(1) draws, one row of ``dim`` values per step.
 
@@ -377,7 +381,8 @@ class SasStream:
 
     Seeding: the generators' ``SeedSequence`` states are hashed for the
     whole seed array in one vectorized pass (``_seed_words``), so no trial
-    builds a ``SeedSequence``.
+    builds a ``SeedSequence``.  The constructor only checks the seeds; the
+    first draw, or ``take``, seeds the cursors (``_start``).
 
     Reading: ``Generator.random`` spends exactly one PCG64 output per
     float64, so each trial keeps two cursors on its generator's output
@@ -400,6 +405,18 @@ class SasStream:
     exponential row 0, moves ``2 * BLOCK * dim`` outputs ahead.  Only the
     rows handed out are transformed, in one batched call per slice of
     values.
+
+    Start memo: ensembles that share their seeds read the same streams
+    (``compare_optimizers`` runs one per optimizer, ``scaling_sweep`` one
+    per amplitude), and their trials mostly leave within the first draw.
+    So the module keeps one entry, ``_start_memo``: the first draw of the
+    last batched stream whose first draw the stepper served, keyed by
+    ``(alpha, dim, n)`` and the seed array, with the cursors after it.  A
+    fresh stream whose first ``draw(n)`` has that key returns the kept rows
+    and continues from the kept cursors, with no seeding, stepping or
+    transform; every value is the one it would have computed.  The rows are
+    read-only.  A stream that came from ``take`` never reads the memo, and
+    first draws above ``_START_MEMO_BYTES`` are not kept.
     """
 
     BLOCK = 512
@@ -415,19 +432,28 @@ class SasStream:
         self.alpha = alpha
         self.dim = dim
         self._batched = np.ndim(seed) > 0
-        state, inc = _pcg_seed(_seed_words(_trial_seeds(seed)))
-        exp = _pcg_jump(state, inc, self.BLOCK * dim)
-        self._cursors = np.stack([state, exp], axis=1)  # (high/low word, angle/exp, trial)
-        self._inc = np.stack(inc)
+        self._seeds = _trial_seeds(seed)  # until the cursors are seeded (``_start``)
+        self._cursors = self._inc = None  # (high/low word, angle/exp, trial) and (high/low, trial)
         self._angle = self._exp = None  # per-trial generators, once built
         self._row = 0  # cursor within the current block, shared by all trials
+
+    def _start(self):
+        """Seed the cursors from the seeds, unless they already are."""
+        if self._seeds is None:
+            return
+        state, inc = _pcg_seed(_seed_words(self._seeds))
+        exp = _pcg_jump(state, inc, self.BLOCK * self.dim)
+        self._cursors = np.stack([state, exp], axis=1)
+        self._inc = np.stack(inc)
+        self._seeds = None
 
     def take(self, keep):
         """The trials selected by ``keep``, continuing at the same row.
 
         The selected generators move to the returned stream; keep drawing
-        from that one only.
+        from that one only.  The returned stream never reads the start memo.
         """
+        self._start()
         out = copy.copy(self)
         out._cursors, out._inc = self._cursors[..., keep], self._inc[:, keep]
         if self._angle is not None:
@@ -435,15 +461,39 @@ class SasStream:
         return out
 
     def draw(self, n):
+        if self._seeds is not None and self._batched and n * self.dim <= self._STEPPED:
+            return self._first_draw(n)
+        self._start()
         if self._batched and self._angle is None and (self._row + n) * self.dim <= self._STEPPED:
-            u_angle, u_exp = self._stepped_uniforms(n)
+            uniforms = self._stepped_uniforms(n)
         else:
-            u_angle, u_exp = self._generated_uniforms(n)
+            uniforms = self._generated_uniforms(n)
+        rows = self._transform(*uniforms)
+        return rows if self._batched else rows[0]
+
+    def _first_draw(self, n):
+        """Rows [0, n) of a fresh batched stream, from the start memo if its key matches."""
+        global _start_memo
+        key, seeds, memo = (self.alpha, self.dim, n), self._seeds, _start_memo
+        if memo is not None and memo[0] == key and np.array_equal(memo[1], seeds):
+            _, _, rows, self._cursors, self._inc = memo
+            self._seeds, self._row = None, n
+            return rows
+        self._start()
+        rows = self._transform(*self._stepped_uniforms(n))
+        if rows.nbytes <= _START_MEMO_BYTES:
+            for kept in (seeds, rows, self._cursors, self._inc):
+                kept.flags.writeable = False
+            _start_memo = (key, seeds, rows, self._cursors, self._inc)
+        return rows
+
+    def _transform(self, u_angle, u_exp):
+        """The CMS transform of the uniforms, written over ``u_angle``, which it returns."""
         flat_angle, flat_exp = u_angle.reshape(-1), u_exp.reshape(-1)
         for lo in range(0, flat_angle.size, self._CMS_SLICE):
             part = slice(lo, lo + self._CMS_SLICE)
             flat_angle[part] = sas_from_uniforms(self.alpha, flat_angle[part], flat_exp[part])
-        return u_angle if self._batched else u_angle[0]
+        return u_angle
 
     def _stepped_uniforms(self, n):
         """Angle and exponential uniforms of the next n rows, stepped from the cursors."""

@@ -25,7 +25,6 @@ __all__ = [
     "predicted_mean_exit",
     "scaling_sweep",
     "compare_optimizers",
-    "calibrate_noise_amplitude",
     "double_well_config",
 ]
 
@@ -52,8 +51,8 @@ class EscapeConfig:
         self.theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
-        if self.max_steps < 1:
-            raise ParameterError("max_steps must be >= 1")
+        if not 1 <= self.max_steps < 2**31:
+            raise ParameterError("max_steps must lie in [1, 2**31): exit steps are int32")
         if not 0 <= int(self.base_seed) <= 2**63 - int(self.trials):
             raise ParameterError("trial seeds base_seed + i must lie in [0, 2**63)")
         if self.theta0.size != self.landscape.dim:
@@ -75,7 +74,7 @@ class EscapeStats:
     mean_exit_time: float
     n_trials: int
     n_exited: int
-    exit_steps: np.ndarray  # -1 for trials that never exited
+    exit_steps: np.ndarray  # int32; -1 for trials that never exited
     step_h: float
     max_steps: int
 
@@ -125,7 +124,7 @@ def _run_generic(cfg, trial_ids):
     n = len(trial_ids)
     # the result outlives the run: allocated before the stream and the step
     # temporaries, it does not pin a hole among them in the heap
-    exit_step = np.full(n, -1, dtype=np.int64)
+    exit_step = np.full(n, -1, dtype=np.int32)
     stream = SasStream(opt.alpha, d, cfg.base_seed + trial_ids)
     scale = opt.increment_scale(opt.step_h)
     state = SdeState.initial(np.tile(cfg.theta0, (n, 1)), opt.kind)
@@ -282,7 +281,7 @@ def _run_affine(cfg, trial_ids, drift):
     theta0 = float(cfg.theta0[0])
     scale = opt.increment_scale(opt.step_h)
     n = len(trial_ids)
-    exit_step = np.full(n, -1, dtype=np.int64)  # before the stream, as in _run_generic
+    exit_step = np.full(n, -1, dtype=np.int32)  # before the stream, as in _run_generic
     stream = SasStream(opt.alpha, 1, cfg.base_seed + trial_ids)
 
     uncertain = np.zeros(n, dtype=bool)
@@ -377,7 +376,11 @@ def run_escape_experiment(cfg, threads=None):
     base_seed + i, so results do not depend on how trials are split across
     workers.  Streams are keyed by that sum alone, so neighbouring base
     seeds share all but one of their trials' streams, shifted by one trial.
-    ``threads`` (None = serial) splits the trials over a thread pool.  The
+    Ensembles with the same base_seed, trials and dimension read the same
+    streams, and the first chunk of noise that one of them seeds and
+    transforms serves the next from ``SasStream``'s start memo.
+    ``threads`` (None = serial) splits the trials over a thread pool, each
+    block a stream of its own, so at most one block reads the memo.  The
     pool is reachable only through this argument and is kept for the
     benchmark's thread-scaling measurement, where two threads ran the sweep
     point 1.10-1.51x faster than one at seeds 1-4 (two cores, equal exit
@@ -476,7 +479,9 @@ def compare_optimizers(cfg, kinds=("SGD", "ADAM", "SGDM"), q_fixed_adam=None):
     """Paired escape runs for several optimizers with common random numbers.
 
     All runs share the base_seed, so trial i consumes the identical
-    underlying stable stream under every optimizer.  ``q_fixed_adam``
+    underlying stable stream under every optimizer.  The runs after the
+    first read their common first chunk of noise from ``SasStream``'s start
+    memo instead of seeding and transforming it again.  ``q_fixed_adam``
     freezes Adam's preconditioner diagonal (the stationary approximation
     Q = S Sigma used by the escaping-set comparison); without it Adam's v
     collapses at the minimizer and the stabilizer dominates.
@@ -525,39 +530,3 @@ def double_well_config(a, noise_scale, trials=1000, max_steps=2000, base_seed=0,
         max_steps=max_steps,
         base_seed=base_seed,
     )
-
-
-def calibrate_noise_amplitude(target_mean_steps, a=1e5, lo=1e-5, hi=1e-2,
-                              trials=400, max_steps=2000, base_seed=0,
-                              tol=0.02, max_iter=24, **kwargs):
-    """Bisection on the noise amplitude to hit a target mean exit step count.
-
-    Runs the stiff reference well (default a = 1e5) at each candidate
-    amplitude with a fixed seed; mean exit steps decrease monotonically in
-    the amplitude, so plain bisection converges.  Returns (amplitude, stats);
-    if no amplitude hits the target within ``max_iter`` evaluations, the
-    last amplitude evaluated and its own stats.
-    """
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
-
-    def mean_steps(eps):
-        cfg = double_well_config(
-            a, eps, trials=trials, max_steps=max_steps, base_seed=base_seed, **kwargs
-        )
-        return run_escape_experiment(cfg)
-
-    for _ in range(max_iter):
-        mid = math.sqrt(lo * hi)
-        stats = mean_steps(mid)
-        got = stats.mean_exit_steps
-        if not math.isfinite(got):
-            lo = mid
-            continue
-        if abs(got - target_mean_steps) <= tol * target_mean_steps:
-            return mid, stats
-        if got > target_mean_steps:
-            lo = mid
-        else:
-            hi = mid
-    return mid, stats

@@ -84,6 +84,10 @@ def test_parameter_errors_exit_2(tmp_path, capsys):
     assert main(["escape", "--a-values", "500 150", "--noise-scale", "1e-3", "--trials", "2",
                  "--max-steps", "5", "--trial-csv", str(trial_csv)]) == 2
     assert not trial_csv.exists()
+    # exit steps are int32, so max_steps must stay below 2**31
+    assert main(["escape", "--noise-scale", "1e-3", "--trials", "2",
+                 "--max-steps", str(2 ** 31)]) == 2
+    assert "max_steps" in capsys.readouterr().err
     # small runs that succeed as they are, so only the appended flags can fail
     # them: an unknown flag, a fractional integer, and a base seed whose trial
     # seeds pass 2**63

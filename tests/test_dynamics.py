@@ -442,6 +442,69 @@ def test_scalar_stream_reads_its_generator(monkeypatch):
     assert all(r.shape == (1, 2) for r in rows)
 
 
+_MEMO_SEEDS = np.array([5, 6, 1000, 2 ** 31])
+
+
+def test_start_memo_serves_a_second_stream(monkeypatch):
+    # a fresh stream with the same key returns the first stream's rows, then
+    # continues from its cursors: stepped, past the stepped outputs, and
+    # across a 512-row block
+    first = dynamics.SasStream(1.5, 2, _MEMO_SEEDS).draw(8)
+
+    def refuse(*args):
+        raise AssertionError("the shared start was seeded or transformed again")
+
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_seed_words", refuse)
+        m.setattr(dynamics, "sas_from_uniforms", refuse)
+        stream = dynamics.SasStream(1.5, 2, _MEMO_SEEDS)
+        assert stream.draw(8) is first
+    rest = [stream.draw(4), stream.draw(596)]
+    oracle = np.stack([oracle_rows(1.5, 2, int(s), 608) for s in _MEMO_SEEDS])
+    assert np.array_equal(np.concatenate([first, *rest], axis=1), oracle)
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("alpha, d, seeds, n, taken", [
+    (1.5, 2, _MEMO_SEEDS, 8, True),
+    (1.5, 2, _MEMO_SEEDS, 4, False),
+    (1.2, 2, _MEMO_SEEDS, 8, False),
+    (1.5, 1, _MEMO_SEEDS, 8, False),
+    (1.5, 2, _MEMO_SEEDS + 1, 8, False),
+    (1.5, 2, _MEMO_SEEDS[:3], 8, False),
+], ids=["take_first", "n", "alpha", "dim", "seeds", "fewer_seeds"])
+def test_start_memo_misses_on_another_key(monkeypatch, alpha, d, seeds, n, taken):
+    dynamics.SasStream(1.5, 2, _MEMO_SEEDS).draw(8)
+    counted = []
+
+    def counting(alpha, u_angle, u_exp):
+        counted.append(np.size(u_angle))
+        return sas_from_uniforms(alpha, u_angle, u_exp)
+
+    monkeypatch.setattr(dynamics, "sas_from_uniforms", counting)
+    stream = dynamics.SasStream(alpha, d, seeds)
+    if taken:
+        stream = stream.take(np.ones(seeds.size, dtype=bool))
+    rows = stream.draw(n)
+    assert sum(counted) == seeds.size * n * d
+    assert np.array_equal(rows, np.stack([oracle_rows(alpha, d, int(s), n) for s in seeds]))
+
+
+def test_one_trial_stream_never_reads_the_start_memo():
+    dynamics.SasStream(1.5, 2, np.array([5])).draw(8)
+    assert np.array_equal(dynamics.SasStream(1.5, 2, 5).draw(8), oracle_rows(1.5, 2, 5, 8))
+
+
+@pytest.mark.parametrize("trials, kept", [(4096, True), (4097, False)])
+def test_start_memo_keeps_no_first_draw_above_a_mebibyte(trials, kept):
+    # 32 stepped values of 8 bytes per trial: 4096 trials fill 1 MiB exactly
+    rows = dynamics.SasStream(1.5, 1, np.arange(trials)).draw(32)
+    memo = dynamics._start_memo
+    assert (memo is not None and memo[2] is rows) == kept
+    assert rows.flags.writeable != kept
+
+
 def test_discrete_reference_steps():
     cfg = OptimizerConfig(kind="SGD", eta=0.1)
     s = dynamics.discrete_reference_step(SdeState(theta=np.zeros(2)),
@@ -485,5 +548,3 @@ def test_config_validation():
     assert cfg.eps_noise == 0.05
     cfg2 = OptimizerConfig(alpha=1.5, eta=1e-3)
     assert cfg2.eps_noise == pytest.approx(1e-3 ** (0.5 / 1.5))
-    assert OptimizerConfig(beta1=0.9, beta2=0.99).assumption2_ok()
-    assert not OptimizerConfig(beta1=0.4, beta2=0.9).assumption2_ok()

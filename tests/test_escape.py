@@ -293,27 +293,40 @@ def test_compare_optimizers_zero_noise():
     assert all(s.escape_prob == 0.0 for s in rep["stats"].values())
 
 
-def test_calibration_hits_target():
-    eps, stats = escape.calibrate_noise_amplitude(
-        80.0, trials=150, max_steps=1200, base_seed=4, lo=5e-5, hi=5e-4,
-        tol=0.05, gamma=2.0,
-    )
-    assert abs(stats.mean_exit_steps - 80.0) <= 0.05 * 80.0
-    assert 5e-5 < eps < 5e-4
+def test_compare_transforms_the_shared_first_chunk_once(monkeypatch):
+    # SGD, Adam and SGD-M read the same 2000 streams: their common first
+    # chunk of 8 rows x 2 coordinates is seeded and transformed once, so the
+    # three ensembles transform about 39 k values instead of 103 k
+    counted = _count_transforms(monkeypatch)
+    cfg = _compare_basin_cfg("SGD", 0.3, trials=2000, max_steps=5000, seed=5)
+    q_fixed = np.array([3.0, 0.1])
+    shared = escape.compare_optimizers(cfg, q_fixed_adam=q_fixed)["stats"]
+    first_chunk = 8 * 2 * cfg.trials
+    assert counted.count(first_chunk) == 1 and sum(counted) < 45_000
+    # with no memo kept, each ensemble transforms its first chunk itself
+    monkeypatch.setattr(dynamics, "_start_memo", None)
+    monkeypatch.setattr(dynamics, "_START_MEMO_BYTES", 0)
+    unshared = escape.compare_optimizers(cfg, q_fixed_adam=q_fixed)["stats"]
+    assert counted.count(first_chunk) == 4
+    for kind, stats in shared.items():
+        assert np.array_equal(stats.exit_steps, unshared[kind].exit_steps)
 
 
-def test_calibration_returns_the_evaluated_pair():
-    # tol = 0 never converges, so the last bisection point comes back
-    kwargs = dict(trials=40, max_steps=300, base_seed=4, gamma=2.0)
-    eps, stats = escape.calibrate_noise_amplitude(80.0, lo=5e-5, hi=5e-4, tol=0.0,
-                                                  max_iter=2, **kwargs)
-    again = escape.run_escape_experiment(escape.double_well_config(1e5, eps, **kwargs))
-    assert np.array_equal(stats.exit_steps, again.exit_steps)
+def test_start_memo_keeps_thread_invariance():
+    # the pool's blocks read and replace the module's one memo entry, so a
+    # block of the second threaded run can read an entry the first one left
+    cfg = _compare_basin_cfg("SGD", 0.3, trials=400, max_steps=5000, seed=9)
+    runs = [escape.run_escape_experiment(cfg, threads=t).exit_steps for t in (None, 2, 2, None)]
+    assert all(np.array_equal(runs[0], r) for r in runs[1:])
 
 
-def test_calibration_needs_an_iteration():
-    with pytest.raises(ParameterError):
-        escape.calibrate_noise_amplitude(80.0, max_iter=0)
+def test_exit_steps_are_int32_and_max_steps_fits_them():
+    cfg = _compare_basin_cfg("SGD", 0.3, trials=20, max_steps=50, seed=1)
+    for run_cfg in (interval_cfg(trials=20, max_steps=50), cfg):  # chunk kernel, generic loop
+        assert escape.run_escape_experiment(run_cfg).exit_steps.dtype == np.int32
+    assert dataclasses.replace(cfg, max_steps=2 ** 31 - 1).max_steps == 2 ** 31 - 1
+    with pytest.raises(ParameterError, match="max_steps"):
+        dataclasses.replace(cfg, max_steps=2 ** 31)
 
 
 def _digest(exit_steps):
