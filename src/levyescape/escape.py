@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -67,16 +68,33 @@ class EscapeConfig:
 
 @dataclass
 class EscapeStats:
-    """Aggregate exit statistics over an ensemble of trials."""
+    """Exit statistics of an ensemble, all derived from its exit steps."""
 
-    escape_prob: float
-    mean_exit_steps: float
-    mean_exit_time: float
-    n_trials: int
-    n_exited: int
     exit_steps: np.ndarray  # int32; -1 for trials that never exited
     step_h: float
     max_steps: int
+
+    @property
+    def n_trials(self):
+        return self.exit_steps.size
+
+    @property
+    def n_exited(self):
+        return int((self.exit_steps > 0).sum())
+
+    @property
+    def escape_prob(self):
+        return self.n_exited / self.n_trials
+
+    @property
+    def mean_exit_steps(self):
+        """Mean exit step of the trials that exited; NaN when none did."""
+        exited = self.exit_steps[self.exit_steps > 0]
+        return float(exited.mean()) if exited.size else float("nan")
+
+    @property
+    def mean_exit_time(self):
+        return self.mean_exit_steps * self.step_h
 
     @property
     def censored_mean_exit_steps(self):
@@ -117,39 +135,55 @@ class EscapeStats:
         }
 
 
-def _run_generic(cfg, trial_ids):
-    """Step the trials with ``levy_step`` and record each one's first exit step."""
-    opt = cfg.optimizer
-    d = cfg.theta0.size
-    n = len(trial_ids)
+def _run_chunks(cfg, trial_ids, state, advance):
+    """First exit step of each trial, stepping the survivors one noise chunk at a time.
+
+    ``advance(cfg, state, noise)`` steps the rows of ``state`` through
+    ``noise`` (rows, chunk, d) and returns the survivors' state and ``ends``,
+    one int per row: 0 = still inside at the chunk's end, k > 0 = first exit
+    at step k of the chunk, -1 = undecided, recorded as exit step 0, which no
+    exit can have.  The stream follows the survivors once per chunk.
+    """
     # the result outlives the run: allocated before the stream and the step
     # temporaries, it does not pin a hole among them in the heap
-    exit_step = np.full(n, -1, dtype=np.int32)
-    stream = SasStream(opt.alpha, d, cfg.base_seed + trial_ids)
-    scale = opt.increment_scale(opt.step_h)
-    state = SdeState.initial(np.tile(cfg.theta0, (n, 1)), opt.kind)
-
-    active = np.arange(n)
+    exit_step = np.full(len(trial_ids), -1, dtype=np.int32)
+    stream = SasStream(cfg.optimizer.alpha, cfg.theta0.size, cfg.base_seed + trial_ids)
+    active = np.arange(len(trial_ids))
     step, thinned = 0, True
     while step < cfg.max_steps and active.size:
         chunk = _chunk_length(cfg, step, thinned)
-        started = active.size
-        noise = stream.draw(chunk)
-        for j in range(chunk):
-            state = levy_step(state, cfg.landscape, opt, scale * noise[:, j, :])
-            ok = cfg.basin.in_inner(state.theta)
-            if not ok.all():
-                exit_step[active[~ok]] = step + j + 1
-                active = active[ok]
-                state = state.take(ok)
-                stream = stream.take(ok)
-                noise = noise[ok]
-                if not active.size:
-                    break
-        del noise  # not held across the next draw
+        # no name holds the noise across the next draw
+        state, ends = advance(cfg, state, stream.draw(chunk))
+        keep = ends == 0
+        exit_step[active[~keep]] = np.where(ends[~keep] > 0, step + ends[~keep], 0)
+        thinned = 2 * int(keep.sum()) <= active.size
+        active, stream = active[keep], stream.take(keep)
         step += chunk
-        thinned = 2 * active.size <= started
     return exit_step
+
+
+def _levy_chunk(cfg, state, noise):
+    """One chunk of ``levy_step`` with the exit check after every step."""
+    opt = cfg.optimizer
+    scale = opt.increment_scale(opt.step_h)
+    rows = np.arange(len(noise))
+    ends = np.zeros(rows.size, dtype=np.int32)
+    for j in range(noise.shape[1]):
+        state = levy_step(state, cfg.landscape, opt, scale * noise[rows, j, :])
+        ok = cfg.basin.in_inner(state.theta)
+        if not ok.all():
+            ends[rows[~ok]] = j + 1
+            rows, state = rows[ok], state.take(ok)
+            if not rows.size:
+                break
+    return state, ends
+
+
+def _run_generic(cfg, trial_ids):
+    """Step the trials with ``levy_step`` and record each one's first exit step."""
+    # not named here, or the full initial state would live for the whole run
+    return _run_chunks(cfg, trial_ids, SdeState.initial(
+        np.tile(cfg.theta0, (len(trial_ids), 1)), cfg.optimizer.kind), _levy_chunk)
 
 
 def _chunk_length(cfg, step, thinned):
@@ -168,7 +202,7 @@ def _chunk_length(cfg, step, thinned):
 
 
 def _affine_drift(cfg):
-    """Constants of the chunk kernel, or None where it does not apply.
+    """Constants of the chunk kernel's step ``_scan_chunk``, or None where it does not apply.
 
     The kernel needs: kind SGD, d = 1, an ``IntervalRegion`` basin, sigma
     None or one entry, |r| <= 1 for the substep factor r = 1 - step gamma,
@@ -177,7 +211,7 @@ def _affine_drift(cfg):
     inside the region, and move towards c (r >= 0) or across it (r < 0).
     Returns ``(R, rho, c, b)``: the computed R = r^K, the bound rho on |R|
     and on the computed R's modulus, and the noise-free part b of the
-    per-step bound of ``_run_block``.
+    per-step bound derived in ``_run_block``.
     """
     opt, basin = cfg.optimizer, cfg.basin
     if (opt.kind != "SGD" or cfg.theta0.size != 1
@@ -241,7 +275,8 @@ def _chunk_bracket(drift, xi, y, dev):
     ``dev`` (rows,), the offsets theta - c and their deviation bounds at the
     chunk start, are advanced in place to the chunk end.  The bracket holds
     the generic loop's iterate at every step up to a trial's first exit (see
-    ``_run_block``).
+    ``_run_block``); a step whose bracket straddles the basin's edge leaves
+    the trial undecided, exit step 0 in the driver's result.
     """
     big_r, rho, c, b = drift
     length = xi.shape[1]
@@ -261,67 +296,44 @@ def _chunk_bracket(drift, xi, y, dev):
 
 
 def _chunk_outcome(basin, theta0, low, high):
-    """Per trial: the first step not certainly inside, whether there is one, and whether it certainly exits."""
+    """Per trial: 0 if certainly inside throughout, k if it certainly first exits at step k, else -1."""
     low_in, high_in = basin.in_inner(low[..., None]), basin.in_inner(high[..., None])
     stays = low_in & high_in
     leaves = ~(low_in | high_in) & ((theta0 <= low) | (theta0 >= high))
     stop = np.argmin(stays, axis=1)
     rows = np.arange(stop.size)
-    return stop, ~stays[rows, stop], leaves[rows, stop]
+    return np.where(stays[rows, stop], 0, np.where(leaves[rows, stop], stop + 1, -1))
 
 
-def _run_affine(cfg, trial_ids, drift):
-    """Chunk kernel: exit steps of the trials it certifies, and which ones it could not.
-
-    Returns ``(exit_step, uncertain)``; ``exit_step`` is valid where
-    ``uncertain`` is False.  See ``_run_block`` for the bound it certifies with.
-    """
+def _scan_chunk(drift, cfg, state, noise):
+    """One chunk of the chunk kernel on the offsets ``state = (y, dev)``; see ``_run_block``."""
     opt = cfg.optimizer
-    c = drift[2]
-    theta0 = float(cfg.theta0[0])
     scale = opt.increment_scale(opt.step_h)
-    n = len(trial_ids)
-    exit_step = np.full(n, -1, dtype=np.int32)  # before the stream, as in _run_generic
-    stream = SasStream(opt.alpha, 1, cfg.base_seed + trial_ids)
-
-    uncertain = np.zeros(n, dtype=bool)
-    active = np.arange(n)
-    y = np.full(n, theta0 - c)
-    dev = _U * np.abs(y)  # bounds |c + y - generic theta|
-    step, thinned = 0, True
+    y, dev = state
+    ends = np.empty(y.size, dtype=np.int32)
+    rows = max(1, _SCAN_SLICE // noise.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        while step < cfg.max_steps and active.size:
-            chunk = _chunk_length(cfg, step, thinned)
-            noise = stream.draw(chunk)
-            keep = np.ones(active.size, dtype=bool)
-            rows = max(1, _SCAN_SLICE // chunk)
-            for lo in range(0, active.size, rows):
-                sl = slice(lo, lo + rows)
-                # the generic step's operations, so the noise terms carry its bits
-                xi = (opt.eps_noise * opt.apply_sigma(scale * noise[sl]))[..., 0]
-                low, high = _chunk_bracket(drift, xi, y[sl], dev[sl])
-                stop, ended, leaves = _chunk_outcome(cfg.basin, theta0, low, high)
-                ids = active[sl]
-                exit_step[ids[ended & leaves]] = step + stop[ended & leaves] + 1
-                uncertain[ids[ended & ~leaves]] = True
-                keep[sl] = ~ended
-            del noise  # not held across the next draw
-            thinned = 2 * int(keep.sum()) <= active.size
-            active, y, dev = active[keep], y[keep], dev[keep]
-            stream = stream.take(keep)
-            step += chunk
-    return exit_step, uncertain
+        for lo in range(0, y.size, rows):
+            sl = slice(lo, lo + rows)
+            # the generic step's operations, so the noise terms carry its bits
+            xi = (opt.eps_noise * opt.apply_sigma(scale * noise[sl]))[..., 0]
+            low, high = _chunk_bracket(drift, xi, y[sl], dev[sl])
+            ends[sl] = _chunk_outcome(cfg.basin, float(cfg.theta0[0]), low, high)
+    keep = ends == 0
+    return (y[keep], dev[keep]), ends
 
 
 def _run_block(cfg, trial_ids):
     """Exit steps of ``trial_ids``: the chunk kernel where it applies, else ``levy_step``.
 
-    The generic loop (``_run_generic``) steps every trial with ``levy_step``
-    and checks ``basin.in_inner`` after each step; it serves every config and
-    is the oracle.  For 1D SGD on an interval basin over an affine gradient
-    (``_affine_drift``), the drift over one step is the linear map
-    y -> R y of the offset y = theta - c, R = r^K, r = 1 - step gamma, so a
-    chunk of L steps is y_j = R y_{j-1} + xi_j.  The kernel forms
+    Both run on the chunk driver ``_run_chunks`` and differ only in its
+    per-chunk step.  The generic loop (``_run_generic``, step ``_levy_chunk``)
+    steps every trial with ``levy_step`` and checks ``basin.in_inner`` after
+    each step; it serves every config and is the oracle.  For 1D SGD on an
+    interval basin over an affine gradient (``_affine_drift``), the drift
+    over one step is the linear map y -> R y of the offset y = theta - c,
+    R = r^K, r = 1 - step gamma, so a chunk of L steps is
+    y_j = R y_{j-1} + xi_j.  The kernel's step (``_scan_chunk``) forms
     xi = eps_noise * apply_sigma(scale * noise) from the same ``SasStream``
     rows with the generic step's operations, so xi carries the generic bits,
     and runs the recursion as one ``_affine_scan`` per slice of trials.
@@ -356,16 +368,20 @@ def _run_block(cfg, trial_ids):
     settle no further case.
 
     A trial is accepted only if every step up to its first exit (or to
-    max_steps) is certain.  Any other trial is re-run from step 0 on the
-    generic loop, so the exit steps equal the generic loop's by
-    construction.
+    max_steps) is certain.  Any other trial is undecided, which the driver
+    records as exit step 0, and is re-run from step 0 on the generic loop,
+    so the exit steps equal the generic loop's by construction.
     """
     drift = _affine_drift(cfg)
     if drift is None:
         return _run_generic(cfg, trial_ids)
-    exit_step, uncertain = _run_affine(cfg, trial_ids, drift)
-    if uncertain.any():
-        exit_step[uncertain] = _run_generic(cfg, trial_ids[uncertain])
+    n, y = len(trial_ids), cfg.theta0[0] - drift[2]
+    # offsets y = theta - c and dev = _U |y|, which bounds |c + y - generic theta|
+    exit_step = _run_chunks(cfg, trial_ids, (np.full(n, y), np.full(n, _U * abs(y))),
+                            partial(_scan_chunk, drift))
+    undecided = exit_step == 0
+    if undecided.any():
+        exit_step[undecided] = _run_generic(cfg, trial_ids[undecided])
     return exit_step
 
 
@@ -397,20 +413,8 @@ def run_escape_experiment(cfg, threads=None):
             parts = list(pool.map(lambda ids: _run_block(cfg, ids), blocks))
         exit_step = np.concatenate(parts)
 
-    exited = exit_step > 0
-    n_exited = int(exited.sum())
-    mean_steps = float(exit_step[exited].mean()) if n_exited else float("nan")
-    h = cfg.optimizer.step_h
-    return EscapeStats(
-        escape_prob=n_exited / cfg.trials,
-        mean_exit_steps=mean_steps,
-        mean_exit_time=mean_steps * h if n_exited else float("nan"),
-        n_trials=cfg.trials,
-        n_exited=n_exited,
-        exit_steps=exit_step,
-        step_h=h,
-        max_steps=cfg.max_steps,
-    )
+    return EscapeStats(exit_steps=exit_step, step_h=cfg.optimizer.step_h,
+                       max_steps=cfg.max_steps)
 
 
 def predicted_mean_exit(m_w, alpha, eps):

@@ -100,10 +100,6 @@ class QuadraticEscapeSet:
     def dim(self):
         return self.A.shape[0]
 
-    def membership(self, y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return bool(y @ self.A @ y >= self.c)
-
 
 def build_escape_sets(spec):
     """Construct (W_sgd, W_adam) from a spectrum in its shared eigenbasis."""

@@ -159,6 +159,24 @@ def test_blocks_thinning_differently_give_serial_exit_steps(monkeypatch):
     assert np.array_equal(escape.run_escape_experiment(cfg, threads=2).exit_steps, serial)
 
 
+def test_stream_follows_survivors_once_per_chunk(monkeypatch):
+    # trials leave at many more distinct steps than there are chunks, but the
+    # stream is compacted only at the end of each drawn chunk
+    rows = _record_draws(monkeypatch)
+    takes = []
+    take = dynamics.SasStream.take
+
+    def counting(self, keep):
+        takes.append(1)
+        return take(self, keep)
+
+    monkeypatch.setattr(dynamics.SasStream, "take", counting)
+    cfg = _compare_basin_cfg("SGD", 0.3, trials=400, max_steps=5000, seed=3)
+    stats = escape.run_escape_experiment(cfg)
+    assert np.unique(stats.exit_steps).size > len(rows)
+    assert 0 < len(takes) <= len(rows)
+
+
 @settings(max_examples=200, deadline=None)
 @given(fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
        trials=st.integers(1, 5000), max_steps=st.integers(1, 20000))

@@ -1,5 +1,6 @@
-"""Every top-level import in the package is used, every export exists, and
-no module imports another package module's underscore-prefixed names.
+"""Every top-level import in the package is used, every export exists, no
+module imports another package module's underscore-prefixed names, and every
+underscore-prefixed top-level name is read somewhere in the package.
 
 A stdlib-``ast`` stand-in for a linter's unused-import rule: a module-level
 ``import`` or ``from ... import`` binds names, and each must be read somewhere
@@ -39,18 +40,39 @@ def unused_imports(source):
     return sorted(set(bound) - read - _exported(tree))
 
 
-def unbound_exports(source):
-    tree = ast.parse(source)
+def _defined(tree):
+    """Functions, classes and assigned names at a module's top level, imports aside."""
     bound = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             bound.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            bound.update(_bound_names(node))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return bound
+
+
+def unbound_exports(source):
+    tree = ast.parse(source)
+    bound = _defined(tree).union(*(_bound_names(node) for node in tree.body
+                                   if isinstance(node, (ast.Import, ast.ImportFrom))))
     return sorted(_exported(tree) - bound)
+
+
+def unread_privates(sources):
+    """Underscore-prefixed top-level names, dunders aside, that no module reads.
+
+    A name is read where an ``ast.Name`` loads it or an ``ast.Attribute``
+    names it, in any of ``sources``; a substring in a comment does not count.
+    """
+    trees = [ast.parse(source) for source in sources]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    read = {node.id for node in nodes
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    private = {name for tree in trees for name in _defined(tree)
+               if name.startswith("_") and not name.endswith("__")}
+    return sorted(private - read)
 
 
 def private_imports(source):
@@ -83,6 +105,17 @@ def test_every_export_is_bound():
     found = {path.name: unbound_exports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_unread_private_check_catches_one():
+    sources = ["_A, _B = 1, 2\n_C: int = 3\n__all__ = []\n"
+               "def _run_affine(): pass  # _run_affine\ndef _kept(): return _A\n",
+               "import m\nclass _Gone: pass\nm._kept(); m._C = 4\n"]
+    assert unread_privates(sources) == ["_B", "_Gone", "_run_affine"]
+
+
+def test_no_unread_private_names():
+    assert unread_privates([path.read_text() for path in sorted(PACKAGE.glob("*.py"))]) == []
 
 
 def test_private_import_check_catches_one():
