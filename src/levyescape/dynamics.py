@@ -615,22 +615,12 @@ def _fit_decay_rate(ts, ls):
 
 
 def _momentum_ratio(m, g):
-    """tau = ||m|| / ||grad F||, or NaN where ||grad F|| is below 1e-12."""
-    g_norm = float(np.linalg.norm(g))
-    return float(np.linalg.norm(m)) / g_norm if g_norm > 1e-12 else math.nan
+    """tau = ||m|| / ||grad F||, or NaN where ||grad F|| is below 1e-12.
 
-
-def _momentum_terms(state, g, landscape, cfg, f_star):
-    """(L, rho integrand, tau) at one state of a momentum flow, g its gradient.
-
-    L = F - F* + 1/2 ||m||^2 weighted by 1/s_t, s_t = (beta1/mu_t) Q_t; the
-    integrand is <g / (1 + F - F*), mu_t Q_t^{-1} m>; tau is ``_momentum_ratio``.
+    Each norm is sqrt(x @ x), as ``np.linalg.norm`` forms it for a vector.
     """
-    gap = landscape.value(state.theta) - f_star
-    mu_t, omega_t = _bias_corrections(cfg, max(state.t, cfg.step_h))
-    q = cfg.preconditioner(state.v, omega_t)
-    return (gap + 0.5 * float(np.sum(state.m ** 2 / ((cfg.beta1 / mu_t) * q))),
-            float((g / (1.0 + gap)) @ (mu_t * state.m / q)), _momentum_ratio(state.m, g))
+    g_norm = math.sqrt(g @ g)
+    return math.sqrt(m @ m) / g_norm if g_norm > 1e-12 else math.nan
 
 
 def deterministic_flow(state0, landscape, cfg, T):
@@ -641,8 +631,10 @@ def deterministic_flow(state0, landscape, cfg, T):
     rate 2 mu from below; every other flow takes ``levy_step``'s step with
     zero noise, from the one checked gradient of each state.  A momentum
     flow also reports the assumption monitors in ``monitor_series``:
-    rho_t = (10/t) times the trapezoidal integral of the integrand of
-    ``_momentum_terms`` from the first state, and tau_t = ``_momentum_ratio``.
+    rho_t = (10/t) times the trapezoidal integral of
+    <g / (1 + F - F*), mu_t Q_t^{-1} m> from the first state, and
+    tau_t = ``_momentum_ratio``.  The Lyapunov value of a momentum flow is
+    L = F - F* + 1/2 ||m||^2 weighted by 1/s_t, s_t = (beta1/mu_t) Q_t.
     The predicted Adam rate uses tau, the sup of tau_t over the trajectory,
     and bounds Q_t by v_max + eps_adam, or by max(Q) when Q is constant
     (``q_fixed``, SGD-M).
@@ -669,9 +661,15 @@ def deterministic_flow(state0, landscape, cfg, T):
         ls, monitors = [landscape.value(s.theta) - f_star for s in traj], None
     else:
         grads.append(_checked_gradient(landscape, traj[-1].theta, traj[-1]))
-        ls, integrands, ratios = zip(*(_momentum_terms(s, g, landscape, cfg, f_star)
-                                       for s, g in zip(traj, grads)))
-        integrands = np.array(integrands)
+        g, m = np.array(grads), np.array([s.m for s in traj])
+        v = np.array([s.v for s in traj]) if cfg.kind == "ADAM" else np.zeros(1)
+        gaps = np.array([landscape.value(s.theta) - f_star for s in traj])
+        mu_t, omega_t = np.hsplit(np.array([_bias_corrections(cfg, max(s.t, h)) for s in traj]), 2)
+        q = cfg.preconditioner(v, omega_t)
+        ls = gaps + 0.5 * np.sum(m ** 2 / ((cfg.beta1 / mu_t) * q), axis=1)
+        # one dot product per row: a batched sum rounds differently for d >= 2
+        integrands = np.array([a @ b for a, b in zip(g / (1.0 + gaps[:, None]), mu_t * m / q)])
+        ratios = [_momentum_ratio(a, b) for a, b in zip(m, g)]
         # a leading 0.0 makes cumsum an accumulator started at 0.0, down to the sign of zero
         trapezoids = np.r_[0.0, 0.5 * (integrands[:-1] + integrands[1:]) * h]
         rho = (10.0 / ts[1:]) * np.cumsum(trapezoids)[1:]
@@ -683,8 +681,7 @@ def deterministic_flow(state0, landscape, cfg, T):
     if cfg.kind == "SGD":
         return traj, FlowRateReport(observed, 2.0 * landscape.mu, series)
     tau = max((r for r in ratios if r > 0), default=None)
-    v_max = max((float(np.max(np.sqrt(s.v))) for s in traj if s.v is not None and s.v.size),
-                default=0.0)
+    v_max = float(np.sqrt(v).max())
     predicted = 0.0
     if tau is not None:
         mu = landscape.mu

@@ -205,28 +205,36 @@ def noise_trajectory(model, dataset, cfg, n_steps, window=16, batch_size=32,
                      seed=0, record_stride=25, inject_alpha=None):
     """Train with the discrete optimizer and record gradient-noise tails.
 
-    At every step the noise u_t = full gradient - minibatch gradient is
-    captured; at each recorded step the last ``window`` noise vectors are
-    MAD-standardized per coordinate, pooled, and fed to the tail estimator.
-    ``inject_alpha`` replaces u_t with known synthetic stable draws, which
-    exercises the estimation path against an exact oracle.
+    Every ``record_stride``-th step records the noise u_t = full gradient -
+    minibatch gradient and the tail estimate of the last ``window`` noise
+    vectors, MAD-standardized per coordinate and pooled.  Only the steps in
+    a record's window form u_t: (n_steps // record_stride) *
+    min(record_stride, window) full gradients, with the records of forming
+    it at every step.  ``inject_alpha`` replaces u_t with known synthetic
+    stable draws, taken at every step, which exercises the estimation path
+    against an exact oracle.
     """
     _check_steps(n_steps, record_stride)
+    if window < 1:
+        raise ParameterError(f"window must be >= 1, got {window}")
     rng = np.random.default_rng(seed)
     state = SdeState.initial(model.params.copy(), cfg.kind)
     records = []
     recent = []
     law = StableLaw(inject_alpha) if inject_alpha is not None else None
+    last_record = n_steps - n_steps % record_stride
     for step in range(1, n_steps + 1):
         batch = rng.choice(dataset.n, size=batch_size, replace=False)
         g_batch = minibatch_gradient(model, dataset, batch, params=state.theta)
+        read = step <= last_record and -step % record_stride < window
         if law is not None:
             u = sample_sas(law, model.n_params, rng=rng)
-        else:
+        elif read:
             u = full_gradient(model, dataset, params=state.theta) - g_batch
-        recent.append(u)
-        if len(recent) > window:
-            recent.pop(0)
+        if read:
+            recent.append(u)
+            if len(recent) > window:
+                recent.pop(0)
         if step % record_stride == 0:
             if np.max(np.abs(u)) == 0.0:
                 alpha_hat = None

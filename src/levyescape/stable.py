@@ -118,17 +118,19 @@ def empirical_char_fn(samples, omega):
     The imaginary part vanishes in expectation by symmetry; it is asserted
     small (|mean sin| < 5/sqrt(n)) and then discarded.
     """
-    samples = np.asarray(samples, dtype=float)
+    samples = np.atleast_1d(np.asarray(samples, dtype=float))
     n = samples.size
     if n == 0:
         raise SampleSizeError("empirical_char_fn needs a nonempty sample")
-    imag = float(np.mean(np.sin(omega * samples)))
+    phase = omega * samples
+    buf = np.sin(phase)
+    imag = float(np.mean(buf))
     if abs(imag) >= 5.0 / math.sqrt(n):
         raise ValueError(
             f"imaginary part {imag:.4g} of the empirical characteristic function "
             f"exceeds the symmetry guard 5/sqrt(n); input looks asymmetric"
         )
-    return float(np.mean(np.cos(omega * samples)))
+    return float(np.mean(np.cos(phase, out=buf)))
 
 
 def estimate_tail_index(samples, k1=None, k2=None):

@@ -4,13 +4,16 @@ Everything here is computed by a different method than the library uses:
 characteristic-function inversion instead of sampling; polar/spherical grid
 quadrature, a closed form for d = 4 and sphere sampling instead of the
 library's one-dimensional integral over the eigenvalues; hit-or-miss Monte
-Carlo instead of closed-form volumes.
+Carlo instead of closed-form volumes; and the per-state or every-step
+loops that the library replaced with array passes or lazy evaluation.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from levyescape import dynamics, probe, stable
 
 
 def sas_tail_mass(u, alpha):
@@ -108,3 +111,54 @@ def finite_difference_gradient(f, x, h=1e-5):
         e[i] = h
         g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return g
+
+
+def momentum_flow_series(traj, landscape, cfg):
+    """(lyapunov_series, monitor_series, tau, v_max) of a momentum flow, state by state.
+
+    Each state's L, rho integrand and tau come from its own numpy calls on
+    its own gradient; rho_t is (10/t) times the trapezoidal sum from the
+    first state, and tau the largest positive tau_t.
+    """
+    f_star = landscape.value(landscape.minimizer())
+    ls, integrands, ratios = [], [], []
+    for s in traj:
+        g = landscape.gradient(s.theta)
+        gap = landscape.value(s.theta) - f_star
+        mu_t, omega_t = dynamics._bias_corrections(cfg, max(s.t, cfg.step_h))
+        q = cfg.preconditioner(s.v, omega_t)
+        ls.append(gap + 0.5 * float(np.sum(s.m ** 2 / ((cfg.beta1 / mu_t) * q))))
+        integrands.append(float((g / (1.0 + gap)) @ (mu_t * s.m / q)))
+        g_norm = float(np.linalg.norm(g))
+        ratios.append(float(np.linalg.norm(s.m)) / g_norm if g_norm > 1e-12 else math.nan)
+    ts = np.array([s.t for s in traj])
+    integrands = np.array(integrands)
+    trapezoids = np.r_[0.0, 0.5 * (integrands[:-1] + integrands[1:]) * cfg.step_h]
+    rho = (10.0 / ts[1:]) * np.cumsum(trapezoids)[1:]
+    tau = max((r for r in ratios if r > 0), default=None)
+    v_max = max((float(np.max(np.sqrt(s.v))) for s in traj if s.v is not None), default=0.0)
+    return np.column_stack([ts, ls]), np.column_stack([ts[1:], rho, ratios[1:]]), tau, v_max
+
+
+def noise_records_every_step(model, dataset, cfg, n_steps, window, batch_size, seed,
+                             record_stride, inject_alpha=None):
+    """``probe.noise_trajectory``'s records, forming u_t at every step."""
+    rng = np.random.default_rng(seed)
+    state = dynamics.SdeState.initial(model.params.copy(), cfg.kind)
+    law = stable.StableLaw(inject_alpha) if inject_alpha is not None else None
+    records, recent = [], []
+    for step in range(1, n_steps + 1):
+        batch = rng.choice(dataset.n, size=batch_size, replace=False)
+        g_batch = probe.minibatch_gradient(model, dataset, batch, params=state.theta)
+        if law is not None:
+            u = stable.sample_sas(law, model.n_params, rng=rng)
+        else:
+            u = probe.full_gradient(model, dataset, params=state.theta) - g_batch
+        recent = (recent + [u])[-window:]
+        if step % record_stride == 0:
+            alpha_hat = (None if np.max(np.abs(u)) == 0.0 or len(recent) < window
+                         else probe._pooled_alpha(recent))
+            records.append(probe.NoiseRecord(step=step, noise=u, alpha_hat=alpha_hat,
+                                             noise_l2=float(np.linalg.norm(u))))
+        state = dynamics.discrete_reference_step(state, g_batch, cfg)
+    return records

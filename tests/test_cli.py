@@ -73,6 +73,10 @@ def test_parameter_errors_exit_2(tmp_path, capsys):
     assert main(["probe", "--mode", "monitors", "--steps", "-3"]) == 2
     assert main(["probe", "--mode", "noise", "--steps", "0"]) == 2
     assert capsys.readouterr().err.count("n_steps must be >= 1") == 2
+    # a window must hold a record's own noise vector
+    for window in ("0", "-1"):
+        assert main(["probe", "--steps", "20", "--window", window, "--record-stride", "5"]) == 2
+    assert capsys.readouterr().err.count("window must be >= 1") == 2
     sweep_only = tmp_path / "sweep_only.cfg"
     sweep_only.write_text("[sweep]\nalpha = 1.5\n")
     capsys.readouterr()

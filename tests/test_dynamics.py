@@ -10,6 +10,8 @@ from levyescape import dynamics, landscapes
 from levyescape.dynamics import OptimizerConfig, SdeState
 from levyescape.stable import ParameterError, sas_from_uniforms
 
+from oracles import momentum_flow_series
+
 
 def quad(mu=1.0, d=1, height=10.0):
     return landscapes.QuadraticBasin(H=mu * np.eye(d), center=np.zeros(d),
@@ -182,6 +184,27 @@ def test_momentum_flow_one_gradient_per_state():
         cfg = OptimizerConfig(kind=kind, step_h=0.1, beta1=0.9, beta2=0.99, noise_scale=0.0)
         dynamics.deterministic_flow(SdeState.initial(np.array([1.0]), kind), land, cfg, 1.0)
         assert land.calls == 11, kind
+
+
+def test_flow_terms_match_per_state_oracle():
+    # the array pass over the trajectory rounds as each state's own numpy calls
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((3, 3))
+    dense = landscapes.QuadraticBasin(H=a @ a.T + 0.5 * np.eye(3),
+                                      center=np.array([0.3, -1.0, 2.0]), height=10.0)
+    cases = [(quad(mu=2.0), "ADAM", None, [1.0]), (quad(mu=0.5), "SGDM", None, [-2.0]),
+             (PlainQuadratic(), "ADAM", None, [1.5]), (PlainQuadratic(), "SGDM", None, [1.5])]
+    cases += [(dense, kind, q_fixed, [1.0, 0.5, 1.5])
+              for kind, q_fixed in (("ADAM", None), ("ADAM", [1.5, 0.5, 2.0]), ("SGDM", None))]
+    for land, kind, q_fixed, theta0 in cases:
+        cfg = OptimizerConfig(kind=kind, step_h=1e-2, beta1=0.9, beta2=0.99, noise_scale=0.0,
+                              q_fixed=q_fixed)
+        traj, rep = dynamics.deterministic_flow(SdeState.initial(np.array(theta0), kind),
+                                                land, cfg, 3.0)
+        series, monitors, tau, v_max = momentum_flow_series(traj, land, cfg)
+        np.testing.assert_array_equal(rep.lyapunov_series, series)
+        np.testing.assert_array_equal(rep.monitor_series, monitors)
+        assert (rep.tau, rep.v_max) == (tau, v_max), (kind, q_fixed)
 
 
 def stepwise_monitors(traj, land, cfg):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from levyescape import dynamics, landscapes, probe
+from levyescape.cli import main
+from levyescape.stable import ParameterError
 
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, noise_records_every_step
 from test_dynamics import CountingQuadratic
 
 
@@ -145,6 +147,50 @@ def test_noise_records_deterministic():
         assert a.step == b.step
         assert np.array_equal(a.noise, b.noise)
         assert a.alpha_hat == b.alpha_hat
+
+
+def test_noise_records_match_every_step_oracle():
+    # u_t is formed only on the steps a record reads; the records must not move
+    model, data = small_setup(seed=2)
+    cases = [(60, 8, 5, None), (60, 8, 8, None), (60, 8, 20, None), (67, 8, 20, None),
+             (61, 16, 20, 1.3)]
+    for kind in ("SGD", "ADAM"):
+        cfg = dynamics.OptimizerConfig(kind=kind, eta=0.05, alpha=1.5)
+        for n_steps, window, stride, inject in cases:
+            args = (model, data, cfg, n_steps, window, 16, 12, stride, inject)
+            got = probe.noise_trajectory(*args)
+            want = noise_records_every_step(*args)
+            assert [r.step for r in got] == [r.step for r in want]
+            assert any(r.alpha_hat is not None for r in got)
+            for a, b in zip(got, want):
+                assert np.array_equal(a.noise, b.noise)
+                assert (a.alpha_hat, a.noise_l2) == (b.alpha_hat, b.noise_l2)
+
+
+def test_full_gradients_only_where_records_read(monkeypatch, tmp_path):
+    calls = []
+    full_gradient = probe.full_gradient
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return full_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(probe, "full_gradient", counting)
+    # criterion 9's genuine run: 6 records of a 16-step window out of 300 steps
+    cfg = dynamics.OptimizerConfig(kind="SGD", eta=0.05, alpha=1.5)
+    probe.noise_trajectory(probe.MlpModel.random_init(seed=6),
+                           probe.SyntheticDataset.blobs(seed=7), cfg, 300, window=16,
+                           batch_size=32, seed=11, record_stride=50)
+    assert len(calls) == 96
+    calls.clear()
+    # the CLI default: 600 steps, stride 50, window 16
+    assert main(["probe", "--seed", "3", "--out", str(tmp_path / "probe.json")]) == 0
+    assert len(calls) == 192
+    calls.clear()
+    model, data = small_setup()
+    with pytest.raises(ParameterError, match="window"):
+        probe.noise_trajectory(model, data, cfg, 10, window=0, record_stride=5)
+    assert calls == []
 
 
 def test_assumption_monitors_quadratic():

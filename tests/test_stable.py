@@ -41,6 +41,15 @@ def test_char_fn_examples():
     assert stable.empirical_char_fn(g, 0.5) == pytest.approx(math.exp(-0.25), abs=0.01)
 
 
+def test_char_fn_shares_one_buffer_bit_equal():
+    # sin and cos run in place into one buffer; the value is the two-expression formula's
+    s = stable.sample_sas(stable.StableLaw(1.0), 10 ** 5, seed=21)
+    for omega in (0.0, 0.5, 1.0, 2.0):
+        assert stable.empirical_char_fn(s, omega) == float(np.mean(np.cos(omega * s)))
+    with pytest.raises(ValueError, match="symmetry guard"):
+        stable.empirical_char_fn(s + 1.0, 1.0)
+
+
 def test_char_fn_law_grid():
     for alpha in (1.0, 1.2, 1.5, 1.8, 2.0):
         law = stable.StableLaw(alpha)
