@@ -3,7 +3,8 @@
 Subcommands: sample | estimate | escape | sweep | geometry | probe | flow |
 compare.  Parameters come from an INI config file (section named after the
 subcommand) and/or long-form flags; flags win, and a config key that names
-no flag of the subcommand is an error.  Integer parameters must be integral
+no flag of the subcommand is an error, as are both ``a`` and ``a_values``
+and a ``probe`` flag its mode ignores.  Integer parameters must be integral
 (``1e6`` reads as 1000000, ``2.7`` is an error).  A parameter left unset
 takes the library's own default; the CLI states a default only where the
 library has none or the CLI's differs.
@@ -173,6 +174,8 @@ def _cmd_estimate(cfg, seed):
 
 
 def _cmd_escape(cfg, seed):
+    if "a" in cfg and "a_values" in cfg:
+        raise stable.ParameterError("give --a or --a-values, not both")
     given = _given(cfg, trials=_i, max_steps=_i, alpha=_f, drift_scale=_f,
                    drift_substeps=_i, gamma=_f)
     a_values = _flist(cfg, "a_values", [_f(cfg, "a", 150.0)])
@@ -240,8 +243,17 @@ def _quadratic_flow(cfg, mu, theta0, **opt_defaults):
     return land, opt, np.array([_f(cfg, "theta0", theta0)])
 
 
+_PROBE_UNREAD = {"noise": ("mu", "theta0", "step_h", "monitor_csv"),
+                 "monitors": ("kind", "eta", "window", "batch_size", "noise_csv")}
+
+
 def _cmd_probe(cfg, seed):
     mode = _s(cfg, "mode", "noise")
+    if mode not in _PROBE_UNREAD:
+        raise stable.ParameterError(f"unknown probe mode: {mode!r}")
+    unread = ["--" + key.replace("_", "-") for key in _PROBE_UNREAD[mode] if key in cfg]
+    if unread:
+        raise stable.ParameterError(f"probe --mode {mode} does not read {', '.join(unread)}")
     if mode == "noise":
         model = probe.MlpModel.random_init(seed=seed)
         data = probe.SyntheticDataset.blobs(seed=seed + 1)
@@ -264,18 +276,16 @@ def _cmd_probe(cfg, seed):
             "averaging_comparison": comparison,
             "pooling": "per-coordinate MAD standardization over the window",
         }
-    if mode == "monitors":
-        land, opt, theta0 = _quadratic_flow(cfg, 1.0, 2.0, kind="ADAM")
-        report = probe.assumption_monitors(land, opt, theta0, _i(cfg, "steps", 1000),
-                                           record_stride=_i(cfg, "record_stride", 10))
-        csv_path = cfg.get("monitor_csv")
-        if csv_path:
-            _write_csv(csv_path, ["t", "rho", "tau", "v_min", "v_max"],
-                       [(float(t), float(r), float(tv), report.v_min, report.v_max)
-                        for t, r, tv in zip(report.t, report.rho, report.tau)])
-        return {"t": report.t, "rho": report.rho, "tau": report.tau,
-                "v_min": report.v_min, "v_max": report.v_max}
-    raise stable.ParameterError(f"unknown probe mode: {mode!r}")
+    land, opt, theta0 = _quadratic_flow(cfg, 1.0, 2.0, kind="ADAM")
+    report = probe.assumption_monitors(land, opt, theta0, _i(cfg, "steps", 1000),
+                                       record_stride=_i(cfg, "record_stride", 10))
+    csv_path = cfg.get("monitor_csv")
+    if csv_path:
+        _write_csv(csv_path, ["t", "rho", "tau", "v_min", "v_max"],
+                   [(float(t), float(r), float(tv), report.v_min, report.v_max)
+                    for t, r, tv in zip(report.t, report.rho, report.tau)])
+    return {"t": report.t, "rho": report.rho, "tau": report.tau,
+            "v_min": report.v_min, "v_max": report.v_max}
 
 
 def _cmd_flow(cfg, seed):

@@ -62,6 +62,7 @@ class OptimizerConfig:
     iteration-time runs where step_h = 1 counts iterations), and
     ``drift_substeps`` splits each SGD drift step for stiff basins (Adam and
     SGD-M ignore it).  ``q_fixed`` freezes Adam's preconditioner diagonal.
+    Noise enters theta alone (``noise_term``), never the moments m and v.
     """
 
     kind: str = "SGD"
@@ -73,7 +74,6 @@ class OptimizerConfig:
     step_h: float = 1e-2
     sigma: np.ndarray | None = None  # None = identity; 1D = diagonal; 2D = dense
     noise_scale: float | None = None
-    v_noise_scale: float = 0.0
     drift_scale: float = 1.0
     drift_substeps: int = 1
     q_fixed: np.ndarray | None = None
@@ -131,12 +131,13 @@ class OptimizerConfig:
             return self.q_fixed
         return np.sqrt(omega_t * v) + self.eps_adam
 
-    def apply_sigma(self, dl):
+    def noise_term(self, increment):
+        """eps Sigma dL, the noise a step adds to theta (before Adam's Q_t^-1), for rows dL."""
         if self.sigma is None:
-            return dl
+            return self.eps_noise * increment
         if self.sigma.ndim == 1:
-            return dl * self.sigma
-        return dl @ self.sigma.T
+            return self.eps_noise * (increment * self.sigma)
+        return self.eps_noise * (increment @ self.sigma.T)
 
 
 @dataclass
@@ -354,7 +355,7 @@ def _pcg_doubles(hi, lo):
     return out * 2.0 ** -53
 
 
-# The start of the last batched stream whose first draw the stepper served, as
+# The start of the last stream whose first draw the stepper served, as
 # ((alpha, dim, n), seeds, rows, cursors, inc) with every array read-only; see
 # SasStream.  One tuple, replaced whole, so threads read it without a lock.
 _start_memo = None
@@ -368,8 +369,9 @@ class SasStream:
     array of seeds, one trial each, and ``draw(n)`` returns
     ``(trials, n, dim)``; trial i then sees exactly the rows of
     ``SasStream(alpha, dim, seed[i])``.  Seeds are integers in [0, 2**63).
-    All trials share one row cursor, since an ensemble steps them in
-    lockstep.
+    An int seed runs as the one-seed array ``[seed]``, and its draws drop
+    the trial axis.  All trials share one row cursor, since an ensemble
+    steps them in lockstep.
 
     Block layout: trial i's uniforms come from the PCG64 generator of
     ``np.random.default_rng(seed[i])``, in blocks of ``BLOCK`` rows, first
@@ -392,25 +394,23 @@ class SasStream:
 
     First rows: the cursors start as PCG64 states of the whole ensemble,
     stepped together in uint64 arithmetic (``_pcg_seed``, ``_pcg_jump``,
-    ``_mul_add128``), which serves every draw of a batched stream that ends
-    within the first ``_STEPPED`` outputs of each cursor.  Most trials of a
-    basin they leave within a few steps never get further.  The first draw
-    past them, and a one-trial stream's first draw (a generator read costs
-    it less than a stepped output), build per-trial generators for the
-    trials still present, each ``Generator(PCG64(words))`` with words that
-    seed it to its cursor's state (``_pcg_words_for``); from then on rows
-    [r, r + k) are one ``random`` call on each cursor's generator.  When a
-    block ends, the exponential cursor sits at the next block's angle row 0,
-    so the two swap roles and the old angle cursor, at the old block's
-    exponential row 0, moves ``2 * BLOCK * dim`` outputs ahead.  Only the
-    rows handed out are transformed, in one batched call per slice of
-    values.
+    ``_mul_add128``), which serves every draw that ends within the first
+    ``_STEPPED`` outputs of each cursor.  Most trials of a basin they leave
+    within a few steps never get further.  The first draw past them builds
+    per-trial generators for the trials still present, each
+    ``Generator(PCG64(words))`` with words that seed it to its cursor's
+    state (``_pcg_words_for``); from then on rows [r, r + k) are one
+    ``random`` call on each cursor's generator.  When a block ends, the
+    exponential cursor sits at the next block's angle row 0, so the two
+    swap roles and the old angle cursor, at the old block's exponential
+    row 0, moves ``2 * BLOCK * dim`` outputs ahead.  Only the rows handed
+    out are transformed, in one batched call per slice of values.
 
     Start memo: ensembles that share their seeds read the same streams
     (``compare_optimizers`` runs one per optimizer, ``scaling_sweep`` one
     per amplitude), and their trials mostly leave within the first draw.
     So the module keeps one entry, ``_start_memo``: the first draw of the
-    last batched stream whose first draw the stepper served, keyed by
+    last stream whose first draw the stepper served, keyed by
     ``(alpha, dim, n)`` and the seed array, with the cursors after it.  A
     fresh stream whose first ``draw(n)`` has that key returns the kept rows
     and continues from the kept cursors, with no seeding, stepping or
@@ -461,18 +461,19 @@ class SasStream:
         return out
 
     def draw(self, n):
-        if self._seeds is not None and self._batched and n * self.dim <= self._STEPPED:
-            return self._first_draw(n)
-        self._start()
-        if self._batched and self._angle is None and (self._row + n) * self.dim <= self._STEPPED:
-            uniforms = self._stepped_uniforms(n)
+        if self._seeds is not None and n * self.dim <= self._STEPPED:
+            rows = self._first_draw(n)
         else:
-            uniforms = self._generated_uniforms(n)
-        rows = self._transform(*uniforms)
+            self._start()
+            if self._angle is None and (self._row + n) * self.dim <= self._STEPPED:
+                uniforms = self._stepped_uniforms(n)
+            else:
+                uniforms = self._generated_uniforms(n)
+            rows = self._transform(*uniforms)
         return rows if self._batched else rows[0]
 
     def _first_draw(self, n):
-        """Rows [0, n) of a fresh batched stream, from the start memo if its key matches."""
+        """Rows [0, n) of every trial of a fresh stream, from the start memo if its key matches."""
         global _start_memo
         key, seeds, memo = (self.alpha, self.dim, n), self._seeds, _start_memo
         if memo is not None and memo[0] == key and np.array_equal(memo[1], seeds):
@@ -572,7 +573,7 @@ def levy_step(state, landscape, cfg, noise_increment):
 def _advance(state, g, landscape, cfg, noise_increment):
     """``levy_step`` from g, the gradient at ``state.theta`` already checked finite."""
     h = cfg.step_h
-    dl = cfg.apply_sigma(np.asarray(noise_increment, dtype=float))
+    noise = cfg.noise_term(np.asarray(noise_increment, dtype=float))
     t_next = state.t + h
 
     if cfg.kind == "SGD":
@@ -580,16 +581,16 @@ def _advance(state, g, landscape, cfg, noise_increment):
         theta = state.theta - step * g
         for _ in range(cfg.drift_substeps - 1):
             theta = theta - step * _checked_gradient(landscape, theta, state)
-        return SdeState(theta=theta + cfg.eps_noise * dl, t=t_next)
+        return SdeState(theta=theta + noise, t=t_next)
 
     mu_t, omega_t = _bias_corrections(cfg, t_next)
     m = state.m + h * cfg.beta1 * (g - state.m)
     v = state.v
     if cfg.adaptive:
-        g_for_v = g + cfg.v_noise_scale * dl if cfg.v_noise_scale != 0.0 else g
-        v = np.maximum(state.v + h * cfg.beta2 * (g_for_v ** 2 - state.v), 0.0)
+        # the clamp matters once step_h * beta2 > 1, where the Euler step overshoots
+        v = np.maximum(state.v + h * cfg.beta2 * (g ** 2 - state.v), 0.0)
     q = cfg.preconditioner(v, omega_t)
-    theta = state.theta - h * cfg.drift_scale * mu_t * m / q + cfg.eps_noise * dl / q
+    theta = state.theta - h * cfg.drift_scale * mu_t * m / q + noise / q
     return SdeState(theta=theta, m=m, v=v, t=t_next)
 
 

@@ -315,8 +315,7 @@ def _scan_chunk(drift, cfg, state, noise):
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, y.size, rows):
             sl = slice(lo, lo + rows)
-            # the generic step's operations, so the noise terms carry its bits
-            xi = (opt.eps_noise * opt.apply_sigma(scale * noise[sl]))[..., 0]
+            xi = opt.noise_term(scale * noise[sl])[..., 0]
             low, high = _chunk_bracket(drift, xi, y[sl], dev[sl])
             ends[sl] = _chunk_outcome(cfg.basin, float(cfg.theta0[0]), low, high)
     keep = ends == 0
@@ -334,9 +333,9 @@ def _run_block(cfg, trial_ids):
     over one step is the linear map y -> R y of the offset y = theta - c,
     R = r^K, r = 1 - step gamma, so a chunk of L steps is
     y_j = R y_{j-1} + xi_j.  The kernel's step (``_scan_chunk``) forms
-    xi = eps_noise * apply_sigma(scale * noise) from the same ``SasStream``
-    rows with the generic step's operations, so xi carries the generic bits,
-    and runs the recursion as one ``_affine_scan`` per slice of trials.
+    xi = noise_term(scale * noise) from the same ``SasStream`` rows, the
+    call the generic step makes, so xi carries the generic bits, and runs
+    the recursion as one ``_affine_scan`` per slice of trials.
 
     Rounding-error bound.  Let u = 2^-53, x_j the generic loop's iterate,
     Y = max |theta - c| over the region, and delta_j a bound on

@@ -47,17 +47,6 @@ class Landscape:
         """
         return None
 
-    def eval(self, theta):
-        """Return (value, gradient) at ``theta``."""
-        theta = self._check(theta)
-        return self.value(theta), self.gradient(theta)
-
-    def _check(self, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if theta.shape[-1] != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {theta.shape[-1]}")
-        return theta
-
 
 @dataclass
 class QuadraticBasin(Landscape):

@@ -2,13 +2,16 @@
 drives presets through the CLI (``bench/workloads.py``); a rename in the
 package must fail here rather than crash a benchmark run."""
 
+import ast
+import importlib
 import inspect
 import pathlib
 import sys
 
 from levyescape import cli, dynamics, escape
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
 
 import spans  # noqa: E402
 import workloads  # noqa: E402
@@ -35,3 +38,64 @@ def test_preset_workload_argv_parses():
     for name in ("fig3", "sweep", "compare"):
         argv = workloads.WORKLOADS[name].argv + ["--seed", "1"]
         assert parser.parse_args(argv).command == argv[0], name
+
+
+def _package_names(tree):
+    """Names bound by ``from levyescape[.module] import name``, anywhere in ``tree``."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "levyescape":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                names[alias.asname or alias.name] = getattr(module, alias.name)
+    return names
+
+
+def _unknown_keywords(source):
+    """``(line, callee, keyword)`` for each keyword a package call does not accept.
+
+    A package call is one whose callee is an attribute chain on a name
+    imported from levyescape, such as ``geometry.radon_measure`` or
+    ``probe.MlpModel.random_init``; a chain that does not resolve is
+    reported with keyword None.
+    """
+    tree = ast.parse(source)
+    names = _package_names(tree)
+    bad = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        chain, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            chain.append(func.attr)
+            func = func.value
+        if not (isinstance(func, ast.Name) and func.id in names):
+            continue
+        callee, label = names[func.id], ".".join([func.id, *reversed(chain)])
+        try:
+            for attr in reversed(chain):
+                callee = getattr(callee, attr)
+        except AttributeError:
+            bad.append((node.lineno, label, None))
+            continue
+        params = inspect.signature(callee).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue
+        bad.extend((node.lineno, label, kw.arg) for kw in node.keywords
+                   if kw.arg is not None and kw.arg not in params)
+    return bad
+
+
+def test_bench_calls_pass_only_accepted_keywords():
+    bad = {path.name: _unknown_keywords(path.read_text()) for path in sorted(BENCH.glob("*.py"))}
+    assert {name: found for name, found in bad.items() if found} == {}
+
+
+def test_keyword_check_catches_one():
+    source = ("from levyescape import dynamics, geometry\n"
+              "geometry.radon_measure(w, 1.5, n_dirz=10)\n"
+              "dynamics.OptimizerConfig(eta=0.1, v_noise_scale=0.5)\n"
+              "dynamics.levy_stepp(s)\n")
+    assert _unknown_keywords(source) == [(2, "geometry.radon_measure", "n_dirz"),
+                                         (3, "dynamics.OptimizerConfig", "v_noise_scale"),
+                                         (4, "dynamics.levy_stepp", None)]

@@ -88,6 +88,10 @@ def test_parameter_errors_exit_2(tmp_path, capsys):
     assert main(["escape", "--a-values", "500 150", "--noise-scale", "1e-3", "--trials", "2",
                  "--max-steps", "5", "--trial-csv", str(trial_csv)]) == 2
     assert not trial_csv.exists()
+    # --a-values replaces --a, so config_echo would show an a that never ran
+    assert main(["escape", "--a", "500", "--a-values", "150", "--noise-scale", "1e-3",
+                 "--trials", "2", "--max-steps", "5"]) == 2
+    assert "--a or --a-values" in capsys.readouterr().err
     # exit steps are int32, so max_steps must stay below 2**31
     assert main(["escape", "--noise-scale", "1e-3", "--trials", "2",
                  "--max-steps", str(2 ** 31)]) == 2
@@ -108,6 +112,23 @@ def test_parameter_errors_exit_2(tmp_path, capsys):
             argv = [command, *valid[command], "--out", out, *extra]
             assert main(argv) == 2, (command, extra)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode, argv, key", [
+    ("monitors", ["--steps", "20", "--record-stride", "5"], "noise_csv"),
+    ("noise", ["--steps", "20", "--window", "3", "--record-stride", "5"], "monitor_csv"),
+], ids=["monitors", "noise"])
+def test_probe_rejects_flags_its_mode_does_not_read(tmp_path, capsys, mode, argv, key):
+    argv = ["probe", "--mode", mode, *argv, "--out", str(tmp_path / "probe.json")]
+    assert main(argv) == 0
+    flag, csv = "--" + key.replace("_", "-"), tmp_path / "x.csv"
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(f"[probe]\n{key} = {csv}\n")
+    for extra in ([flag, str(csv)], ["--config", str(cfg)]):
+        capsys.readouterr()
+        assert main(argv + extra) == 2, extra
+        assert f"probe --mode {mode} does not read {flag}" in capsys.readouterr().err
+    assert not csv.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy overflow warning gets out

@@ -281,9 +281,10 @@ def test_gaussian_reduction_at_alpha_2():
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_v_nonnegative_preserved(seed):
+    # step_h * beta2 > 1, so the Euler step of v overshoots below zero unclamped
     land = quad(mu=1.0)
-    cfg = OptimizerConfig(kind="ADAM", step_h=0.05, beta1=0.9, beta2=0.99,
-                          alpha=1.5, noise_scale=0.1, v_noise_scale=0.5)
+    cfg = OptimizerConfig(kind="ADAM", step_h=1.5, beta1=0.9, beta2=0.99,
+                          alpha=1.5, noise_scale=0.1)
     traj = noisy_path(SdeState.initial(np.array([1.0]), "ADAM"), land, cfg, 50, seed)
     assert all(np.all(s.v >= 0) for s in traj)
 
@@ -455,16 +456,6 @@ def test_batched_stream_matches_trial_streams(d, requests):
         batched, alive = batched.take(keep), alive[keep]
 
 
-def test_scalar_stream_reads_its_generator(monkeypatch):
-    def refuse(self, n):
-        raise AssertionError("a one-trial stream stepped its cursors")
-
-    monkeypatch.setattr(dynamics.SasStream, "_stepped_uniforms", refuse)
-    stream = dynamics.SasStream(1.5, 2, 7)
-    rows = [stream.draw(1) for _ in range(3)]
-    assert all(r.shape == (1, 2) for r in rows)
-
-
 _MEMO_SEEDS = np.array([5, 6, 1000, 2 ** 31])
 
 
@@ -514,9 +505,25 @@ def test_start_memo_misses_on_another_key(monkeypatch, alpha, d, seeds, n, taken
     assert np.array_equal(rows, np.stack([oracle_rows(alpha, d, int(s), n) for s in seeds]))
 
 
-def test_one_trial_stream_never_reads_the_start_memo():
-    dynamics.SasStream(1.5, 2, np.array([5])).draw(8)
-    assert np.array_equal(dynamics.SasStream(1.5, 2, 5).draw(8), oracle_rows(1.5, 2, 5, 8))
+@pytest.mark.parametrize("memo_hit", [True, False], ids=["memo_hit", "memo_miss"])
+def test_one_trial_stream_reads_its_one_seed_batch(monkeypatch, memo_hit):
+    # an int seed draws the rows of the one-seed array [seed]: its first draw
+    # from the start memo on a hit, then stepped up to 32 outputs per cursor
+    # (16 rows at d = 2) and from generators past them
+    batch = dynamics.SasStream(1.5, 2, np.array([5 if memo_hit else 6])).draw(8)
+    stream = dynamics.SasStream(1.5, 2, 5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-trial generator within the stepped outputs")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "Generator", refuse)
+        rows = [stream.draw(n) for n in (8, 7, 1)]
+    rows.append(stream.draw(600))
+    assert np.shares_memory(rows[0], batch) == memo_hit
+    assert [r.shape for r in rows] == [(8, 2), (7, 2), (1, 2), (600, 2)]
+    assert np.array_equal(np.concatenate(rows), oracle_rows(1.5, 2, 5, 616))
+    assert not rows[0].flags.writeable
 
 
 @pytest.mark.parametrize("trials, kept", [(4096, True), (4097, False)])
@@ -571,3 +578,13 @@ def test_config_validation():
     assert cfg.eps_noise == 0.05
     cfg2 = OptimizerConfig(alpha=1.5, eta=1e-3)
     assert cfg2.eps_noise == pytest.approx(1e-3 ** (0.5 / 1.5))
+
+
+@pytest.mark.parametrize("shape", [(3,), (5, 3), (4, 8, 3)], ids=["row", "batch", "chunk"])
+def test_noise_term_is_amplitude_times_sigma_increment(shape):
+    z = np.random.default_rng(2).standard_cauchy(shape)
+    diag = np.array([3.0, 0.1, 1.5])
+    dense = np.array([[1.0, 0.5, 0.0], [0.0, 2.0, -0.3], [0.1, 0.0, 0.7]])
+    for sigma, sigma_z in ((None, z), (diag, z * diag), (dense, z @ dense.T)):
+        cfg = OptimizerConfig(alpha=1.5, eta=0.02, sigma=sigma)
+        assert np.array_equal(cfg.noise_term(z), cfg.eps_noise * sigma_z)

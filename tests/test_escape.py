@@ -370,7 +370,7 @@ def test_frozen_seed_exit_steps():
     land = landscapes.QuadraticBasin(H=np.array([[3.0, 1.0], [1.0, 2.0]]),
                                      center=np.array([0.1, -0.2]), height=0.5)
     opt = dynamics.OptimizerConfig(kind="ADAM", alpha=1.5, step_h=0.05, noise_scale=0.1,
-                                   beta1=0.9, beta2=0.99, eps_adam=0.5, v_noise_scale=0.5)
+                                   beta1=0.9, beta2=0.99, eps_adam=0.5)
     cfg = escape.EscapeConfig(landscape=land, basin=landscapes.BasinSpec(land, 0.1, 2.0),
                               optimizer=opt, theta0=np.array([0.3, -0.2]), trials=60,
                               max_steps=300, base_seed=21)
@@ -380,7 +380,7 @@ def test_frozen_seed_exit_steps():
         "sigma_SGD": "e82e0f1cbdf9c6fc",
         "sigma_ADAM": "3f86eb34294ab83c",
         "sigma_SGDM": "7f44a645ec57ab9d",
-        "dense_adam": "5ea3715e41c9bc4e",
+        "dense_adam": "2768dbe24469fb3e",
     }
     # each ensemble mixes exits with censored trials or spreads its exits
     assert all(np.unique(v).size > 5 for v in got.values())
@@ -510,7 +510,7 @@ def test_chunk_bracket_holds_generic_iterates(land, substeps, step_gamma, alpha,
     y = np.full(cfg.trials, cfg.theta0[0] - drift[2])
     dev = escape._U * np.abs(y)
     brackets = [escape._chunk_bracket(
-        drift, (opt.eps_noise * opt.apply_sigma(scale * part))[..., 0], y, dev)
+        drift, opt.noise_term(scale * part)[..., 0], y, dev)
         for part in (noise[:, :length], noise[:, length:])]
     low = np.hstack([lo for lo, _ in brackets])
     high = np.hstack([hi for _, hi in brackets])
