@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -325,6 +326,7 @@ def _cmd_compare(cfg, seed):
     }
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="levyescape",

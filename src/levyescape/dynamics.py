@@ -628,10 +628,11 @@ def deterministic_flow(state0, landscape, cfg, T):
     """Integrate the noise-free flow and fit the decay rate of its Lyapunov value.
 
     SGD on a quadratic (a landscape with an ndarray ``H``) takes the exact
-    backward Euler step, so the fitted rate approaches the continuous-flow
-    rate 2 mu from below; every other flow takes ``levy_step``'s step with
-    zero noise, from the one checked gradient of each state.  A momentum
-    flow also reports the assumption monitors in ``monitor_series``:
+    backward Euler step of size h * drift_scale, with no drift substeps, so
+    the fitted rate approaches the continuous-flow rate 2 mu drift_scale
+    from below; every other flow takes ``levy_step``'s step with zero noise,
+    from the one checked gradient of each state.  A momentum flow also
+    reports the assumption monitors in ``monitor_series``:
     rho_t = (10/t) times the trapezoidal integral of
     <g / (1 + F - F*), mu_t Q_t^{-1} m> from the first state, and
     tau_t = ``_momentum_ratio``.  The Lyapunov value of a momentum flow is
@@ -645,8 +646,8 @@ def deterministic_flow(state0, landscape, cfg, T):
     h = cfg.step_h
     traj, grads = [state0], []
     if cfg.kind == "SGD" and isinstance(getattr(landscape, "H", None), np.ndarray):
-        # (I + hH)(theta' - c) = theta - c
-        a, c = np.eye(landscape.dim) + h * landscape.H, landscape.center
+        # (I + h drift_scale H)(theta' - c) = theta - c
+        a, c = np.eye(landscape.dim) + h * cfg.drift_scale * landscape.H, landscape.center
         for _ in range(int(round(T / h))):
             s = traj[-1]
             traj.append(SdeState(theta=c + np.linalg.solve(a, s.theta - c), t=s.t + h))
@@ -680,7 +681,7 @@ def deterministic_flow(state0, landscape, cfg, T):
         return traj, FlowRateReport(None, 0.0, series, monitor_series=monitors)
     observed = _fit_decay_rate(ts, ls)
     if cfg.kind == "SGD":
-        return traj, FlowRateReport(observed, 2.0 * landscape.mu, series)
+        return traj, FlowRateReport(observed, 2.0 * landscape.mu * cfg.drift_scale, series)
     tau = max((r for r in ratios if r > 0), default=None)
     v_max = float(np.sqrt(v).max())
     predicted = 0.0

@@ -427,13 +427,13 @@ def predicted_mean_exit(m_w, alpha, eps):
     return alpha / (2.0 * m_w * eps ** alpha)
 
 
-def scaling_sweep(cfg, eps_list, min_exits=100):
+def scaling_sweep(cfg, eps_list):
     """Fit the log-log slope of mean exit time against noise amplitude.
 
     Reruns ``cfg`` at each amplitude in ``eps_list`` (setting both the
     optimizer's noise_scale and the basin margin eps), drops amplitudes that
-    produce fewer than ``min_exits`` exits with a warning, and least-squares
-    fits log mean-exit-time vs log eps.
+    produce fewer than 100 exits with a warning, and least-squares fits log
+    mean-exit-time vs log eps.
     """
     eps_list = sorted(float(e) for e in eps_list)
     if len(eps_list) < 2:
@@ -451,10 +451,8 @@ def scaling_sweep(cfg, eps_list, min_exits=100):
             basin=replace(cfg.basin, eps=eps),
         )
         stats = run_escape_experiment(run_cfg)
-        if stats.n_exited < min_exits:
-            warnings.warn(
-                f"amplitude {eps:g}: only {stats.n_exited} exits (< {min_exits}); dropped"
-            )
+        if stats.n_exited < 100:
+            warnings.warn(f"amplitude {eps:g}: only {stats.n_exited} exits (< 100); dropped")
             dropped.append(eps)
             continue
         points.append((eps, stats))
@@ -478,25 +476,27 @@ def scaling_sweep(cfg, eps_list, min_exits=100):
     }
 
 
-def compare_optimizers(cfg, kinds=("SGD", "ADAM", "SGDM"), q_fixed_adam=None):
-    """Paired escape runs for several optimizers with common random numbers.
+def compare_optimizers(cfg, q_fixed_adam=None):
+    """Paired escape runs of SGD, Adam and SGD-M with common random numbers.
 
-    All runs share the base_seed, so trial i consumes the identical
-    underlying stable stream under every optimizer.  The runs after the
-    first read their common first chunk of noise from ``SasStream``'s start
-    memo instead of seeding and transforming it again.  ``q_fixed_adam``
-    freezes Adam's preconditioner diagonal (the stationary approximation
-    Q = S Sigma used by the escaping-set comparison); without it Adam's v
-    collapses at the minimizer and the stabilizer dominates.
+    The three runs share the base_seed, so trial i consumes the identical
+    underlying stable stream under every optimizer, and each ratio in
+    ``mean_exit_time_ratios`` is a mean exit time over SGD's (absent when
+    either run has no exits).  The runs after the first read their common
+    first chunk of noise from ``SasStream``'s start memo instead of seeding
+    and transforming it again.  ``q_fixed_adam`` freezes Adam's
+    preconditioner diagonal (the stationary approximation Q = S Sigma used
+    by the escaping-set comparison); without it Adam's v collapses at the
+    minimizer and the stabilizer dominates.
     """
     results = {}
-    for kind in kinds:
+    for kind in ("SGD", "ADAM", "SGDM"):
         opt = replace(cfg.optimizer, kind=kind)
         if kind == "ADAM" and q_fixed_adam is not None:
             opt = replace(opt, q_fixed=np.asarray(q_fixed_adam, dtype=float))
         results[kind] = run_escape_experiment(replace(cfg, optimizer=opt))
     ratios = {}
-    if "SGD" in results and results["SGD"].n_exited:
+    if results["SGD"].n_exited:
         base = results["SGD"].mean_exit_time
         for kind, stats in results.items():
             if kind != "SGD" and stats.n_exited:

@@ -42,15 +42,14 @@ class Spectrum:
 
     lambdas are the Hessian singular values (descending), sigmas the noise
     covariance singular values (descending), S the batch size, and h_f_star
-    the basin height term 2 (height - f*).  rotation_seed, if given, rotates
-    the shared eigenbasis away from the axes.
+    the basin height term 2 (height - f*).  The eigenbasis is the coordinate
+    axes: every measure, volume and echo depends on the spectra alone.
     """
 
     lambdas: np.ndarray
     sigmas: np.ndarray
     batch_size: int = 1
     h_f_star: float = 1.0
-    rotation_seed: int | None = None
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
@@ -71,13 +70,6 @@ class Spectrum:
     @property
     def dim(self):
         return self.lambdas.size
-
-    def basis(self):
-        if self.rotation_seed is None:
-            return np.eye(self.dim)
-        rng = np.random.default_rng(self.rotation_seed)
-        q, r = np.linalg.qr(rng.standard_normal((self.dim, self.dim)))
-        return q * np.sign(np.diag(r))
 
 
 @dataclass
@@ -102,12 +94,10 @@ class QuadraticEscapeSet:
 
 
 def build_escape_sets(spec):
-    """Construct (W_sgd, W_adam) from a spectrum in its shared eigenbasis."""
-    r = spec.basis()
-    h = r @ np.diag(spec.lambdas) @ r.T
-    a_sgd = r @ np.diag(spec.lambdas * spec.sigmas ** 2) @ r.T
+    """(W_sgd, W_adam) of a spectrum: A = diag(lambda sigma^2) and diag(lambda), c = S^2 h_f*."""
     c = spec.batch_size ** 2 * spec.h_f_star
-    return QuadraticEscapeSet(A=a_sgd, c=c), QuadraticEscapeSet(A=h, c=c)
+    return (QuadraticEscapeSet(A=np.diag(spec.lambdas * spec.sigmas ** 2), c=c),
+            QuadraticEscapeSet(A=np.diag(spec.lambdas), c=c))
 
 
 def sphere_surface_area(d):
@@ -121,8 +111,7 @@ _REL_TOL = 1e-12  # two successive trapezoid estimates agreeing this closely end
 _FIRST_INTERVALS = 8
 
 
-def radon_measure(w, alpha, n_dirs=1_000_000, seed=0, with_stderr=False,
-                  with_evaluations=False):
+def radon_measure(w, alpha, n_dirs=1_000_000, seed=0, with_stderr=False):
     """Tail measure m(W) = int_W ||y||^{-(d+alpha)} dy of a quadratic set.
 
     The value is (S_d / alpha) times the sphere mean of (u^T A u / c)^{alpha/2},
@@ -132,11 +121,17 @@ def radon_measure(w, alpha, n_dirs=1_000_000, seed=0, with_stderr=False,
     is its budget of integrand evaluations.  ``seed`` is ignored; it stays
     in the signature so that callers passing it keep working.
 
-    With ``with_stderr`` an error bound follows the value, never 0: a
-    rounding bound for the closed forms, otherwise the change in the last
-    step halving plus the cut-off tails plus that bound.  With
-    ``with_evaluations`` the number of integrand evaluations made comes last.
+    Returns the value, or with ``with_stderr`` the pair (value, error bound).
+    The bound is never 0: a rounding bound for the closed forms, otherwise
+    the change in the last step halving plus the cut-off tails plus that
+    bound.
     """
+    val, err, _ = _radon_measure(w, alpha, n_dirs)
+    return (val, err) if with_stderr else val
+
+
+def _radon_measure(w, alpha, n_dirs):
+    """(value, error bound, integrand evaluations) of ``radon_measure``."""
     if not (0.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
     if n_dirs < 1:
@@ -152,8 +147,7 @@ def radon_measure(w, alpha, n_dirs=1_000_000, seed=0, with_stderr=False,
         mean, mean_err, evals = _sphere_quadrature(np.linalg.eigvalsh(w.A / w.c), p, n_dirs)
         factor = sphere_surface_area(d) / alpha
         val, err = factor * mean, factor * mean_err
-    out = (val,) + ((err,) if with_stderr else ()) + ((evals,) if with_evaluations else ())
-    return out if len(out) > 1 else val
+    return val, err, evals
 
 
 def _radon_integrand(x, log_mu, log_mu_sum, p):
@@ -277,10 +271,8 @@ def compare_measures(spec, alpha, n_dirs=1_000_000, seed=0):
     ``seed`` is ignored, as in ``radon_measure``.
     """
     w_sgd, w_adam = build_escape_sets(spec)
-    m_sgd, err_sgd, evals_sgd = radon_measure(w_sgd, alpha, n_dirs=n_dirs, with_stderr=True,
-                                              with_evaluations=True)
-    m_adam, err_adam, evals_adam = radon_measure(w_adam, alpha, n_dirs=n_dirs, with_stderr=True,
-                                                 with_evaluations=True)
+    m_sgd, err_sgd, evals_sgd = _radon_measure(w_sgd, alpha, n_dirs)
+    m_adam, err_adam, evals_adam = _radon_measure(w_adam, alpha, n_dirs)
     vol_adam = ellipsoid_volume(w_adam.A, w_adam.c)
     echo = legacy_volume_echo(spec.lambdas, spec.batch_size, spec.h_f_star)
     return {

@@ -155,9 +155,9 @@ class DoubleWell1D(Landscape):
         return self.a * (x - 1.0) ** 2 <= x ** 2
 
     def value(self, theta):
-        x = np.asarray(theta, dtype=float)
+        x = np.asarray(theta, dtype=float)[..., 0]
         out = np.minimum(x ** 2, self.a * (x - 1.0) ** 2)
-        return float(out.reshape(-1)[0]) if out.size == 1 else out
+        return float(out) if out.ndim == 0 else out
 
     def gradient(self, theta):
         x = np.asarray(theta, dtype=float)

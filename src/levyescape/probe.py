@@ -60,10 +60,10 @@ class MlpModel:
         )
 
     @classmethod
-    def random_init(cls, d_in=20, d_hidden=32, d_classes=3, seed=0, scale=0.5):
+    def random_init(cls, d_in=20, d_hidden=32, d_classes=3, seed=0):
         rng = np.random.default_rng(seed)
         m = cls(d_in, d_hidden, d_classes)
-        m.params = scale * rng.standard_normal(m.n_params) / math.sqrt(d_in)
+        m.params = 0.5 * rng.standard_normal(m.n_params) / math.sqrt(d_in)
         return m
 
     def unpack(self, params=None):
@@ -97,11 +97,12 @@ class SyntheticDataset:
         return self.features.shape[0]
 
     @classmethod
-    def blobs(cls, n=2000, d_in=20, k=3, spread=1.0, sep=2.0, seed=0):
+    def blobs(cls, n=2000, d_in=20, k=3, seed=0):
+        """Centres drawn N(0, 4 I), points N(centre, I) around them."""
         rng = np.random.default_rng(seed)
-        centers = sep * rng.standard_normal((k, d_in))
+        centers = 2.0 * rng.standard_normal((k, d_in))
         labels = rng.integers(0, k, size=n)
-        features = centers[labels] + spread * rng.standard_normal((n, d_in))
+        features = centers[labels] + rng.standard_normal((n, d_in))
         return cls(features=features, labels=labels)
 
 
@@ -119,17 +120,15 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def loss_value(model, dataset, params=None, indices=None):
-    """Mean softmax cross-entropy over the (sub)set of samples."""
-    x, y = _subset(dataset, indices)
+def loss_value(model, dataset, params=None):
+    """Mean softmax cross-entropy over the whole dataset."""
+    x, y = dataset.features, dataset.labels
     _, _, logits = _forward(model, params, x)
     p = _softmax(logits)
     return float(-np.mean(np.log(p[np.arange(x.shape[0]), y] + 1e-300)))
 
 
 def _subset(dataset, indices):
-    if indices is None:
-        return dataset.features, dataset.labels
     indices = np.asarray(indices)
     if indices.size == 0:
         raise SampleSizeError("batch is empty")

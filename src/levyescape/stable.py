@@ -261,17 +261,18 @@ def decompose_jumps(increments, step_h, cfg):
     )
 
 
-def interjump_time_test(events, psi, min_events=30):
+def interjump_time_test(events, psi):
     """Compare inter-event times against the Exponential(rate=psi) law.
 
-    Returns a dict with the empirical mean, the Kolmogorov-Smirnov distance
-    to Exponential(psi), and the 1% critical value 1.63 / sqrt(n).
+    Needs at least 30 events.  Returns a dict with the empirical mean, the
+    Kolmogorov-Smirnov distance to Exponential(psi), and the 1% critical
+    value 1.63 / sqrt(n).
     """
     if not psi > 0:
         raise ParameterError(f"jump intensity psi must be positive, got {psi}")
     times = np.asarray(events.times, dtype=float)
-    if times.size < min_events:
-        raise SampleSizeError(f"need at least {min_events} events, got {times.size}")
+    if times.size < 30:
+        raise SampleSizeError(f"need at least 30 events, got {times.size}")
     gaps = np.diff(np.concatenate(([0.0], times)))
     gaps = np.sort(gaps)
     n = gaps.size

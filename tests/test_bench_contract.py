@@ -1,6 +1,7 @@
 """The benchmark wraps package names from outside (``bench/spans.py``) and
 drives presets through the CLI (``bench/workloads.py``); a rename in the
-package must fail here rather than crash a benchmark run."""
+package must fail here rather than crash a benchmark run.  The demos are held
+to the same keyword check, so a deleted parameter fails here with its line."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import sys
 from levyescape import cli, dynamics, escape
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+DEMOS = BENCH.parent / "demos"
 sys.path.insert(0, str(BENCH))
 
 import spans  # noqa: E402
@@ -88,6 +90,11 @@ def _unknown_keywords(source):
 
 def test_bench_calls_pass_only_accepted_keywords():
     bad = {path.name: _unknown_keywords(path.read_text()) for path in sorted(BENCH.glob("*.py"))}
+    assert {name: found for name, found in bad.items() if found} == {}
+
+
+def test_demo_calls_pass_only_accepted_keywords():
+    bad = {path.name: _unknown_keywords(path.read_text()) for path in sorted(DEMOS.glob("*.py"))}
     assert {name: found for name, found in bad.items() if found} == {}
 
 

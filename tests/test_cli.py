@@ -234,6 +234,10 @@ def test_compare_small_run(tmp_path):
     assert doc["result"]["geometry"]["ratio_sgd_over_adam"] > 1.0
 
 
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert __version__ in capsys.readouterr().out

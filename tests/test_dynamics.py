@@ -148,6 +148,18 @@ def test_sgd_flow_rate_band():
         assert rep.predicted_rate == pytest.approx(2 * mu)
 
 
+def test_sgd_quadratic_flow_steps_with_drift_scale():
+    # the implicit step solves (1 + h drift_scale mu) theta' = theta, as
+    # levy_step steps h drift_scale
+    mu, h, scale = 2.0, 1e-3, 0.5
+    cfg = OptimizerConfig(kind="SGD", step_h=h, noise_scale=0.0, drift_scale=scale)
+    traj, rep = dynamics.deterministic_flow(SdeState(theta=np.array([1.0])),
+                                            quad(mu=mu), cfg, 2.0)
+    assert traj[1].theta[0] == pytest.approx(1.0 / (1.0 + h * scale * mu), rel=1e-15)
+    assert 0.95 * 2 * mu * scale <= rep.observed_rate <= 2 * mu * scale
+    assert rep.predicted_rate == 2 * mu * scale
+
+
 def test_sgd_flow_generic_landscape_path():
     cfg = OptimizerConfig(kind="SGD", step_h=1e-3, noise_scale=0.0)
     _, rep = dynamics.deterministic_flow(SdeState(theta=np.array([1.0])),

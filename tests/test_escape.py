@@ -258,10 +258,13 @@ def test_sweep_degenerate_input_errors():
 
 
 def test_sweep_drops_low_exit_points():
-    cfg = interval_cfg(alpha=1.5, trials=60, max_steps=200, seed=6)
-    with pytest.warns(UserWarning):
-        rep = escape.scaling_sweep(cfg, [1e-4, 0.05, 0.1, 0.2], min_exits=50)
-    assert 1e-4 in rep["dropped"]
+    # amplitudes with fewer than 100 exits are dropped with a warning
+    cfg = interval_cfg(alpha=1.5, trials=150, max_steps=200, seed=6)
+    with pytest.warns(UserWarning, match="dropped"):
+        rep = escape.scaling_sweep(cfg, [1e-4, 0.05, 0.1, 0.2])
+    assert rep["dropped"] == [1e-4, 0.05]
+    assert rep["eps"] == [0.1, 0.2]
+    assert all(rep["stats"][e].n_exited >= 100 for e in rep["eps"])
 
 
 def test_monotone_in_eps():
@@ -294,7 +297,8 @@ def test_compare_optimizers_crn_and_identity_case():
     cfg = escape.EscapeConfig(landscape=land, basin=basin, optimizer=opt,
                               theta0=np.zeros(2), trials=400, max_steps=20000,
                               base_seed=11)
-    rep = escape.compare_optimizers(cfg, kinds=("SGD", "SGDM"))
+    rep = escape.compare_optimizers(cfg)
+    assert list(rep["stats"]) == ["SGD", "ADAM", "SGDM"]
     ratio = rep["mean_exit_time_ratios"]["sgdm_over_sgd"]
     assert 0.5 <= ratio <= 2.0
 

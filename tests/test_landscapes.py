@@ -29,6 +29,19 @@ def test_double_well_nonnegative_and_minima():
     assert dw.ell == pytest.approx(14.0)
 
 
+def test_landscapes_give_one_value_per_row():
+    # a (1,) point gives a float, an (n, 1) batch an (n,) array
+    dw = landscapes.DoubleWell1D(4.0)
+    qb = landscapes.QuadraticBasin(H=np.array([[2.0]]), center=np.array([1.0]))
+    for land in (dw, qb):
+        assert type(land.value(np.array([0.5]))) is float
+        assert land.value(np.array([[0.5]])).shape == (1,)
+        batch = np.array([[0.5], [1.0], [2.0]])
+        values = land.value(batch)
+        assert values.shape == (3,)
+        assert list(values) == [land.value(row) for row in batch]
+
+
 def test_quadratic_eval():
     qb = landscapes.QuadraticBasin(H=np.diag([2.0, 8.0]), center=np.zeros(2),
                                    height=10.0)
