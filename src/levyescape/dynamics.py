@@ -45,11 +45,11 @@ _KINDS = ("SGD", "ADAM", "SGDM")
 
 
 class DivergedError(RuntimeError):
-    """The trajectory produced a non-finite gradient; carries the last finite state."""
+    """A non-finite gradient; carries the last finite state (a row tuple becomes a state)."""
 
     def __init__(self, message, last_state=None):
         super().__init__(message)
-        self.last_state = last_state
+        self.last_state = SdeState(*last_state) if isinstance(last_state, tuple) else last_state
 
 
 @dataclass
@@ -144,7 +144,9 @@ class OptimizerConfig:
 class SdeState:
     """Integrator state: parameters theta, Adam moments m and v, process time t.
 
-    theta may carry a leading batch axis; m and v follow its shape.
+    theta may carry a leading batch axis; m and v follow its shape.  A flow's
+    trajectory stacks its states on a leading time axis, t too: state k is row
+    k of theta, m, v and t.  A state unpacks as its ``(theta, m, v, t)`` row.
     """
 
     theta: np.ndarray
@@ -161,23 +163,19 @@ class SdeState:
             if np.any(self.v < 0):
                 raise ValueError("second-moment entries must be nonnegative")
 
+    def __iter__(self):
+        return iter((self.theta, self.m, self.v, self.t))
+
     @classmethod
     def initial(cls, theta0, kind):
         theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-        if kind == "SGD":
-            return cls(theta=theta0)
-        if kind == "SGDM":
-            return cls(theta=theta0, m=np.zeros_like(theta0))
-        return cls(theta=theta0, m=np.zeros_like(theta0), v=np.zeros_like(theta0))
+        m = None if kind == "SGD" else np.zeros_like(theta0)
+        return cls(theta0, m, np.zeros_like(theta0) if kind == "ADAM" else None)
 
     def take(self, keep):
         """The trajectories selected by ``keep`` along the leading batch axis."""
-        return SdeState(
-            theta=self.theta[keep],
-            m=None if self.m is None else self.m[keep],
-            v=None if self.v is None else self.v[keep],
-            t=self.t,
-        )
+        return SdeState(self.theta[keep], None if self.m is None else self.m[keep],
+                        None if self.v is None else self.v[keep], self.t)
 
 
 # NumPy's SeedSequence constants (pool size 4, uint32 lanes)
@@ -550,10 +548,10 @@ def _bias_corrections(cfg, t_next):
     return mu_t, omega_t
 
 
-def _checked_gradient(landscape, theta, state):
+def _checked_gradient(landscape, theta, last):
     g = landscape.gradient(theta)
     if not np.all(np.isfinite(g)):
-        raise DivergedError("non-finite gradient", state)
+        raise DivergedError("non-finite gradient", last)
     return g
 
 
@@ -567,31 +565,32 @@ def levy_step(state, landscape, cfg, noise_increment):
     non-finite gradient raises DivergedError carrying the input state.
     """
     g = _checked_gradient(landscape, state.theta, state)
-    return _advance(state, g, landscape, cfg, noise_increment)
+    return SdeState(*_advance(state, g, landscape, cfg, noise_increment))
 
 
-def _advance(state, g, landscape, cfg, noise_increment):
-    """``levy_step`` from g, the gradient at ``state.theta`` already checked finite."""
+def _advance(row, g, landscape, cfg, noise_increment):
+    """The ``(theta, m, v, t)`` row after ``row`` (a tuple or ``SdeState``), from its checked g."""
+    theta0, m0, v0, t = row
     h = cfg.step_h
     noise = cfg.noise_term(np.asarray(noise_increment, dtype=float))
-    t_next = state.t + h
+    t_next = t + h
 
     if cfg.kind == "SGD":
         step = h * cfg.drift_scale / cfg.drift_substeps
-        theta = state.theta - step * g
+        theta = theta0 - step * g
         for _ in range(cfg.drift_substeps - 1):
-            theta = theta - step * _checked_gradient(landscape, theta, state)
-        return SdeState(theta=theta + noise, t=t_next)
+            theta = theta - step * _checked_gradient(landscape, theta, row)
+        return theta + noise, None, None, t_next
 
     mu_t, omega_t = _bias_corrections(cfg, t_next)
-    m = state.m + h * cfg.beta1 * (g - state.m)
-    v = state.v
+    m = m0 + h * cfg.beta1 * (g - m0)
+    v = v0
     if cfg.adaptive:
         # the clamp matters once step_h * beta2 > 1, where the Euler step overshoots
-        v = np.maximum(state.v + h * cfg.beta2 * (g ** 2 - state.v), 0.0)
+        v = np.maximum(v0 + h * cfg.beta2 * (g ** 2 - v0), 0.0)
     q = cfg.preconditioner(v, omega_t)
-    theta = state.theta - h * cfg.drift_scale * mu_t * m / q + noise / q
-    return SdeState(theta=theta, m=m, v=v, t=t_next)
+    theta = theta0 - h * cfg.drift_scale * mu_t * m / q + noise / q
+    return theta, m, v, t_next
 
 
 @dataclass
@@ -607,12 +606,10 @@ class FlowRateReport:
 
 
 def _fit_decay_rate(ts, ls):
-    mask = np.asarray(ls) > 1e-300
-    ts, ls = np.asarray(ts)[mask], np.asarray(ls)[mask]
-    if ts.size < 2:
+    keep = ls > 1e-300
+    if np.count_nonzero(keep) < 2:
         return None
-    slope = np.polyfit(ts, np.log(ls), 1)[0]
-    return -float(slope)
+    return -float(np.polyfit(ts[keep], np.log(ls[keep]), 1)[0])
 
 
 def _momentum_ratio(m, g):
@@ -627,13 +624,15 @@ def _momentum_ratio(m, g):
 def deterministic_flow(state0, landscape, cfg, T):
     """Integrate the noise-free flow and fit the decay rate of its Lyapunov value.
 
-    SGD on a quadratic (a landscape with an ndarray ``H``) takes the exact
+    Returns the trajectory, one ``SdeState`` whose theta, m, v and t carry a
+    leading time axis (state k is row k), and the ``FlowRateReport``.  SGD
+    on a quadratic (a landscape with an ndarray ``H``) takes the exact
     backward Euler step of size h * drift_scale, with no drift substeps, so
     the fitted rate approaches the continuous-flow rate 2 mu drift_scale
-    from below; every other flow takes ``levy_step``'s step with zero noise,
-    from the one checked gradient of each state.  A momentum flow also
-    reports the assumption monitors in ``monitor_series``:
-    rho_t = (10/t) times the trapezoidal integral of
+    from below; every other flow takes ``levy_step``'s step (``_advance``,
+    on plain arrays) with zero noise, from the one checked gradient of each
+    state.  A momentum flow also reports the assumption monitors in
+    ``monitor_series``: rho_t = (10/t) times the trapezoidal integral of
     <g / (1 + F - F*), mu_t Q_t^{-1} m> from the first state, and
     tau_t = ``_momentum_ratio``.  The Lyapunov value of a momentum flow is
     L = F - F* + 1/2 ||m||^2 weighted by 1/s_t, s_t = (beta1/mu_t) Q_t.
@@ -644,29 +643,27 @@ def deterministic_flow(state0, landscape, cfg, T):
     if not T > 0:
         raise ParameterError(f"horizon T must be positive, got {T}")
     h = cfg.step_h
-    traj, grads = [state0], []
+    rows, grads = [tuple(state0)], []
     if cfg.kind == "SGD" and isinstance(getattr(landscape, "H", None), np.ndarray):
         # (I + h drift_scale H)(theta' - c) = theta - c
         a, c = np.eye(landscape.dim) + h * cfg.drift_scale * landscape.H, landscape.center
         for _ in range(int(round(T / h))):
-            s = traj[-1]
-            traj.append(SdeState(theta=c + np.linalg.solve(a, s.theta - c), t=s.t + h))
+            theta, _, _, t = rows[-1]
+            rows.append((c + np.linalg.solve(a, theta - c), None, None, t + h))
     else:
         zero_noise = replace(cfg, noise_scale=0.0)
         for _ in range(int(round(T / h))):
-            s = traj[-1]
-            grads.append(_checked_gradient(landscape, s.theta, s))
-            traj.append(_advance(s, grads[-1], landscape, zero_noise, np.zeros_like(s.theta)))
-    f_star = landscape.value(landscape.minimizer())
-    ts = np.array([s.t for s in traj])
-    if cfg.kind == "SGD":
-        ls, monitors = [landscape.value(s.theta) - f_star for s in traj], None
-    else:
-        grads.append(_checked_gradient(landscape, traj[-1].theta, traj[-1]))
-        g, m = np.array(grads), np.array([s.m for s in traj])
-        v = np.array([s.v for s in traj]) if cfg.kind == "ADAM" else np.zeros(1)
-        gaps = np.array([landscape.value(s.theta) - f_star for s in traj])
-        mu_t, omega_t = np.hsplit(np.array([_bias_corrections(cfg, max(s.t, h)) for s in traj]), 2)
+            row = rows[-1]
+            grads.append(_checked_gradient(landscape, row[0], row))
+            rows.append(_advance(row, grads[-1], landscape, zero_noise, np.zeros_like(row[0])))
+    traj = SdeState(*(None if col[-1] is None else np.array(col) for col in zip(*rows)))
+    gaps = landscape.value(traj.theta) - landscape.value(landscape.minimizer())
+    ls, monitors = gaps, None
+    if cfg.kind != "SGD":
+        grads.append(_checked_gradient(landscape, rows[-1][0], rows[-1]))
+        g, m = np.array(grads), traj.m
+        v = traj.v if cfg.kind == "ADAM" else np.zeros(1)
+        mu_t, omega_t = np.hsplit(np.array([_bias_corrections(cfg, max(t, h)) for t in traj.t]), 2)
         q = cfg.preconditioner(v, omega_t)
         ls = gaps + 0.5 * np.sum(m ** 2 / ((cfg.beta1 / mu_t) * q), axis=1)
         # one dot product per row: a batched sum rounds differently for d >= 2
@@ -674,12 +671,12 @@ def deterministic_flow(state0, landscape, cfg, T):
         ratios = [_momentum_ratio(a, b) for a, b in zip(m, g)]
         # a leading 0.0 makes cumsum an accumulator started at 0.0, down to the sign of zero
         trapezoids = np.r_[0.0, 0.5 * (integrands[:-1] + integrands[1:]) * h]
-        rho = (10.0 / ts[1:]) * np.cumsum(trapezoids)[1:]
-        monitors = np.column_stack([ts[1:], rho, ratios[1:]])
-    series = np.column_stack([ts, ls])
+        rho = (10.0 / traj.t[1:]) * np.cumsum(trapezoids)[1:]
+        monitors = np.column_stack([traj.t[1:], rho, ratios[1:]])
+    series = np.column_stack([traj.t, ls])
     if ls[0] <= 1e-300:
         return traj, FlowRateReport(None, 0.0, series, monitor_series=monitors)
-    observed = _fit_decay_rate(ts, ls)
+    observed = _fit_decay_rate(traj.t, ls)
     if cfg.kind == "SGD":
         return traj, FlowRateReport(observed, 2.0 * landscape.mu * cfg.drift_scale, series)
     tau = max((r for r in ratios if r > 0), default=None)

@@ -388,15 +388,17 @@ def run_escape_experiment(cfg, threads=None):
     """Run the ensemble and aggregate exit statistics.
 
     Trial i draws its noise from its own stream, the ``SasStream`` seeded
-    base_seed + i, so results do not depend on how trials are split across
-    workers.  Streams are keyed by that sum alone, so neighbouring base
-    seeds share all but one of their trials' streams, shifted by one trial.
-    Ensembles with the same base_seed, trials and dimension read the same
-    streams, and the first chunk of noise that one of them seeds and
-    transforms serves the next from ``SasStream``'s start memo.
-    ``threads`` (None = serial) splits the trials over a thread pool, each
-    block a stream of its own, so at most one block reads the memo.  The
-    pool is reachable only through this argument and is kept for the
+    base_seed + i, so its noise does not depend on how trials are split
+    across workers; its path can, in the last bits, where a matrix product
+    rounds a row with the batch size (``QuadraticBasin.gradient`` from
+    d = 4, a dense sigma).  Streams are keyed by base_seed + i alone, so
+    neighbouring base seeds share all but one of their trials' streams,
+    shifted by one trial.  Ensembles with the same base_seed, trials and
+    dimension read the same streams, and the first chunk of noise that one
+    of them seeds and transforms serves the next from ``SasStream``'s start
+    memo.  ``threads`` (None = serial) splits the trials over a thread pool,
+    each block a stream of its own, so at most one block reads the memo.
+    The pool is reachable only through this argument and is kept for the
     benchmark's thread-scaling measurement, where two threads ran the sweep
     point 1.10-1.51x faster than one at seeds 1-4 (two cores, equal exit
     steps); a benchmark change is to decide the default.

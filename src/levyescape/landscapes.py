@@ -31,6 +31,7 @@ class Landscape:
     ell: float
 
     def value(self, theta):
+        """F at a (d,) point, or one value per row of a (..., d) batch."""
         raise NotImplementedError
 
     def gradient(self, theta):
@@ -88,7 +89,7 @@ class QuadraticBasin(Landscape):
 
     def gradient(self, theta):
         d = np.asarray(theta, dtype=float) - self.center
-        return d @ self.H  # H is symmetric; batched rows supported
+        return d @ self.H  # H is symmetric; from d = 4 a dense H's row rounds with the batch size
 
     def minimizer(self):
         return self.center.copy()

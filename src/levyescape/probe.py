@@ -279,7 +279,7 @@ def assumption_monitors(landscape, cfg, theta0, n_steps, record_stride=1):
     n = len(flow.monitor_series)
     rows = np.unique(np.r_[record_stride - 1:n:record_stride, n - 1])
     t, rho, tau = flow.monitor_series[rows].T
-    sq = np.sqrt([s.v for s in traj[1:]])
+    sq = np.sqrt(traj.v[1:])
     return AssumptionReport(t=t, rho=rho, tau=tau, v_min=float(sq.min()),
                             v_max=float(sq.max()))
 

@@ -113,6 +113,13 @@ def finite_difference_gradient(f, x, h=1e-5):
     return g
 
 
+def flow_states(traj):
+    """The states of a flow's stacked trajectory, state k from row k."""
+    cols = (traj.theta, traj.m, traj.v, traj.t)
+    return [dynamics.SdeState(*(None if col is None else col[k] for col in cols))
+            for k in range(len(traj.t))]
+
+
 def momentum_flow_series(traj, landscape, cfg):
     """(lyapunov_series, monitor_series, tau, v_max) of a momentum flow, state by state.
 

@@ -9,7 +9,9 @@ import inspect
 import pathlib
 import sys
 
-from levyescape import cli, dynamics, escape
+import numpy as np
+
+from levyescape import cli, dynamics, escape, landscapes
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 DEMOS = BENCH.parent / "demos"
@@ -32,6 +34,29 @@ def test_run_escape_experiment_accepts_threads():
 def test_single_seed_stream_draws_rows():
     # bench/microbench.stream_draws_per_s times this call
     assert dynamics.SasStream(1.5, 1, 0).draw(256).shape == (256, 1)
+
+
+def test_levy_step_returns_trial_rows():
+    # bench/microbench.step_us steps an (n, 1) SdeState through levy_step
+    land = landscapes.QuadraticBasin(H=np.array([[1.0]]), center=np.zeros(1), height=0.5)
+    cfg = dynamics.OptimizerConfig(kind="SGD", step_h=0.2, noise_scale=0.01)
+    for n in (1, 100):
+        state = dynamics.levy_step(dynamics.SdeState(theta=np.zeros((n, 1))), land, cfg,
+                                   np.ones((n, 1)))
+        assert isinstance(state, dynamics.SdeState)
+        assert state.theta.shape == (n, 1)
+
+
+def test_flow_reports_what_workloads_read():
+    # bench/workloads.py reads observed_rate and lyapunov_series[:, 1] of the second item
+    land = landscapes.QuadraticBasin(H=np.array([[1.0]]), center=np.zeros(1), height=10.0)
+    for kind in ("SGD", "ADAM"):
+        cfg = dynamics.OptimizerConfig(kind=kind, step_h=0.1, noise_scale=0.0)
+        out = dynamics.deterministic_flow(dynamics.SdeState.initial(np.array([1.0]), kind),
+                                          land, cfg, 2.0)
+        assert len(out) == 2
+        assert out[1].observed_rate is not None
+        assert out[1].lyapunov_series.shape == (21, 2)
 
 
 def test_preset_workload_argv_parses():

@@ -10,7 +10,7 @@ from levyescape import dynamics, landscapes
 from levyescape.dynamics import OptimizerConfig, SdeState
 from levyescape.stable import ParameterError, sas_from_uniforms
 
-from oracles import momentum_flow_series
+from oracles import flow_states, momentum_flow_series
 
 
 def quad(mu=1.0, d=1, height=10.0):
@@ -27,7 +27,8 @@ class PlainQuadratic(landscapes.Landscape):
         self.ell = 1.0
 
     def value(self, theta):
-        return 0.5 * float(np.sum(np.asarray(theta) ** 2))
+        out = 0.5 * np.sum(np.asarray(theta) ** 2, axis=-1)
+        return float(out) if out.ndim == 0 else out
 
     def gradient(self, theta):
         return np.asarray(theta, dtype=float)
@@ -109,6 +110,23 @@ def test_diverged_error_carries_state():
         assert err.value.last_state is state
 
 
+def test_flow_diverged_error_carries_last_row():
+    # gradient call k is row k - 1's, so a NaN from it stops the flow there
+    for kind in ("ADAM", "SGD"):
+        cfg = OptimizerConfig(kind=kind, step_h=0.1, beta1=0.9, beta2=0.99, noise_scale=0.0)
+        state0 = SdeState.initial(np.array([1.0]), kind)
+        land = CountingQuadratic()
+        traj, _ = dynamics.deterministic_flow(state0, land, cfg, 1.0)
+        for k in (1, 5, land.calls):
+            with pytest.raises(dynamics.DivergedError) as err:
+                dynamics.deterministic_flow(state0, CountingQuadratic(nan_from=k), cfg, 1.0)
+            for got, col in zip(err.value.last_state, traj):
+                if col is None:
+                    assert got is None, (kind, k)
+                else:
+                    np.testing.assert_array_equal(got, col[k - 1])
+
+
 def test_sgd_step_gradient_count():
     # the first drift substep reuses the gradient levy_step already checked
     for substeps in (1, 20):
@@ -135,7 +153,7 @@ def test_sgd_flow_takes_drift_substeps():
                               drift_substeps=substeps)
         traj, _ = dynamics.deterministic_flow(SdeState(theta=np.array([1.0])), land, cfg, 1.0)
         assert land.calls == 10 * substeps
-        assert traj[-1].theta[0] == pytest.approx((1 - 0.1 / substeps) ** (10 * substeps))
+        assert traj.theta[-1, 0] == pytest.approx((1 - 0.1 / substeps) ** (10 * substeps))
 
 
 def test_sgd_flow_rate_band():
@@ -155,7 +173,7 @@ def test_sgd_quadratic_flow_steps_with_drift_scale():
     cfg = OptimizerConfig(kind="SGD", step_h=h, noise_scale=0.0, drift_scale=scale)
     traj, rep = dynamics.deterministic_flow(SdeState(theta=np.array([1.0])),
                                             quad(mu=mu), cfg, 2.0)
-    assert traj[1].theta[0] == pytest.approx(1.0 / (1.0 + h * scale * mu), rel=1e-15)
+    assert traj.theta[1, 0] == pytest.approx(1.0 / (1.0 + h * scale * mu), rel=1e-15)
     assert 0.95 * 2 * mu * scale <= rep.observed_rate <= 2 * mu * scale
     assert rep.predicted_rate == 2 * mu * scale
 
@@ -213,7 +231,7 @@ def test_flow_terms_match_per_state_oracle():
                               q_fixed=q_fixed)
         traj, rep = dynamics.deterministic_flow(SdeState.initial(np.array(theta0), kind),
                                                 land, cfg, 3.0)
-        series, monitors, tau, v_max = momentum_flow_series(traj, land, cfg)
+        series, monitors, tau, v_max = momentum_flow_series(flow_states(traj), land, cfg)
         np.testing.assert_array_equal(rep.lyapunov_series, series)
         np.testing.assert_array_equal(rep.monitor_series, monitors)
         assert (rep.tau, rep.v_max) == (tau, v_max), (kind, q_fixed)
@@ -245,7 +263,8 @@ def test_flow_monitor_series_matches_stepwise_reference():
         traj, rep = dynamics.deterministic_flow(
             SdeState.initial(np.array([1.0, -0.5]), kind), land, cfg, 0.5)
         assert rep.monitor_series.shape == (50, 3)
-        np.testing.assert_array_equal(rep.monitor_series, stepwise_monitors(traj, land, cfg))
+        np.testing.assert_array_equal(rep.monitor_series,
+                                      stepwise_monitors(flow_states(traj), land, cfg))
     sgd = OptimizerConfig(kind="SGD", step_h=1e-2, noise_scale=0.0)
     _, rep = dynamics.deterministic_flow(SdeState(theta=np.array([1.0, -0.5])), land, sgd, 0.5)
     assert rep.monitor_series is None

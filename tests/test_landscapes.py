@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levyescape import landscapes
@@ -181,8 +181,9 @@ def _region(kind, d, rng):
                                      height=rng.uniform(1.0, 3.0))
 
 
-@given(st.sampled_from(["interval", "diag", "dense"]), st.integers(1, 3),
+@given(st.sampled_from(["interval", "diag", "dense"]), st.integers(1, 8),
        st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+@example("dense", 8, 1998, 0)  # a batch of 2000 rows, as a flow's trajectory
 @settings(max_examples=60, deadline=None)
 def test_batched_membership_matches_rows(kind, d, n, seed):
     rng = np.random.default_rng(seed)
@@ -267,3 +268,24 @@ def test_affine_gradient_of_quadratics_and_base():
     lo, hi = dw.right_basin_interval()
     assert dw.affine_gradient(lo, hi) is None  # lo sits on the crossover
     assert dw.affine_gradient(lo + 1e-9, hi) == (300.0, 1.0)
+
+
+# FOUND (CHANGES.md): from d = 4 the matrix product d @ H rounds a row of a
+# dense H differently in batches of different sizes, so batched gradient rows
+# need not equal the same rows computed alone; ROADMAP item 5 is to mend it.
+# A diagonal H adds exact zeros, so its rows match at every d.
+_GRADIENT_ROWS_FOUND = pytest.mark.xfail(
+    strict=False, reason="FOUND: QuadraticBasin.gradient rows depend on the batch size for d >= 4")
+
+
+@pytest.mark.parametrize("kind, d", [("diag", d) for d in (1, 2, 3, 4, 5, 8)]
+                         + [("dense", d) for d in (1, 2, 3)]
+                         + [pytest.param("dense", d, marks=_GRADIENT_ROWS_FOUND)
+                            for d in (4, 5, 8)])
+def test_batched_gradient_matches_rows(kind, d):
+    rng = np.random.default_rng(d)
+    basin = _region(kind, d, rng)
+    pts = basin.center + rng.uniform(0.0, 3.0, (2000, 1)) * rng.standard_normal((2000, d))
+    batch = basin.gradient(pts)
+    assert batch.shape == (2000, d)
+    assert np.array_equal(batch, np.array([basin.gradient(p) for p in pts]))
