@@ -169,3 +169,23 @@ def noise_records_every_step(model, dataset, cfg, n_steps, window, batch_size, s
                                              noise_l2=float(np.linalg.norm(u))))
         state = dynamics.discrete_reference_step(state, g_batch, cfg)
     return records
+
+
+def chunk_outcome_oracle(basin, theta0, low, high):
+    """The chunk kernel's per-trial outcome, step by step from ``in_inner`` at both bracket ends.
+
+    A step is certainly inside when both ends are inside, and certainly
+    outside when both ends are outside with theta0 outside the bracket; a
+    trial reads 0 if every step is certainly inside, k if step k is the
+    first that is not and it is certainly outside, else -1.
+    """
+    out = np.zeros(len(low), dtype=int)
+    for i in range(len(low)):
+        for j in range(low.shape[1]):
+            low_in, high_in = (bool(basin.in_inner(np.array([x]))) for x in (low[i, j], high[i, j]))
+            if low_in and high_in:
+                continue
+            beside = theta0 <= low[i, j] or theta0 >= high[i, j]
+            out[i] = j + 1 if not (low_in or high_in) and beside else -1
+            break
+    return out

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from levyescape import dynamics, escape, geometry, landscapes, probe
 from levyescape.stable import ParameterError, sas_from_uniforms
+from oracles import chunk_outcome_oracle
 
 
 def interval_cfg(alpha=1.5, eps=0.05, b=1.0, mu=1.0, trials=400, max_steps=20000,
@@ -569,6 +570,96 @@ def test_uncertain_trials_rerun_on_generic_loop(monkeypatch):
     got = escape.run_escape_experiment(cfg).exit_steps
     assert len(rerun) == 1 and np.array_equal(rerun[0], ids)
     assert np.array_equal(got, expected)
+
+
+def _below_zero_case():
+    land = landscapes.QuadraticBasin(H=np.array([[1.0]]), center=np.array([-3.0]), height=1.0)
+    opt = dynamics.OptimizerConfig(kind="SGD", alpha=1.5, step_h=0.2, noise_scale=0.03)
+    return escape.EscapeConfig(
+        landscape=land, basin=landscapes.BasinSpec(landscapes.IntervalRegion(-4.7, -1.3), 0.03),
+        optimizer=opt, theta0=np.array([-3.0]), trials=10, max_steps=10)
+
+
+_ENDPOINT_CASES = {
+    **{f"fig3_a{a:g}": escape.double_well_config(a, 1.58e-4, trials=10, gamma=2.0)
+       for a in (1e5, 500.0, 150.0)},
+    "sweep_eps0.01": interval_cfg(eps=0.01, trials=10),
+    "sweep_eps0.1": interval_cfg(eps=0.1, trials=10),
+    "straddles_zero": _kernel_case("quadratic", 20, 0.5, 1.5, None, 0.3, 0.05, 10, 0),
+    "below_zero": _below_zero_case(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENDPOINT_CASES))
+def test_inner_ends_are_the_last_floats_in_inner_accepts(name):
+    cfg = _ENDPOINT_CASES[name]
+    region = cfg.basin.region
+    if name == "straddles_zero":
+        assert region.lo < 0.0 < region.hi
+    if name == "below_zero":
+        assert region.hi < 0.0
+    drift = escape._affine_drift(cfg)
+    assert drift is not None
+    inner_lo, inner_hi = drift[4:]
+    inner = cfg.basin.in_inner
+    assert inner(np.array([inner_lo])) and inner(np.array([inner_hi]))
+    assert not inner(np.array([np.nextafter(inner_lo, -np.inf)]))
+    assert not inner(np.array([np.nextafter(inner_hi, np.inf)]))
+    assert inner_lo <= cfg.theta0[0] <= inner_hi
+
+
+@pytest.mark.parametrize("name", ["fig3_a500", "straddles_zero", "below_zero"])
+def test_chunk_outcome_matches_the_in_inner_rule(name):
+    cfg = _ENDPOINT_CASES[name]
+    inner_lo, inner_hi = escape._affine_drift(cfg)[4:]
+    theta0 = float(cfg.theta0[0])
+    rng = np.random.default_rng(7)
+    # random brackets across the inner interval and past both of its ends
+    spread = inner_hi - inner_lo
+    x = rng.uniform(inner_lo - 0.2 * spread, inner_hi + 0.2 * spread, (300, 6))
+    x[:, :3] = rng.uniform(inner_lo, inner_hi, (300, 3))  # most trials start inside
+    half = spread * 10.0 ** rng.uniform(-12, -1, (300, 1))
+    half[::7] = 0.0
+    brackets = [(x - half, x + half)]
+    # brackets with an end on I_lo or I_hi or one float beyond
+    ends = []
+    for end in (inner_lo, inner_hi):
+        ends += [end, np.nextafter(end, -np.inf), np.nextafter(end, np.inf)]
+    edge = rng.choice(ends, (300, 6))
+    width = spread * 10.0 ** rng.uniform(-14, -2, (300, 6))
+    inside = rng.uniform(inner_lo + 0.3 * spread, inner_hi - 0.3 * spread, (300, 6))
+    on_low = rng.random((300, 6)) < 0.5
+    low = np.where(on_low, edge, np.minimum(edge - width, inside))
+    high = np.where(on_low, np.maximum(edge + width, inside), edge)
+    brackets.append((low, high))
+    low, high = np.where(on_low, edge, edge - width), np.where(on_low, edge + width, edge)
+    low[:2], high[:2] = inner_lo, inner_hi  # exactly the inner interval: inside
+    high[1, 3] = np.nextafter(inner_hi, np.inf)  # one float beyond it: undecided
+    brackets.append((low, high))
+    seen = set()
+    for low, high in brackets:
+        got = escape._chunk_outcome(inner_lo, inner_hi, low, high)
+        assert np.array_equal(got, chunk_outcome_oracle(cfg.basin, theta0, low, high))
+        seen.update(got.tolist())
+    assert {-1, 0, 1, 2}.issubset(seen)
+
+
+def test_sweep_bound_stays_certain_over_a_long_run(monkeypatch):
+    # the carried bound no longer decays with rho^L; on the sweep's smallest
+    # amplitude no trial is left undecided over 60000 steps
+    cfg = interval_cfg(eps=0.01, trials=200, max_steps=60000, seed=2024)
+    assert escape._affine_drift(cfg) is not None
+    rerun = []
+    generic = escape._run_generic
+
+    def recording(cfg, trial_ids):
+        rerun.append(trial_ids.copy())
+        return generic(cfg, trial_ids)
+
+    monkeypatch.setattr(escape, "_run_generic", recording)
+    stats = escape.run_escape_experiment(cfg)
+    assert rerun == []
+    assert stats.exit_steps.max() > 15000  # the bound was carried over 60 chunks and more
 
 
 def test_chunk_kernel_engages_only_on_1d_sgd_intervals(monkeypatch):
