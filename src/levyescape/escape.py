@@ -248,13 +248,13 @@ def _affine_drift(cfg):
 def _inner_ends(basin, theta0):
     """``(I_lo, I_hi)``, the least and the greatest float ``basin.in_inner`` accepts.
 
-    Bisection over the float ordering from theta0 towards the region's ends;
+    Bisection over the float ordering from theta0 towards the region's ends (as floats);
     the key k ^ (k >> 63 & (2^63 - 1)) of a float's bits k orders floats as
     their values and is its own inverse.
     """
     order = lambda k: k ^ ((k >> 63) & np.int64(2 ** 63 - 1))
     inside = order(np.array([theta0, theta0]).view(np.int64))
-    outside = order(np.array([basin.region.lo, basin.region.hi]).view(np.int64))
+    outside = order(np.array([basin.region.lo, basin.region.hi], float).view(np.int64))
     for _ in range(64):  # halves each key gap, below 2^64, down to 1
         mid = (inside >> 1) + (outside >> 1) + (inside & outside & 1)
         ok = basin.in_inner(order(mid).view(np.float64)[:, None])

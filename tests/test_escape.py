@@ -580,6 +580,17 @@ def _below_zero_case():
         optimizer=opt, theta0=np.array([-3.0]), trials=10, max_steps=10)
 
 
+def _int_ends_case(lo, hi, trials=10, max_steps=10):
+    """A 1D quadratic basin whose region ends are Python ints, centred on the region."""
+    mid = (lo + hi) / 2
+    land = landscapes.QuadraticBasin(H=np.array([[1.0]]), center=np.array([mid]), height=0.5)
+    opt = dynamics.OptimizerConfig(kind="SGD", alpha=1.5, step_h=0.2, noise_scale=0.1)
+    return escape.EscapeConfig(
+        landscape=land, basin=landscapes.BasinSpec(landscapes.IntervalRegion(lo, hi), 0.1),
+        optimizer=opt, theta0=np.array([mid]), trials=trials, max_steps=max_steps,
+        base_seed=5)
+
+
 _ENDPOINT_CASES = {
     **{f"fig3_a{a:g}": escape.double_well_config(a, 1.58e-4, trials=10, gamma=2.0)
        for a in (1e5, 500.0, 150.0)},
@@ -587,6 +598,8 @@ _ENDPOINT_CASES = {
     "sweep_eps0.1": interval_cfg(eps=0.1, trials=10),
     "straddles_zero": _kernel_case("quadratic", 20, 0.5, 1.5, None, 0.3, 0.05, 10, 0),
     "below_zero": _below_zero_case(),
+    "int_ends_-1_1": _int_ends_case(-1, 1),
+    "int_ends_0_2": _int_ends_case(0, 2),
 }
 
 
@@ -608,7 +621,18 @@ def test_inner_ends_are_the_last_floats_in_inner_accepts(name):
     assert inner_lo <= cfg.theta0[0] <= inner_hi
 
 
-@pytest.mark.parametrize("name", ["fig3_a500", "straddles_zero", "below_zero"])
+@pytest.mark.parametrize("lo, hi", [(-1, 1), (0, 2)])
+def test_chunk_kernel_matches_generic_loop_on_int_ends(lo, hi):
+    # int ends must bound the inner interval by their values, not by their bits
+    cfg = _int_ends_case(lo, hi, trials=200, max_steps=3000)
+    assert isinstance(cfg.basin.region.hi, int) and escape._affine_drift(cfg) is not None
+    ids = np.arange(cfg.trials)
+    expected = escape._run_generic(cfg, ids)
+    assert np.unique(expected).size > 20
+    assert np.array_equal(escape._run_block(cfg, ids), expected)
+
+
+@pytest.mark.parametrize("name", ["fig3_a500", "straddles_zero", "below_zero", "int_ends_0_2"])
 def test_chunk_outcome_matches_the_in_inner_rule(name):
     cfg = _ENDPOINT_CASES[name]
     inner_lo, inner_hi = escape._affine_drift(cfg)[4:]

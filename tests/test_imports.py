@@ -143,36 +143,25 @@ def test_cli_import_leaves_out_scipy_signal():
 
 
 def test_geometry_and_compare_leave_out_scipy():
-    # scipy.special alone adds about 0.4 s to start-up on a 2-vCPU x86 host
+    # scipy.special alone adds about 0.4 s to start-up on a 2-vCPU x86 host; the
+    # chunk kernel's scan and bound are plain numpy, where scipy.signal.lfilter
+    # would add about 1.5 s to every fig3 or sweep run
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                                       env.get("PYTHONPATH")]))
     spectrum = ["--lambdas", "10 0.1", "--sigmas", "3 0.1", "--n-dirs", "500",
                 "--out", os.devnull]
-    code = ("import sys; from levyescape.cli import main; "
-            f"assert main(['geometry', *{spectrum!r}]) == 0; "
-            f"assert main(['compare', *{spectrum!r}, '--trials', '4', '--max-steps', '50']) == 0; "
-            "print('scipy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_escape_ensemble_leaves_out_scipy():
-    # the chunk kernel's scan and bound are plain numpy: scipy.signal.lfilter
-    # would add about 1.5 s of import to every fig3 or sweep run (2-vCPU x86 host)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
-                                                      env.get("PYTHONPATH")]))
     fig3 = ["--a-values", "100000 500 150", "--noise-scale", "1.58e-4", "--gamma", "2.0",
             "--drift-scale", "5e-5", "--drift-substeps", "20", "--trials", "50",
             "--max-steps", "300", "--out", os.devnull]
     code = ("import sys; from levyescape.cli import main; "
+            f"assert main(['geometry', *{spectrum!r}]) == 0; "
+            f"assert main(['compare', *{spectrum!r}, '--trials', '4', '--max-steps', '50']) == 0; "
             f"assert main(['escape', *{fig3!r}]) == 0; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print('scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "False"
 
 
 def test_import_leaves_out_random_and_thread_pool():
