@@ -402,7 +402,9 @@ class SasStream:
     exponential cursor sits at the next block's angle row 0, so the two
     swap roles and the old angle cursor, at the old block's exponential
     row 0, moves ``2 * BLOCK * dim`` outputs ahead.  Only the rows handed
-    out are transformed, in one batched call per slice of values.
+    out are transformed, in one ``sas_from_uniforms`` call per draw that
+    writes over the angle uniforms and spreads its slices over the usable
+    cores.
 
     Start memo: ensembles that share their seeds read the same streams
     (``compare_optimizers`` runs one per optimizer, ``scaling_sweep`` one
@@ -424,7 +426,6 @@ class SasStream:
     # loops' first two 8-row chunks up to dim 2 (and the first up to dim 4),
     # so trials that leave a thinning basin by step 16 build no generators.
     _STEPPED = 32
-    _CMS_SLICE = 32768  # values per transform call; bounds its temporaries
 
     def __init__(self, alpha, dim, seed):
         self.alpha = alpha
@@ -488,10 +489,7 @@ class SasStream:
 
     def _transform(self, u_angle, u_exp):
         """The CMS transform of the uniforms, written over ``u_angle``, which it returns."""
-        flat_angle, flat_exp = u_angle.reshape(-1), u_exp.reshape(-1)
-        for lo in range(0, flat_angle.size, self._CMS_SLICE):
-            part = slice(lo, lo + self._CMS_SLICE)
-            flat_angle[part] = sas_from_uniforms(self.alpha, flat_angle[part], flat_exp[part])
+        sas_from_uniforms(self.alpha, u_angle, u_exp, out=u_angle)
         return u_angle
 
     def _stepped_uniforms(self, n):

@@ -414,9 +414,13 @@ def run_escape_experiment(cfg, threads=None):
     memo.  ``threads`` (None = serial) splits the trials over a thread pool,
     each block a stream of its own, so at most one block reads the memo.
     The pool is reachable only through this argument and is kept for the
-    benchmark's thread-scaling measurement, where two threads ran the sweep
-    point 1.10-1.51x faster than one at seeds 1-4 (two cores, equal exit
-    steps); a benchmark change is to decide the default.
+    benchmark's thread-scaling measurement.  Its blocks share the stable
+    transform's slice workers, which already spread every transform of two
+    or more slices over the usable cores, so two threads no longer beat
+    one: traced fig3 at seed 5 read ``escape.threads2_speedup`` 0.89-0.98,
+    against 1.10-1.26 before the transform was sliced (two cores, three
+    runs each, equal exit steps).  Deleting or reusing this pool is left
+    to a benchmark change.
     """
     all_ids = np.arange(cfg.trials)
     if threads is None or threads <= 1 or cfg.trials < 2 * threads:

@@ -7,7 +7,11 @@ a Gaussian with variance 2 sigma^2.
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,24 +63,116 @@ class StableLaw:
         return np.exp(-self.sigma ** self.alpha * np.abs(omega) ** self.alpha)
 
 
-def sas_from_uniforms(alpha, u_angle, u_exp):
+# Elementwise passes run in slices of _SLICE values, which bounds each
+# slice's temporaries and lets the usable cores share a pass (``_sliced``).
+_SLICE = 32768
+_pool = None  # (executor or None, workers), set by the first pass of two or more slices
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    # a forked child has none of its parent's threads; it builds its own pool
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _slice_pool():
+    """The slice workers' executor and their number: one per usable core but the caller's."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            try:
+                cores = len(os.sched_getaffinity(0))
+            except AttributeError:  # no sched_getaffinity on this platform
+                cores = os.cpu_count() or 1
+            executor = None
+            if cores > 1:
+                from concurrent.futures import ThreadPoolExecutor  # about 6 ms to import
+
+                executor = ThreadPoolExecutor(cores - 1, thread_name_prefix="levyescape-slice")
+            _pool = (executor, cores - 1)
+        return _pool
+
+
+def _drain(todo, kernel, args):
+    while True:
+        try:
+            part = todo.popleft()
+        except IndexError:  # every slice is taken
+            return
+        kernel(part, *args)
+
+
+def _sliced(kernel, n, *args):
+    """Call ``kernel(part, *args)`` for each slice ``part`` of range(n) of ``_SLICE`` values.
+
+    ``kernel`` must write each slice's result from that slice's inputs
+    alone, so the result does not depend on which thread takes which slice.
+    The calling thread and the pool's workers take slices from one queue;
+    once it is empty the caller cancels the worker tasks that have not
+    started, so a busy core delays the pass by at most one slice.  Each
+    task runs in a copy of the caller's context, which carries numpy's
+    error state.  Workers run ``kernel``, never a public function: the
+    benchmark's spans wrap those and expect them on one thread.
+    """
+    if n <= _SLICE:
+        return kernel(slice(0, n), *args)
+    todo = collections.deque(slice(lo, lo + _SLICE) for lo in range(0, n, _SLICE))
+    executor, workers = _slice_pool()
+    tasks = [executor.submit(contextvars.copy_context().run, _drain, todo, kernel, args)
+             for _ in range(min(workers, len(todo) - 1))]
+    try:
+        _drain(todo, kernel, args)
+    finally:
+        todo.clear()  # after an error on this thread, workers stop at their current slice
+        started = [task for task in tasks if not task.cancel()]
+        for task in started:
+            task.exception()  # waits: the caller's arrays are its own again after this
+    for task in started:
+        task.result()  # raises a worker's error
+
+
+def sas_from_uniforms(alpha, u_angle, u_exp, out=None):
     """Chambers-Mallows-Stuck transform from uniforms on (0, 1).
 
     ``u_angle`` maps to the angle V = pi * (u_angle - 1/2) and ``u_exp`` to
     the exponential W = -log(u_exp).  Mapping u_angle -> 1 - u_angle negates
-    the output, which is the symmetry the tests rely on.  The arithmetic
-    runs in place on three temporaries of its own; the inputs are not
-    written.
+    the output, which is the symmetry the tests rely on.  The result goes
+    to ``out`` if given, a C-contiguous float64 array of the result's shape
+    that may be ``u_angle`` itself, else to a new array; the inputs are not
+    otherwise written.  The arithmetic runs slice by slice (``_sliced``),
+    in place on two temporaries per slice and on the slice of the result.
     """
     _check_alpha(alpha)
     u_angle = np.asarray(u_angle, dtype=float)
     u_exp = np.asarray(u_exp, dtype=float)
-    v = np.subtract(u_angle, 0.5, out=np.empty(u_angle.shape))
+    shape = u_angle.shape if alpha == 1.0 else np.broadcast(u_angle, u_exp).shape
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    flat_exp = None if alpha == 1.0 else _flat(u_exp, shape)
+    _sliced(_cms_slice, out.size, alpha, _flat(u_angle, shape), flat_exp, out.reshape(-1))
+    return out[()]  # [()]: a scalar for 0-d inputs
+
+
+def _flat(u, shape):
+    """``u`` broadcast to ``shape`` and flattened: a view if C-contiguous in it, else a copy."""
+    return (u if u.shape == shape else np.broadcast_to(u, shape)).reshape(-1)
+
+
+def _cms_slice(part, alpha, u_angle, u_exp, out):
+    v = out[part]
+    np.subtract(u_angle[part], 0.5, out=v)
     v *= np.pi
     if alpha == 1.0:
-        return np.tan(v, out=v)[()]  # [()]: a scalar for 0-d inputs
-    shape = np.broadcast_shapes(u_angle.shape, u_exp.shape)
-    w = np.log(u_exp, out=np.empty(shape))
+        np.tan(v, out=v)
+        return
+    w = np.log(u_exp[part])
     np.negative(w, out=w)
     if alpha == 2.0:
         # sin(2V)/cos(V)^(1/2) * (cos(V)/W)^(-1/2) = 2 sin(V) sqrt(W): exact
@@ -84,11 +180,11 @@ def sas_from_uniforms(alpha, u_angle, u_exp):
         np.sin(v, out=v)
         v *= 2.0
         np.sqrt(w, out=w)
-        w *= v
-        return w[()]
+        v *= w
+        return
     # t = sin(alpha V) / cos(V)^(1/alpha) and s = (cos((1 - alpha) V) / W)^((1 - alpha)/alpha);
     # ``**=`` takes the same scalar-exponent paths (sqrt, square, ...) as ``**``
-    t = np.multiply(1.0 - alpha, v, out=np.empty(shape))
+    t = np.multiply(1.0 - alpha, v)
     np.cos(t, out=t)
     s = np.divide(t, w, out=w)
     s **= (1.0 - alpha) / alpha
@@ -96,9 +192,8 @@ def sas_from_uniforms(alpha, u_angle, u_exp):
     np.sin(t, out=t)
     np.cos(v, out=v)
     v **= 1.0 / alpha
-    t /= v
-    t *= s
-    return t[()]
+    np.divide(t, v, out=v)
+    v *= s
 
 
 def sample_sas(law, n, seed=None, rng=None):
@@ -108,8 +203,9 @@ def sample_sas(law, n, seed=None, rng=None):
     if rng is None:
         rng = np.random.default_rng(seed)
     u_angle = rng.random(n)
-    u_exp = rng.random(n)
-    return law.sigma * sas_from_uniforms(law.alpha, u_angle, u_exp)
+    x = sas_from_uniforms(law.alpha, u_angle, rng.random(n), out=u_angle)
+    x *= law.sigma
+    return x
 
 
 def empirical_char_fn(samples, omega):
@@ -118,19 +214,25 @@ def empirical_char_fn(samples, omega):
     The imaginary part vanishes in expectation by symmetry; it is asserted
     small (|mean sin| < 5/sqrt(n)) and then discarded.
     """
-    samples = np.atleast_1d(np.asarray(samples, dtype=float))
+    samples = np.asarray(samples, dtype=float).reshape(-1)
     n = samples.size
     if n == 0:
         raise SampleSizeError("empirical_char_fn needs a nonempty sample")
-    phase = omega * samples
-    buf = np.sin(phase)
+    buf = np.empty(n)  # the sin and then the cos of omega * samples
+    _sliced(_phase_slice, n, np.sin, omega, samples, buf)
     imag = float(np.mean(buf))
     if abs(imag) >= 5.0 / math.sqrt(n):
         raise ValueError(
             f"imaginary part {imag:.4g} of the empirical characteristic function "
             f"exceeds the symmetry guard 5/sqrt(n); input looks asymmetric"
         )
-    return float(np.mean(np.cos(phase, out=buf)))
+    _sliced(_phase_slice, n, np.cos, omega, samples, buf)
+    return float(np.mean(buf))
+
+
+def _phase_slice(part, trig, omega, x, out):
+    np.multiply(omega, x[part], out=out[part])
+    trig(out[part], out=out[part])
 
 
 def estimate_tail_index(samples, k1=None, k2=None):

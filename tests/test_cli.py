@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -349,3 +352,18 @@ def test_escape_passes_only_given_keys_to_library(tmp_path, monkeypatch):
     for field in dataclasses.fields(expect):
         a, b = getattr(got, field.name), getattr(expect, field.name)
         assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, field.name
+
+
+def test_compare_preset_runs_serially():
+    # no transform of the compare preset reaches two slices, so no slice
+    # pool is built: no thread is started and concurrent.futures stays out
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    preset = os.path.join(PRESETS, "measure_compare.cfg")
+    code = ("import os, sys, threading; from levyescape.cli import main; "
+            f"assert main(['compare', '--config', {preset!r}, '--out', os.devnull]) == 0; "
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["1", "False"]

@@ -523,9 +523,9 @@ def test_start_memo_misses_on_another_key(monkeypatch, alpha, d, seeds, n, taken
     dynamics.SasStream(1.5, 2, _MEMO_SEEDS).draw(8)
     counted = []
 
-    def counting(alpha, u_angle, u_exp):
+    def counting(alpha, u_angle, u_exp, out=None):
         counted.append(np.size(u_angle))
-        return sas_from_uniforms(alpha, u_angle, u_exp)
+        return sas_from_uniforms(alpha, u_angle, u_exp, out=out)
 
     monkeypatch.setattr(dynamics, "sas_from_uniforms", counting)
     stream = dynamics.SasStream(alpha, d, seeds)

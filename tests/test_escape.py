@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import threading
 import types
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyescape import dynamics, escape, geometry, landscapes, probe
+from levyescape import dynamics, escape, geometry, landscapes, probe, stable
 from levyescape.stable import ParameterError, sas_from_uniforms
 from oracles import chunk_outcome_oracle
 
@@ -73,9 +74,9 @@ def _count_transforms(monkeypatch):
     """Sizes of every batch of values passed to the CMS transform."""
     counted = []
 
-    def counting(alpha, u_angle, u_exp):
+    def counting(alpha, u_angle, u_exp, out=None):
         counted.append(np.size(u_angle))
-        return sas_from_uniforms(alpha, u_angle, u_exp)
+        return sas_from_uniforms(alpha, u_angle, u_exp, out=out)
 
     monkeypatch.setattr(dynamics, "sas_from_uniforms", counting)
     return counted
@@ -158,6 +159,29 @@ def test_blocks_thinning_differently_give_serial_exit_steps(monkeypatch):
     serial = escape.run_escape_experiment(cfg).exit_steps
     assert np.unique(serial).size > 10
     assert np.array_equal(escape.run_escape_experiment(cfg, threads=2).exit_steps, serial)
+
+
+def test_blocks_share_the_slice_pool_and_give_serial_exit_steps(monkeypatch):
+    # the second chunk (248 rows) of each 100-trial block holds more than one
+    # slice of values, so both blocks' transforms use the one slice pool
+    cfg = _compare_basin_cfg("SGD", 0.02, trials=200, max_steps=256, seed=3)
+    serial = escape.run_escape_experiment(cfg).exit_steps
+    passes, sliced = [], stable._sliced
+
+    def recording(kernel, n, *args):
+        passes.append((threading.get_ident(), n))
+        return sliced(kernel, n, *args)
+
+    monkeypatch.setattr(stable, "_sliced", recording)
+    runs = []
+    runner = threading.Thread(target=lambda: runs.append(
+        escape.run_escape_experiment(cfg, threads=2).exit_steps), daemon=True)
+    runner.start()
+    runner.join(60)
+    assert not runner.is_alive()
+    assert np.array_equal(runs[0], serial)
+    multi_slice = {tid for tid, n in passes if n > stable._SLICE}
+    assert len(multi_slice) == 2 and runner.ident not in multi_slice
 
 
 def test_stream_follows_survivors_once_per_chunk(monkeypatch):

@@ -1,4 +1,11 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -107,6 +114,141 @@ def test_transform_in_place_matches_reference(alpha):
         assert np.array_equal(wide, cms_reference(alpha, u_angle[:, :1], u_exp[0]))
         one = stable.sas_from_uniforms(alpha, 0.3, 0.6)
         assert np.ndim(one) == 0 and one == cms_reference(alpha, 0.3, 0.6)
+
+
+S = stable._SLICE
+
+
+@pytest.mark.parametrize("n", [1, S, S + 1, 5 * S + 7])
+@pytest.mark.parametrize("alpha", [0.5, 2.0 / 3.0, 1.0, 1.5, 2.0])
+def test_transform_bit_equal_across_slice_edges(alpha, n):
+    # 0.5 and 2/3 take ``**``'s special paths, 1 is tan and 2 the Gaussian
+    # branch; a skipped slice leaves values unwritten, and with ``out`` the
+    # angle uniforms, a repeated one transforms its values twice
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (3, n, 2)):
+        u_angle, u_exp = rng.random(shape), rng.random(shape)
+        before = u_angle.tobytes(), u_exp.tobytes()
+        expected = cms_reference(alpha, u_angle, u_exp).tobytes()
+        assert stable.sas_from_uniforms(alpha, u_angle, u_exp).tobytes() == expected
+        assert (u_angle.tobytes(), u_exp.tobytes()) == before
+        strided = np.stack([u_angle, u_exp], axis=-1)  # each input's values 16 bytes apart
+        assert strided[..., 0].strides[-1] == 16
+        assert stable.sas_from_uniforms(alpha, strided[..., 0],
+                                        strided[..., 1]).tobytes() == expected
+        got = stable.sas_from_uniforms(alpha, u_angle, u_exp, out=u_angle)
+        assert np.shares_memory(got, u_angle) and u_angle.tobytes() == expected
+        assert u_exp.tobytes() == before[1]
+
+
+def test_transform_rejects_an_out_it_cannot_fill():
+    u = np.full((4, 3), 0.25)
+    for out in (np.empty(12), np.empty((4, 3), dtype=np.float32), np.empty((3, 4)).T):
+        with pytest.raises(ValueError, match="out must be"):
+            stable.sas_from_uniforms(1.5, u, u, out=out)
+
+
+def test_sample_sas_scales_in_place_bit_equal():
+    law = stable.StableLaw(1.3, sigma=2.5)
+    rng = np.random.default_rng(8)
+    u_angle, u_exp = rng.random(2 * S + 3), rng.random(2 * S + 3)
+    got = stable.sample_sas(law, 2 * S + 3, seed=8)
+    assert got.tobytes() == (2.5 * cms_reference(1.3, u_angle, u_exp)).tobytes()
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """A pool of one slice worker, whatever the number of usable cores."""
+    with ThreadPoolExecutor(1) as executor:
+        monkeypatch.setattr(stable, "_pool", (executor, 1))
+        yield
+
+
+def test_slices_are_each_taken_once_by_more_workers_than_cores(monkeypatch):
+    # out = u_angle: a slice taken twice is transformed twice, one never taken stays uniform
+    rng = np.random.default_rng(3)
+    uniforms, u_exp = rng.random(9 * S + 5), rng.random(9 * S + 5)
+    expected = cms_reference(1.5, uniforms, u_exp).tobytes()
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(4) as executor:
+        monkeypatch.setattr(stable, "_pool", (executor, 4))
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                u_angle = uniforms.copy()
+                stable.sas_from_uniforms(1.5, u_angle, u_exp, out=u_angle)
+                assert u_angle.tobytes() == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def _zero_in_a_worker_slice(monkeypatch):
+    # the calling thread holds its first slice until the worker has taken
+    # one, and the worker's slices see u_exp = 0.0 at their first value
+    caller, taken = threading.get_ident(), threading.Event()
+    cms_slice = stable._cms_slice
+
+    def kernel(part, alpha, u_angle, u_exp, out):
+        if threading.get_ident() == caller:
+            assert taken.wait(30)
+            return cms_slice(part, alpha, u_angle, u_exp, out)
+        taken.set()
+        zeroed = u_exp[part].copy()
+        zeroed[0] = 0.0
+        return cms_slice(slice(0, zeroed.size), alpha, u_angle[part], zeroed, out[part])
+
+    monkeypatch.setattr(stable, "_cms_slice", kernel)
+
+
+def test_worker_slices_raise_under_the_callers_error_state(monkeypatch, one_worker):
+    _zero_in_a_worker_slice(monkeypatch)
+    u_angle, u_exp = np.full(5 * S, 0.3), np.full(5 * S, 0.5)
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        stable.sas_from_uniforms(1.5, u_angle, u_exp)
+
+
+def test_worker_slices_stay_quiet_under_the_callers_error_state(monkeypatch, one_worker):
+    # W = inf makes the result infinite through divisions by zero alone
+    _zero_in_a_worker_slice(monkeypatch)
+    u_angle, u_exp = np.full(5 * S, 0.3), np.full(5 * S, 0.5)
+    with np.errstate(divide="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = stable.sas_from_uniforms(1.5, u_angle, u_exp)
+    infinite = np.flatnonzero(np.isinf(x))
+    assert infinite.size and np.all(infinite % S == 0)  # the first value of each worker slice
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_drops_the_pool_and_transforms():
+    # the child has none of the parent's threads: it forgets the parent's
+    # pool and must finish a five-slice transform on its own
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import os, sys, time\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import numpy as np\n"
+        "from levyescape import stable\n"
+        "stable._pool = (ThreadPoolExecutor(1), 1)\n"
+        "u = np.full(5 * stable._SLICE, 0.25)\n"
+        "want = stable.sas_from_uniforms(1.5, u, u)\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    dropped = stable._pool is None\n"
+        "    same = np.array_equal(stable.sas_from_uniforms(1.5, u, u), want)\n"
+        "    os._exit(0 if dropped and same else 1)\n"
+        "deadline = time.monotonic() + 60\n"
+        "while time.monotonic() < deadline:\n"
+        "    done, status = os.waitpid(pid, os.WNOHANG)\n"
+        "    if done:\n"
+        "        sys.exit(os.waitstatus_to_exitcode(status))\n"
+        "    time.sleep(0.02)\n"
+        "os.kill(pid, 9)\n"
+        "sys.exit(3)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def test_sampler_determinism():
