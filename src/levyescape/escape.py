@@ -152,8 +152,9 @@ def _run_chunks(cfg, trial_ids, state, advance):
     step, thinned = 0, True
     while step < cfg.max_steps and active.size:
         chunk = _chunk_length(cfg, step, thinned)
-        # no name holds the noise across the next draw
-        state, ends = advance(cfg, state, stream.draw(chunk))
+        # no name holds the noise across the next draw, nor the chunk's
+        # starting state once the step drops it: the step gets the only reference
+        state, ends = advance(cfg, state, (state := None) or stream.draw(chunk))
         keep = ends == 0
         exit_step[active[~keep]] = np.where(ends[~keep] > 0, step + ends[~keep], 0)
         thinned = 2 * int(keep.sum()) <= active.size
@@ -263,57 +264,74 @@ def _inner_ends(basin, theta0):
 
 
 def _affine_scan(a, y0, y):
-    """Overwrite ``y`` (rows, L) with the recursion y_j = a y_{j-1} + y_j from y_0 = ``y0``.
+    """Overwrite ``y`` (L, rows) with the recursion y_j = a y_{j-1} + y_j from y_0 = ``y0``.
 
-    A doubling (Hillis-Steele) scan: after pass k every entry holds the sum
-    of its last 2^k terms, so ceil(log2 L) passes of ``y[:, s:] += a^s y[:, :-s]``
-    replace the L sequential steps.  Rounding: each input term reaches output
-    j through at most ceil(log2 L) multiplications and ceil(log2 L) + 1
-    additions, the first one adding a y0, and a^s, formed by repeated
-    squaring, carries s - 1 roundings of a; so the computed y_j differs from
-    the exact recursion with this ``a`` by at most
+    A doubling (Hillis-Steele) scan along axis 0: after pass k every entry
+    holds the sum of its last 2^k terms, so ceil(log2 L) passes of
+    ``y[s:] += a^s y[:-s]`` replace the L sequential steps; time-major, each
+    pass is one contiguous array operation.  Rounding: each input term
+    reaches output j through at most ceil(log2 L) multiplications and
+    ceil(log2 L) + 1 additions, the first one adding a y0, and a^s, formed by
+    repeated squaring, carries s - 1 roundings of a; so the computed y_j
+    differs from the exact recursion with this ``a`` by at most
     gamma_N (|a|^j |y0| + sum_i |a|^(j-i) |y_i|), N = L + 2 ceil(log2 L) + 2,
     gamma_N = N u / (1 - N u), u = 2^-53.
     """
-    y[:, 0] += a * y0
-    shift, power = 1, a
-    while shift < y.shape[1]:
-        y[:, shift:] += power * y[:, :-shift]
+    y[0] += a * y0
+    shift, power, scratch = 1, a, np.empty_like(y)
+    while shift < len(y):
+        np.multiply(power, y[:-shift], out=scratch[shift:])
+        y[shift:] += scratch[shift:]
         shift, power = 2 * shift, power * power
     return y
 
 
 def _chunk_bracket(drift, xi, y, dev):
-    """Brackets ``(low, high)``, each (rows, L), around the generic iterates of one chunk.
+    """Brackets ``(low, high)``, each (L, rows), around the generic iterates of one chunk.
 
-    ``xi`` (rows, L) holds the noise terms and is overwritten; ``y`` and
-    ``dev`` (rows,), the offsets theta - c and their deviation bounds at the
-    chunk start, are advanced in place to the chunk end.  The bracket holds
-    the generic loop's iterate at every step up to a trial's first exit (see
-    ``_run_block``); a step whose bracket straddles the basin's edge leaves
-    the trial undecided, exit step 0 in the driver's result.
+    ``xi`` (rows, L) holds the noise terms as ``noise_term`` forms them and is
+    overwritten with |xi|; ``y`` and ``dev`` (rows,), the offsets theta - c
+    and their deviation bounds at the chunk start, are advanced in place to
+    the chunk end.  The bracket holds the generic loop's iterate at every
+    step up to a trial's first exit (see ``_run_block``); a step whose
+    bracket straddles the basin's edge leaves the trial undecided, exit step
+    0 in the driver's result.  The scan runs on a time-major copy of ``xi``.
+
+    S of ``_run_block`` sums |xi_j| in one pairwise row sum per trial
+    (within gamma_(ceil(log2 L))) before the transpose.  The copy's
+    ``sum(axis=0)`` would add sequentially, within gamma_(L-1), and L - 1
+    plus S's four other roundings is at most N, so S would still be low by
+    less than 1 + 4 gamma_N; but numpy adds a one-column slice pairwise, so
+    a trial's dev would depend on its slice's width.
     """
     big_r, rho, c, b = drift[:4]
     length = xi.shape[1]
     n = length + 2 * math.ceil(math.log2(length)) + 2
     gamma_n = n * _U / (1.0 - n * _U)
-    # S of ``_run_block`` from one row sum, which rounds it down by less than 1 + 4 gamma_n
-    total = np.abs(xi).sum(axis=1) * (1.01 * _U + gamma_n)
+    x = xi.T.copy()
+    total = np.abs(xi, out=xi).sum(axis=1) * (1.01 * _U + gamma_n)
+    del xi  # the rows are freed before the scan's scratch is allocated
     total += dev + gamma_n * np.abs(y) + length * b
-    x = _affine_scan(big_r, y, xi)
-    y[:], dev[:] = x[:, -1], max(1.0, rho) ** length * total * (1.0 + 4.0 * gamma_n)
+    x = _affine_scan(big_r, y, x)
+    y[:], dev[:] = x[-1], max(1.0, rho) ** length * total * (1.0 + 4.0 * gamma_n)
     x += c
-    half = (_BOUND_SLACK * (dev + 2.0 * _U * np.maximum(x.max(axis=1), -x.min(axis=1))))[:, None]
-    return x - half, x + half
+    half = _BOUND_SLACK * (dev + 2.0 * _U * np.maximum(x.max(axis=0), -x.min(axis=0)))
+    low = x - half
+    x += half
+    return low, x
 
 
 def _chunk_outcome(inner_lo, inner_hi, low, high):
-    """Per trial: 0 if certainly inside throughout, k if it certainly first exits at step k, else -1."""
+    """Per column (trial): 0 if certainly inside throughout, k if it certainly
+    first exits at step k, else -1.  Only the columns that are not certainly
+    inside at every step search for their first step that is not."""
     stays = (low >= inner_lo) & (high <= inner_hi)
-    stop = np.argmin(stays, axis=1)
-    rows = np.arange(stop.size)
-    leaves = (high[rows, stop] < inner_lo) | (low[rows, stop] > inner_hi)
-    return np.where(stays[rows, stop], 0, np.where(leaves, stop + 1, -1))
+    out = np.zeros(stays.shape[1], dtype=np.int32)
+    cols = np.flatnonzero(~stays.all(axis=0))
+    stop = np.argmin(stays[:, cols], axis=0)
+    leaves = (high[stop, cols] < inner_lo) | (low[stop, cols] > inner_hi)
+    out[cols] = np.where(leaves, stop + 1, -1)
+    return out
 
 
 def _scan_chunk(drift, cfg, state, noise):
@@ -326,8 +344,9 @@ def _scan_chunk(drift, cfg, state, noise):
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, y.size, rows):
             sl = slice(lo, lo + rows)
-            xi = opt.noise_term(scale * noise[sl])[..., 0]
-            ends[sl] = _chunk_outcome(*drift[4:], *_chunk_bracket(drift, xi, y[sl], dev[sl]))
+            # not named here, so the bracket can free the rows once it has copied them
+            ends[sl] = _chunk_outcome(*drift[4:], *_chunk_bracket(
+                drift, opt.noise_term(scale * noise[sl])[..., 0], y[sl], dev[sl]))
     keep = ends == 0
     return (y[keep], dev[keep]), ends
 
@@ -345,7 +364,8 @@ def _run_block(cfg, trial_ids):
     y_j = R y_{j-1} + xi_j.  The kernel's step (``_scan_chunk``) forms
     xi = noise_term(scale * noise) from the same ``SasStream`` rows, the
     call the generic step makes, so xi carries the generic bits, and runs
-    the recursion as one ``_affine_scan`` per slice of trials.
+    the recursion as one ``_affine_scan`` per slice of trials, time-major
+    (L, rows) so that each doubling pass is one contiguous operation.
 
     Rounding-error bound.  Let u = 2^-53, x_j the generic loop's iterate,
     Y = max |theta - c| over the region, and delta_j a bound on
@@ -364,8 +384,10 @@ def _run_block(cfg, trial_ids):
     b_j = u (8.1 K + 1.01) (|c| + Y) + 10 K u Y + (1.01 u + gamma_N) |xi_j|
     and the bound dev carried in, every delta_j of an L-step chunk is at
     most P S, P = max(1, rho)^L, S = dev + gamma_N |y~_0| + sum_j b_j: one
-    row sum per trial, low by less than a factor 1 + 4 gamma_N (Higham 2002,
-    ch. 4), and P S (1 + 4 gamma_N) is the next chunk's dev.  The check uses
+    pairwise row sum per trial, taken before the transpose, low by less than
+    a factor 1 + 4 gamma_N (Higham 2002, ch. 4; ``_chunk_bracket``), and
+    P S (1 + 4 gamma_N) is the next chunk's dev, bit for bit the same
+    whatever the slice width.  The check uses
     Delta = _BOUND_SLACK (P S (1 + 4 gamma_N) + 2 u max_j |x~_j|) per trial
     and chunk, which also covers forming x~_j = c + y~_j and x~_j -+ Delta.
     It does not decay with rho^L; on the sweep preset (eps = 0.01, 33543

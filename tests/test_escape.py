@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import math
+import sys
 import threading
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -200,6 +202,25 @@ def test_stream_follows_survivors_once_per_chunk(monkeypatch):
     stats = escape.run_escape_experiment(cfg)
     assert np.unique(stats.exit_steps).size > len(rows)
     assert 0 < len(takes) <= len(rows)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="a call moves its arguments into the callee's frame from Python 3.11")
+def test_driver_keeps_no_reference_to_a_chunk_start():
+    # the per-chunk step holds the only reference to its starting state, so
+    # that state is freed as soon as the step moves past it
+    cfg = _compare_basin_cfg("SGDM", 0.1, trials=200, max_steps=300, seed=5)
+    freed = []
+
+    def advance(cfg, state, noise):
+        start = weakref.ref(state)
+        state, ends = escape._levy_chunk(cfg, state, noise)
+        freed.append(start() is None)
+        return state, ends
+
+    escape._run_chunks(cfg, np.arange(cfg.trials), dynamics.SdeState.initial(
+        np.tile(cfg.theta0, (cfg.trials, 1)), "SGDM"), advance)
+    assert len(freed) > 2 and all(freed)
 
 
 @settings(max_examples=200, deadline=None)
@@ -523,7 +544,8 @@ def test_chunk_kernel_matches_generic_loop(land, substeps, step_gamma, alpha, si
 def test_chunk_bracket_holds_generic_iterates(land, substeps, step_gamma, alpha, sigma,
                                               offset, rel_noise, length, seed):
     # the certified bracket contains the generic loop's iterate at every step
-    # up to each trial's first exit, across two chunks (the bound is carried)
+    # up to each trial's first exit, across two chunks (the bound is carried);
+    # brackets and iterates are time-major, (step, trial)
     cfg = _kernel_case(land, substeps, step_gamma, alpha, sigma, offset, rel_noise,
                        2 * length, seed)
     drift = escape._affine_drift(cfg)
@@ -535,17 +557,18 @@ def test_chunk_bracket_holds_generic_iterates(land, substeps, step_gamma, alpha,
     for j in range(2 * length):
         state = dynamics.levy_step(state, cfg.landscape, opt, scale * noise[:, j, :])
         generic.append(state.theta[:, 0])
-    generic = np.array(generic).T
+    generic = np.array(generic)
     y = np.full(cfg.trials, cfg.theta0[0] - drift[2])
     dev = escape._U * np.abs(y)
     brackets = [escape._chunk_bracket(
         drift, opt.noise_term(scale * part)[..., 0], y, dev)
         for part in (noise[:, :length], noise[:, length:])]
-    low = np.hstack([lo for lo, _ in brackets])
-    high = np.hstack([hi for _, hi in brackets])
+    low = np.vstack([lo for lo, _ in brackets])
+    high = np.vstack([hi for _, hi in brackets])
+    assert low.shape == high.shape == generic.shape == (2 * length, cfg.trials)
     inside = cfg.basin.in_inner(generic[..., None])
-    first = np.where(inside.all(axis=1), 2 * length, np.argmin(inside, axis=1))
-    checked = np.arange(2 * length) <= first[:, None]
+    first = np.where(inside.all(axis=0), 2 * length, np.argmin(inside, axis=0))
+    checked = np.arange(2 * length)[:, None] <= first
     assert np.all((low <= generic) & (generic <= high) | ~checked)
 
 
@@ -662,34 +685,58 @@ def test_chunk_outcome_matches_the_in_inner_rule(name):
     inner_lo, inner_hi = escape._affine_drift(cfg)[4:]
     theta0 = float(cfg.theta0[0])
     rng = np.random.default_rng(7)
-    # random brackets across the inner interval and past both of its ends
+    # random time-major brackets, (step, trial), across the inner interval and
+    # past both of its ends; the oracle reads (trial, step)
     spread = inner_hi - inner_lo
-    x = rng.uniform(inner_lo - 0.2 * spread, inner_hi + 0.2 * spread, (300, 6))
-    x[:, :3] = rng.uniform(inner_lo, inner_hi, (300, 3))  # most trials start inside
-    half = spread * 10.0 ** rng.uniform(-12, -1, (300, 1))
+    x = rng.uniform(inner_lo - 0.2 * spread, inner_hi + 0.2 * spread, (6, 300))
+    x[:3] = rng.uniform(inner_lo, inner_hi, (3, 300))  # most trials start inside
+    half = spread * 10.0 ** rng.uniform(-12, -1, 300)
     half[::7] = 0.0
     brackets = [(x - half, x + half)]
     # brackets with an end on I_lo or I_hi or one float beyond
     ends = []
     for end in (inner_lo, inner_hi):
         ends += [end, np.nextafter(end, -np.inf), np.nextafter(end, np.inf)]
-    edge = rng.choice(ends, (300, 6))
-    width = spread * 10.0 ** rng.uniform(-14, -2, (300, 6))
-    inside = rng.uniform(inner_lo + 0.3 * spread, inner_hi - 0.3 * spread, (300, 6))
-    on_low = rng.random((300, 6)) < 0.5
+    edge = rng.choice(ends, (6, 300))
+    width = spread * 10.0 ** rng.uniform(-14, -2, (6, 300))
+    inside = rng.uniform(inner_lo + 0.3 * spread, inner_hi - 0.3 * spread, (6, 300))
+    on_low = rng.random((6, 300)) < 0.5
     low = np.where(on_low, edge, np.minimum(edge - width, inside))
     high = np.where(on_low, np.maximum(edge + width, inside), edge)
     brackets.append((low, high))
     low, high = np.where(on_low, edge, edge - width), np.where(on_low, edge + width, edge)
-    low[:2], high[:2] = inner_lo, inner_hi  # exactly the inner interval: inside
-    high[1, 3] = np.nextafter(inner_hi, np.inf)  # one float beyond it: undecided
+    low[:, :2], high[:, :2] = inner_lo, inner_hi  # exactly the inner interval: inside
+    high[3, 1] = np.nextafter(inner_hi, np.inf)  # one float beyond it: undecided
     brackets.append((low, high))
     seen = set()
     for low, high in brackets:
         got = escape._chunk_outcome(inner_lo, inner_hi, low, high)
-        assert np.array_equal(got, chunk_outcome_oracle(cfg.basin, theta0, low, high))
+        assert np.array_equal(got, chunk_outcome_oracle(cfg.basin, theta0, low.T, high.T))
         seen.update(got.tolist())
     assert {-1, 0, 1, 2}.issubset(seen)
+
+
+@pytest.mark.parametrize("name", ["fig3_a500", "sweep_eps0.01"])
+def test_scan_chunk_does_not_depend_on_its_slices(monkeypatch, name):
+    # one-row slices, the default and one slice per chunk give bit-identical
+    # exit steps, offsets and bounds over a 256- and a 192-step chunk; 257
+    # trials leave a one-row last slice under the default for L = 256
+    cfg = {"fig3_a500": escape.double_well_config(500.0, 1.58e-4, trials=257, base_seed=31,
+                                                  gamma=2.0),
+           "sweep_eps0.01": interval_cfg(eps=0.01, trials=257, seed=31)}[name]
+    drift = escape._affine_drift(cfg)
+    opt = cfg.optimizer
+    noise = dynamics.SasStream(opt.alpha, 1, cfg.base_seed + np.arange(cfg.trials)).draw(448)
+    y0 = cfg.theta0[0] - drift[2]
+    results = []
+    for values in (1, escape._SCAN_SLICE, 256 * cfg.trials):
+        monkeypatch.setattr(escape, "_SCAN_SLICE", values)
+        state = (np.full(cfg.trials, y0), np.full(cfg.trials, escape._U * abs(y0)))
+        state, first = escape._scan_chunk(drift, cfg, state, noise[:, :256])
+        (y, dev), second = escape._scan_chunk(drift, cfg, state, noise[first == 0, 256:])
+        results.append([a.tobytes() for a in (first, second, y, dev)])
+        assert np.unique(y).size > cfg.trials // 2 and (dev > 0).all()
+    assert results[0] == results[1] == results[2]
 
 
 def test_sweep_bound_stays_certain_over_a_long_run(monkeypatch):
