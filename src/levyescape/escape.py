@@ -287,15 +287,19 @@ def _affine_scan(a, y0, y):
 
 
 def _chunk_bracket(drift, xi, y, dev):
-    """Brackets ``(low, high)``, each (L, rows), around the generic iterates of one chunk.
+    """Offsets ``x`` (L, rows) of one chunk, their half-widths and column extremes.
 
-    ``xi`` (rows, L) holds the noise terms as ``noise_term`` forms them and is
-    overwritten with |xi|; ``y`` and ``dev`` (rows,), the offsets theta - c
-    and their deviation bounds at the chunk start, are advanced in place to
-    the chunk end.  The bracket holds the generic loop's iterate at every
-    step up to a trial's first exit (see ``_run_block``); a step whose
-    bracket straddles the basin's edge leaves the trial undecided, exit step
-    0 in the driver's result.  The scan runs on a time-major copy of ``xi``.
+    Returns ``(x, half, bottom, top)``: the kernel's iterates are c + x, each
+    trial's bracket is [c + x_j - half, c + x_j + half], and bottom and top
+    are min_j and max_j of c + x_j, each rounded as c + x_j is, since
+    rounding is monotone.  ``xi`` (rows, L) holds the noise terms as
+    ``noise_term`` forms them and is overwritten with |xi|; ``y`` and
+    ``dev`` (rows,), the offsets theta - c and their deviation bounds at the
+    chunk start, are advanced in place to the chunk end.  The bracket holds
+    the generic loop's iterate at every step up to a trial's first exit (see
+    ``_run_block``); a step whose bracket straddles the basin's edge leaves
+    the trial undecided, exit step 0 in the driver's result.  The scan runs
+    on a time-major copy of ``xi``.
 
     S of ``_run_block`` sums |xi_j| in one pairwise row sum per trial
     (within gamma_(ceil(log2 L))) before the transpose.  The copy's
@@ -314,11 +318,9 @@ def _chunk_bracket(drift, xi, y, dev):
     total += dev + gamma_n * np.abs(y) + length * b
     x = _affine_scan(big_r, y, x)
     y[:], dev[:] = x[-1], max(1.0, rho) ** length * total * (1.0 + 4.0 * gamma_n)
-    x += c
-    half = _BOUND_SLACK * (dev + 2.0 * _U * np.maximum(x.max(axis=0), -x.min(axis=0)))
-    low = x - half
-    x += half
-    return low, x
+    bottom, top = c + x.min(axis=0), c + x.max(axis=0)
+    half = _BOUND_SLACK * (dev + 2.0 * _U * np.maximum(top, -bottom))
+    return x, half, bottom, top
 
 
 def _chunk_outcome(inner_lo, inner_hi, low, high):
@@ -335,18 +337,31 @@ def _chunk_outcome(inner_lo, inner_hi, low, high):
 
 
 def _scan_chunk(drift, cfg, state, noise):
-    """One chunk of the chunk kernel on the offsets ``state = (y, dev)``; see ``_run_block``."""
+    """One chunk of the chunk kernel on the offsets ``state = (y, dev)``; see ``_run_block``.
+
+    A trial whose brackets' least low end and greatest high end both lie in
+    [I_lo, I_hi] is inside at every step: rounding is monotone, so those
+    ends are min_j fl(x_j - half) and max_j fl(x_j + half), and a NaN fails
+    the test.  Only the other trials form their brackets for
+    ``_chunk_outcome``.
+    """
     opt = cfg.optimizer
     scale = opt.increment_scale(opt.step_h)
     y, dev = state
-    ends = np.empty(y.size, dtype=np.int32)
+    c, inner_lo, inner_hi = drift[2], *drift[4:]
+    ends = np.zeros(y.size, dtype=np.int32)
     rows = max(1, _SCAN_SLICE // noise.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, y.size, rows):
             sl = slice(lo, lo + rows)
             # not named here, so the bracket can free the rows once it has copied them
-            ends[sl] = _chunk_outcome(*drift[4:], *_chunk_bracket(
-                drift, opt.noise_term(scale * noise[sl])[..., 0], y[sl], dev[sl]))
+            x, half, bottom, top = _chunk_bracket(
+                drift, opt.noise_term(scale * noise[sl])[..., 0], y[sl], dev[sl])
+            moves = ~((bottom - half >= inner_lo) & (top + half <= inner_hi))
+            if moves.any():
+                x, half = x[:, moves] + c, half[moves]
+                ends[sl][moves] = _chunk_outcome(inner_lo, inner_hi, x - half, x + half)
+            del x  # not held while the next slice allocates
     keep = ends == 0
     return (y[keep], dev[keep]), ends
 

@@ -545,7 +545,8 @@ def test_chunk_bracket_holds_generic_iterates(land, substeps, step_gamma, alpha,
                                               offset, rel_noise, length, seed):
     # the certified bracket contains the generic loop's iterate at every step
     # up to each trial's first exit, across two chunks (the bound is carried);
-    # brackets and iterates are time-major, (step, trial)
+    # brackets and iterates are time-major, (step, trial), and the column
+    # extremes are those of the iterates c + x
     cfg = _kernel_case(land, substeps, step_gamma, alpha, sigma, offset, rel_noise,
                        2 * length, seed)
     drift = escape._affine_drift(cfg)
@@ -560,9 +561,13 @@ def test_chunk_bracket_holds_generic_iterates(land, substeps, step_gamma, alpha,
     generic = np.array(generic)
     y = np.full(cfg.trials, cfg.theta0[0] - drift[2])
     dev = escape._U * np.abs(y)
-    brackets = [escape._chunk_bracket(
-        drift, opt.noise_term(scale * part)[..., 0], y, dev)
-        for part in (noise[:, :length], noise[:, length:])]
+    brackets = []
+    for part in (noise[:, :length], noise[:, length:]):
+        x, half, bottom, top = escape._chunk_bracket(
+            drift, opt.noise_term(scale * part)[..., 0], y, dev)
+        x += drift[2]
+        assert np.array_equal(bottom, x.min(axis=0)) and np.array_equal(top, x.max(axis=0))
+        brackets.append((x - half, x + half))
     low = np.vstack([lo for lo, _ in brackets])
     high = np.vstack([hi for _, hi in brackets])
     assert low.shape == high.shape == generic.shape == (2 * length, cfg.trials)
@@ -716,6 +721,34 @@ def test_chunk_outcome_matches_the_in_inner_rule(name):
     assert {-1, 0, 1, 2}.issubset(seen)
 
 
+@pytest.mark.parametrize("name", ["fig3_a500", "straddles_zero", "below_zero", "int_ends_0_2"])
+def test_scan_chunk_settles_columns_as_the_per_step_check(monkeypatch, name):
+    # _scan_chunk settles a trial as inside throughout from its extremes alone;
+    # it must agree with _chunk_outcome on the full brackets, also where one
+    # step's bracket end lies within a few floats of I_lo or I_hi
+    cfg = _ENDPOINT_CASES[name]
+    drift = escape._affine_drift(cfg)
+    c, inner_lo, inner_hi = drift[2], *drift[4:]
+    rng = np.random.default_rng(5)
+    steps, trials = 6, 600
+    spread = inner_hi - inner_lo
+    x = rng.uniform(inner_lo + 0.3 * spread, inner_hi - 0.3 * spread, (steps, trials)) - c
+    half = spread * 10.0 ** rng.uniform(-14, -2, trials)
+    half[::9] = 0.0
+    cols = np.arange(trials)
+    end = np.where(rng.random(trials) < 0.5, inner_lo + half, inner_hi - half)
+    x[rng.integers(0, steps, trials), cols] = (
+        end + rng.integers(-3, 4, trials) * np.spacing(end)) - c
+    x[:, 7] = np.nan
+    xc = x + c
+    monkeypatch.setattr(escape, "_chunk_bracket",
+                        lambda *args: (x.copy(), half, xc.min(axis=0), xc.max(axis=0)))
+    state = (np.zeros(trials), np.zeros(trials))
+    _, ends = escape._scan_chunk(drift, cfg, state, np.zeros((trials, steps, 1)))
+    assert np.array_equal(ends, escape._chunk_outcome(inner_lo, inner_hi, xc - half, xc + half))
+    assert {-1, 0}.issubset(set(ends.tolist())) and ends.max() > 0
+
+
 @pytest.mark.parametrize("name", ["fig3_a500", "sweep_eps0.01"])
 def test_scan_chunk_does_not_depend_on_its_slices(monkeypatch, name):
     # one-row slices, the default and one slice per chunk give bit-identical
@@ -755,6 +788,35 @@ def test_sweep_bound_stays_certain_over_a_long_run(monkeypatch):
     stats = escape.run_escape_experiment(cfg)
     assert rerun == []
     assert stats.exit_steps.max() > 15000  # the bound was carried over 60 chunks and more
+
+
+def test_small_noise_compare_keeps_no_row_by_the_ray_gap(monkeypatch):
+    # at eps = 0.02 on the compare basin q alone settles every row that
+    # stays inside: the ray gap is formed only for the few rows that land
+    # between the screen's threshold and the level set, and rejects them all
+    land = landscapes.QuadraticBasin(H=np.diag([10.0, 0.1]), center=np.zeros(2), height=0.5)
+    sigma = np.array([3.0, 0.1])
+    opt = dynamics.OptimizerConfig(kind="SGD", alpha=1.5, step_h=0.05, noise_scale=0.02,
+                                   sigma=sigma, beta2=0.99)
+    cfg = escape.EscapeConfig(landscape=land, basin=landscapes.BasinSpec(land, 0.02, 2.0),
+                              optimizer=opt, theta0=np.zeros(2), trials=2000,
+                              max_steps=300, base_seed=8)
+    # built before the count starts: the config's own check of theta0, the
+    # center, takes the ray gap's q = 0 branch
+    cfgs = [cfg, dataclasses.replace(
+        cfg, optimizer=dataclasses.replace(opt, kind="ADAM", q_fixed=sigma))]
+    rows, kept = [], []
+    gap = land._ray_gap
+
+    def counting(d, q):
+        out = gap(d, q)
+        rows.append(q.size)
+        kept.append(int((out >= cfg.basin.margin).sum()))
+        return out
+
+    monkeypatch.setattr(land, "_ray_gap", counting)
+    exited = [escape.run_escape_experiment(c).n_exited for c in cfgs]
+    assert sum(kept) == 0 and sum(rows) <= 10 and min(exited) > 0
 
 
 def test_chunk_kernel_engages_only_on_1d_sgd_intervals(monkeypatch):

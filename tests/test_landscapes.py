@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -222,6 +223,62 @@ def test_batched_membership_matches_rows(kind, d, n, seed):
             assert inner
         else:
             assert not inner
+
+
+def _level_basin(kind, d, rng):
+    """A quadratic basin with a_min below 0.5, so that margins up to a_min are eps < 1."""
+    basin = _region(kind, d, rng)
+    a_min = rng.uniform(0.05, 0.5)
+    return landscapes.QuadraticBasin(H=basin.H, center=basin.center, f_star=basin.f_star,
+                                     height=basin.f_star + 0.5 * basin.ell * a_min ** 2)
+
+
+@given(st.sampled_from(["diag", "dense"]), st.integers(1, 8), st.sampled_from([1.0, 2.0]),
+       st.floats(-12.0, math.log10(1.0 - 1e-9)), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_screened_membership_equals_the_ray_gap_rule(kind, d, factor, log_ratio, seed):
+    # in_inner settles rows by q alone where it can; on every row it must
+    # still read boundary_distance >= margin, also a few ulps either side of
+    # the screen's threshold and of the level set, along random directions
+    # and along the steepest one, where the screen's bound is tight
+    rng = np.random.default_rng(seed)
+    basin = _level_basin(kind, d, rng)
+    a_min = math.sqrt(basin.h_f_star / basin.ell)
+    spec = landscapes.BasinSpec(region=basin, eps=0.5 * a_min * 10.0 ** log_ratio, gamma=1.0)
+    margin = factor * spec.margin
+    dirs = np.vstack([rng.standard_normal((6, d)), np.linalg.eigh(basin.H)[1][:, -1]])
+    q_dirs = np.sum(dirs * (dirs @ basin.H), axis=1)
+    steps = np.concatenate([np.arange(-8, 9), [-1, 1] * 2.0 ** np.arange(4, 42, 3)[:, None]],
+                           axis=None)
+    ulps = 1.0 + steps * 2.0 ** -52
+    pts = []
+    for a in (a_min, basin._a_min):  # the screen reads the Gershgorin a_min
+        for q_edge in (basin.h_f_star * max(0.0, 1.0 - margin / a) ** 2, basin.h_f_star):
+            t = np.sqrt(q_edge / q_dirs)[:, None] * ulps
+            pts.append(basin.center + (t[..., None] * dirs[:, None, :]).reshape(-1, d))
+    pts = np.vstack(pts)
+    want = basin.boundary_distance(pts) >= margin
+    assert np.array_equal(spec.in_inner(pts, margin_factor=factor), want)
+    assert want.any() and not want.all()
+
+
+@pytest.mark.parametrize("n", [1, 7, 2000])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
+def test_diagonal_form_equals_the_dense_formulas(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    basin = _region("diag", d, rng)
+    dense = copy.copy(basin)
+    dense._h = None  # the forms a dense H takes
+    assert basin._h is not None and (d == 1 or _region("dense", d, rng)._h is None)
+    pts = basin.center + rng.uniform(0.0, 3.0, (n, 1)) * rng.standard_normal((n, d))
+    for name in ("gradient", "value", "boundary_distance"):
+        assert getattr(basin, name)(pts).tobytes() == getattr(dense, name)(pts).tobytes()
+    # an infinite row: inf under the diagonal form, NaN from the dense
+    # form's zero terms, and outside under both
+    far = np.full((1, d), np.inf)
+    with np.errstate(invalid="ignore"):
+        assert basin.value(far)[0] == np.inf and (d == 1 or np.isnan(dense.value(far)[0]))
+        assert basin.boundary_distance(far)[0] == dense.boundary_distance(far)[0] == -np.inf
 
 
 def test_landscape_validation():
