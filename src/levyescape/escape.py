@@ -339,10 +339,10 @@ def _chunk_outcome(inner_lo, inner_hi, low, high):
 def _scan_chunk(drift, cfg, state, noise):
     """One chunk of the chunk kernel on the offsets ``state = (y, dev)``; see ``_run_block``.
 
-    A trial whose brackets' least low end and greatest high end both lie in
-    [I_lo, I_hi] is inside at every step: rounding is monotone, so those
-    ends are min_j fl(x_j - half) and max_j fl(x_j + half), and a NaN fails
-    the test.  Only the other trials form their brackets for
+    Rounding is monotone, so fl(bottom - half) and fl(top + half) are the
+    least low end and the greatest high end of a trial's brackets over the
+    chunk: a trial with both in [I_lo, I_hi] is inside at every step, and a
+    NaN fails the test.  Only the other trials form their brackets, for
     ``_chunk_outcome``.
     """
     opt = cfg.optimizer
