@@ -336,32 +336,37 @@ def _chunk_outcome(inner_lo, inner_hi, low, high):
     return out
 
 
-def _scan_chunk(drift, cfg, state, noise):
-    """One chunk of the chunk kernel on the offsets ``state = (y, dev)``; see ``_run_block``.
+def _slice_ends(drift, x, half, bottom, top):
+    """``_chunk_outcome`` of one slice, from ``_chunk_bracket``'s ``(x, half, bottom, top)``.
 
     Rounding is monotone, so fl(bottom - half) and fl(top + half) are the
     least low end and the greatest high end of a trial's brackets over the
-    chunk: a trial with both in [I_lo, I_hi] is inside at every step, and a
-    NaN fails the test.  Only the other trials form their brackets, for
-    ``_chunk_outcome``.
+    chunk: a trial with both in [I_lo, I_hi] is inside at every step (0),
+    and a NaN fails the test.  Only the other trials form their brackets.
     """
+    c, inner_lo, inner_hi = drift[2], *drift[4:]
+    ends = np.zeros(half.size, dtype=np.int32)
+    moves = ~((bottom - half >= inner_lo) & (top + half <= inner_hi))
+    if moves.any():
+        x, half = x[:, moves] + c, half[moves]
+        ends[moves] = _chunk_outcome(inner_lo, inner_hi, x - half, x + half)
+    return ends
+
+
+def _scan_chunk(drift, cfg, state, noise):
+    """One chunk of the chunk kernel on the offsets ``state = (y, dev)``; see ``_run_block``."""
     opt = cfg.optimizer
     scale = opt.increment_scale(opt.step_h)
     y, dev = state
-    c, inner_lo, inner_hi = drift[2], *drift[4:]
-    ends = np.zeros(y.size, dtype=np.int32)
+    ends = np.empty(y.size, dtype=np.int32)
     rows = max(1, _SCAN_SLICE // noise.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, y.size, rows):
             sl = slice(lo, lo + rows)
-            # not named here, so the bracket can free the rows once it has copied them
-            x, half, bottom, top = _chunk_bracket(
-                drift, opt.noise_term(scale * noise[sl])[..., 0], y[sl], dev[sl])
-            moves = ~((bottom - half >= inner_lo) & (top + half <= inner_hi))
-            if moves.any():
-                x, half = x[:, moves] + c, half[moves]
-                ends[sl][moves] = _chunk_outcome(inner_lo, inner_hi, x - half, x + half)
-            del x  # not held while the next slice allocates
+            # not named here, so the bracket can free the rows once it has
+            # copied them, and the slice's arrays are freed before the next
+            ends[sl] = _slice_ends(drift, *_chunk_bracket(
+                drift, opt.noise_term(scale * noise[sl])[..., 0], y[sl], dev[sl]))
     keep = ends == 0
     return (y[keep], dev[keep]), ends
 
