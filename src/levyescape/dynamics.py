@@ -404,7 +404,9 @@ class SasStream:
     row 0, moves ``2 * BLOCK * dim`` outputs ahead.  Only the rows handed
     out are transformed, in one ``sas_from_uniforms`` call per draw that
     writes over the angle uniforms and spreads its slices over the usable
-    cores.
+    cores.  A draw from generators hands that call its slices of trials as
+    it fills them (``_fill``), so the slice pool transforms one slice while
+    the calling thread fills the next.
 
     Start memo: ensembles that share their seeds read the same streams
     (``compare_optimizers`` runs one per optimizer, ``scaling_sweep`` one
@@ -426,6 +428,7 @@ class SasStream:
     # loops' first two 8-row chunks up to dim 2 (and the first up to dim 4),
     # so trials that leave a thinning basin by step 16 build no generators.
     _STEPPED = 32
+    _SLICE = 32768  # values per slice of trials that ``_fill`` yields: the transform's slice
 
     def __init__(self, alpha, dim, seed):
         self.alpha = alpha
@@ -487,9 +490,9 @@ class SasStream:
             _start_memo = (key, seeds, rows, self._cursors, self._inc)
         return rows
 
-    def _transform(self, u_angle, u_exp):
+    def _transform(self, u_angle, u_exp, parts=None):
         """The CMS transform of the uniforms, written over ``u_angle``, which it returns."""
-        sas_from_uniforms(self.alpha, u_angle, u_exp, out=u_angle)
+        sas_from_uniforms(self.alpha, u_angle, u_exp, out=u_angle, parts=parts)
         return u_angle
 
     def _stepped_uniforms(self, n):
@@ -506,20 +509,31 @@ class SasStream:
         return _pcg_doubles(hi, lo).reshape(2, trials, n, self.dim)
 
     def _generated_uniforms(self, n):
-        """Angle and exponential uniforms of the next n rows, from per-trial generators."""
-        d, block = self.dim, self.BLOCK
+        """Arrays for the angle and exponential uniforms of the next n rows, and ``_fill``."""
         if self._angle is None:
             self._build_generators()
-        u_angle = np.empty((self._angle.size, n, d))
+        u_angle = np.empty((self._angle.size, n, self.dim))
         u_exp = np.empty_like(u_angle)
-        done = 0
+        return u_angle, u_exp, self._fill(u_angle, u_exp)
+
+    def _fill(self, u_angle, u_exp):
+        """Fill ``(trials, n, dim)`` uniforms from the generators, yielding the
+        value slice of each ``_SLICE // (n * dim)`` trials (at least one) once
+        its rows are written: in the draw's last block, after every trial's
+        rows of the blocks before."""
+        trials, n, d = u_angle.shape
+        block, width, done = self.BLOCK, max(1, self._SLICE // max(1, n * d)), 0
         while done < n:
             k = min(n - done, block - self._row)
-            rows = slice(done, done + k)
-            for angle, exp, angle_rows, exp_rows in zip(
-                    self._angle, self._exp, u_angle[:, rows], u_exp[:, rows]):
-                angle.random(out=angle_rows)
-                exp.random(out=exp_rows)
+            rows, last = slice(done, done + k), done + k == n
+            for lo in range(0, trials, width):
+                sl = slice(lo, lo + width)
+                for angle, exp, angle_rows, exp_rows in zip(
+                        self._angle[sl], self._exp[sl], u_angle[sl, rows], u_exp[sl, rows]):
+                    angle.random(out=angle_rows)
+                    exp.random(out=exp_rows)
+                if last:
+                    yield slice(lo * n * d, (lo + width) * n * d)
             self._row += k
             if self._row == block:
                 self._angle, self._exp = self._exp, self._angle
@@ -527,7 +541,6 @@ class SasStream:
                     rng.bit_generator.advance(2 * block * d)
                 self._row = 0
             done += k
-        return u_angle, u_exp
 
     def _build_generators(self):
         """Each trial's two cursors as generators, seeded to start at the cursors' states."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import OptimizerConfig, SasStream, SdeState, levy_step
 from .landscapes import BasinSpec, DoubleWell1D, IntervalRegion
-from .stable import ParameterError, SampleSizeError
+from .stable import ParameterError, SampleSizeError, sliced
 
 __all__ = [
     "EscapeConfig",
@@ -31,7 +31,9 @@ __all__ = [
 
 _FIRST_CHUNK = 8
 _CHUNK = 256
-_SCAN_SLICE = 32768  # values per chunk-kernel slice; bounds its temporaries
+# values per chunk-kernel slice: bounds its temporaries, and keeps each of
+# its array operations long enough for two threads to share the slices
+_SCAN_SLICE = 65536
 _U = 2.0 ** -53  # unit roundoff of float64
 _BOUND_SLACK = 2.0  # safety factor on the chunk kernel's rounding-error bound
 
@@ -354,21 +356,28 @@ def _slice_ends(drift, x, half, bottom, top):
 
 
 def _scan_chunk(drift, cfg, state, noise):
-    """One chunk of the chunk kernel on the offsets ``state = (y, dev)``; see ``_run_block``."""
+    """One chunk of the chunk kernel on the offsets ``state = (y, dev)``; see ``_run_block``.
+
+    Its slices of trials share the slice pool (``stable.sliced``); each
+    reads and writes only its own trials of ``ends``, ``y`` and ``dev``.
+    """
     opt = cfg.optimizer
     scale = opt.increment_scale(opt.step_h)
     y, dev = state
     ends = np.empty(y.size, dtype=np.int32)
     rows = max(1, _SCAN_SLICE // noise.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, y.size, rows):
-            sl = slice(lo, lo + rows)
-            # not named here, so the bracket can free the rows once it has
-            # copied them, and the slice's arrays are freed before the next
-            ends[sl] = _slice_ends(drift, *_chunk_bracket(
-                drift, opt.noise_term(scale * noise[sl])[..., 0], y[sl], dev[sl]))
+        sliced(_scan_slice, [slice(lo, lo + rows) for lo in range(0, y.size, rows)],
+               drift, opt, scale, noise, y, dev, ends)
     keep = ends == 0
     return (y[keep], dev[keep]), ends
+
+
+def _scan_slice(sl, drift, opt, scale, noise, y, dev, ends):
+    # not named here, so the bracket can free the rows once it has copied
+    # them, and the slice's arrays are freed together
+    ends[sl] = _slice_ends(drift, *_chunk_bracket(
+        drift, opt.noise_term(scale * noise[sl])[..., 0], y[sl], dev[sl]))
 
 
 def _run_block(cfg, trial_ids):
@@ -385,7 +394,8 @@ def _run_block(cfg, trial_ids):
     xi = noise_term(scale * noise) from the same ``SasStream`` rows, the
     call the generic step makes, so xi carries the generic bits, and runs
     the recursion as one ``_affine_scan`` per slice of trials, time-major
-    (L, rows) so that each doubling pass is one contiguous operation.
+    (L, rows) so that each doubling pass is one contiguous operation; the
+    calling thread and the slice pool's workers share the slices.
 
     Rounding-error bound.  Let u = 2^-53, x_j the generic loop's iterate,
     Y = max |theta - c| over the region, and delta_j a bound on
@@ -456,13 +466,13 @@ def run_escape_experiment(cfg, threads=None):
     memo.  ``threads`` (None = serial) splits the trials over a thread pool,
     each block a stream of its own, so at most one block reads the memo.
     The pool is reachable only through this argument and is kept for the
-    benchmark's thread-scaling measurement.  Its blocks share the stable
-    transform's slice workers, which already spread every transform of two
-    or more slices over the usable cores, so two threads no longer beat
-    one: traced fig3 at seed 5 read ``escape.threads2_speedup`` 0.89-0.98,
-    against 1.10-1.26 before the transform was sliced (two cores, three
-    runs each, equal exit steps).  Deleting or reusing this pool is left
-    to a benchmark change.
+    benchmark's thread-scaling measurement.  Its blocks share the slice
+    workers, which already spread every transform and every chunk-kernel
+    step of two or more slices over the usable cores, so two threads no
+    longer beat one: traced fig3 at seed 5 read ``escape.threads2_speedup``
+    0.89-0.98, against 1.10-1.26 before the transform was sliced (two
+    cores, three runs each, equal exit steps).  Deleting or reusing this
+    pool is left to a benchmark change.
     """
     all_ids = np.arange(cfg.trials)
     if threads is None or threads <= 1 or cfg.trials < 2 * threads:

@@ -146,11 +146,11 @@ class QuadraticBasin(Landscape):
 
     def _ray_gap(self, d, q):
         """The ray gap |s - 1| ||d|| of ``boundary_distance`` per row, for any q."""
-        with np.errstate(divide="ignore"):
-            s = np.sqrt(self.h_f_star / np.where(q > 0, q, np.inf))
-        # at the center: the shortest semi-axis, along the steepest direction
-        return np.where(q > 0, np.abs(s - 1.0) * np.linalg.norm(d, axis=-1),
-                        math.sqrt(self.h_f_star / self.ell))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            gap = np.abs(np.sqrt(self.h_f_star / q) - 1.0) * np.linalg.norm(d, axis=-1)
+        # at the center, or so near it that q or ||d||^2 underflows (inf or
+        # inf * 0): the shortest semi-axis, along the steepest direction
+        return np.where(np.isfinite(gap), gap, math.sqrt(self.h_f_star / self.ell))
 
     def within(self, theta, margin):
         """``boundary_distance(theta) >= margin`` per (..., d) row, for margin >= 0.

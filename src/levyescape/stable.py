@@ -24,6 +24,7 @@ __all__ = [
     "JumpEvents",
     "sample_sas",
     "sas_from_uniforms",
+    "sliced",
     "empirical_char_fn",
     "estimate_tail_index",
     "jump_intensity",
@@ -64,7 +65,7 @@ class StableLaw:
 
 
 # Elementwise passes run in slices of _SLICE values, which bounds each
-# slice's temporaries and lets the usable cores share a pass (``_sliced``).
+# slice's temporaries and lets the usable cores share a pass (``sliced``).
 _SLICE = 32768
 _pool = None  # (executor or None, workers), set by the first pass of two or more slices
 _pool_lock = threading.Lock()
@@ -102,33 +103,41 @@ def _drain(todo, kernel, args):
     while True:
         try:
             part = todo.popleft()
-        except IndexError:  # every slice is taken
+        except IndexError:  # every queued part is taken
             return
         kernel(part, *args)
 
 
-def _sliced(kernel, n, *args):
-    """Call ``kernel(part, *args)`` for each slice ``part`` of range(n) of ``_SLICE`` values.
+def _value_slices(n):
+    return [slice(lo, lo + _SLICE) for lo in range(0, n, _SLICE)]
 
-    ``kernel`` must write each slice's result from that slice's inputs
-    alone, so the result does not depend on which thread takes which slice.
-    The calling thread and the pool's workers take slices from one queue;
-    once it is empty the caller cancels the worker tasks that have not
-    started, so a busy core delays the pass by at most one slice.  Each
-    task runs in a copy of the caller's context, which carries numpy's
-    error state.  Workers run ``kernel``, never a public function: the
-    benchmark's spans wrap those and expect them on one thread.
+
+def sliced(kernel, parts, *args):
+    """Call ``kernel(part, *args)`` for each part of the iterable ``parts``.
+
+    ``kernel`` must write each part's result from that part's inputs alone,
+    so the result does not depend on which thread takes which part.  The
+    caller queues the parts as ``parts`` yields them (a generator may write
+    a part's inputs just before), and from the second part on starts a
+    worker task whenever fewer than the pool's workers are busy; then it
+    drains the queue and cancels the tasks that have not started, so a busy
+    core delays the pass by at most one part.  Each task runs in a copy of
+    the caller's context, which carries numpy's error state.  Workers run
+    ``kernel``, never a public function: the benchmark's spans wrap those
+    and expect them on one thread.
     """
-    if n <= _SLICE:
-        return kernel(slice(0, n), *args)
-    todo = collections.deque(slice(lo, lo + _SLICE) for lo in range(0, n, _SLICE))
-    executor, workers = _slice_pool()
-    tasks = [executor.submit(contextvars.copy_context().run, _drain, todo, kernel, args)
-             for _ in range(min(workers, len(todo) - 1))]
+    todo, tasks = collections.deque(), []
     try:
+        for queued, part in enumerate(parts):
+            todo.append(part)
+            if queued:
+                executor, workers = _slice_pool()
+                if sum(not task.done() for task in tasks) < workers:
+                    tasks.append(executor.submit(
+                        contextvars.copy_context().run, _drain, todo, kernel, args))
         _drain(todo, kernel, args)
     finally:
-        todo.clear()  # after an error on this thread, workers stop at their current slice
+        todo.clear()  # after an error on this thread, workers stop at their current part
         started = [task for task in tasks if not task.cancel()]
         for task in started:
             task.exception()  # waits: the caller's arrays are its own again after this
@@ -136,7 +145,7 @@ def _sliced(kernel, n, *args):
         task.result()  # raises a worker's error
 
 
-def sas_from_uniforms(alpha, u_angle, u_exp, out=None):
+def sas_from_uniforms(alpha, u_angle, u_exp, out=None, parts=None):
     """Chambers-Mallows-Stuck transform from uniforms on (0, 1).
 
     ``u_angle`` maps to the angle V = pi * (u_angle - 1/2) and ``u_exp`` to
@@ -144,8 +153,11 @@ def sas_from_uniforms(alpha, u_angle, u_exp, out=None):
     the output, which is the symmetry the tests rely on.  The result goes
     to ``out`` if given, a C-contiguous float64 array of the result's shape
     that may be ``u_angle`` itself, else to a new array; the inputs are not
-    otherwise written.  The arithmetic runs slice by slice (``_sliced``),
+    otherwise written.  The arithmetic runs slice by slice (``sliced``),
     in place on two temporaries per slice and on the slice of the result.
+    ``parts`` replaces the slices of ``_SLICE`` values by slices that cover
+    the flattened values once, each transformed as soon as it is yielded;
+    the uniforms must then be C-contiguous arrays of the result's shape.
     """
     _check_alpha(alpha)
     u_angle = np.asarray(u_angle, dtype=float)
@@ -155,8 +167,12 @@ def sas_from_uniforms(alpha, u_angle, u_exp, out=None):
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != float or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    if parts is None:
+        parts = _value_slices(out.size)
+    elif not all(u.shape == shape and u.flags.c_contiguous for u in (u_angle, u_exp)):
+        raise ValueError(f"uniforms read by parts must be C-contiguous arrays of shape {shape}")
     flat_exp = None if alpha == 1.0 else _flat(u_exp, shape)
-    _sliced(_cms_slice, out.size, alpha, _flat(u_angle, shape), flat_exp, out.reshape(-1))
+    sliced(_cms_slice, parts, alpha, _flat(u_angle, shape), flat_exp, out.reshape(-1))
     return out[()]  # [()]: a scalar for 0-d inputs
 
 
@@ -219,14 +235,14 @@ def empirical_char_fn(samples, omega):
     if n == 0:
         raise SampleSizeError("empirical_char_fn needs a nonempty sample")
     buf = np.empty(n)  # the sin and then the cos of omega * samples
-    _sliced(_phase_slice, n, np.sin, omega, samples, buf)
+    sliced(_phase_slice, _value_slices(n), np.sin, omega, samples, buf)
     imag = float(np.mean(buf))
     if abs(imag) >= 5.0 / math.sqrt(n):
         raise ValueError(
             f"imaginary part {imag:.4g} of the empirical characteristic function "
             f"exceeds the symmetry guard 5/sqrt(n); input looks asymmetric"
         )
-    _sliced(_phase_slice, n, np.cos, omega, samples, buf)
+    sliced(_phase_slice, _value_slices(n), np.cos, omega, samples, buf)
     return float(np.mean(buf))
 
 

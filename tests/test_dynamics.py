@@ -1,12 +1,14 @@
 import hashlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from levyescape import dynamics, landscapes
+from levyescape import dynamics, landscapes, stable
 from levyescape.dynamics import OptimizerConfig, SdeState
 from levyescape.stable import ParameterError, sas_from_uniforms
 
@@ -487,6 +489,45 @@ def test_batched_stream_matches_trial_streams(d, requests):
         batched, alive = batched.take(keep), alive[keep]
 
 
+@pytest.mark.parametrize("d, pattern", [(1, [8, 256, 248, 256]), (2, [8, 600, 300])],
+                         ids=["slices_to_a_block_end", "straddles_a_block"])
+def test_pipelined_draws_match_trial_streams(monkeypatch, d, pattern):
+    # each draw past the first fills and transforms several slices of trials,
+    # on four workers switching every microsecond; at d = 1 the third draw
+    # ends on a block's last row, at d = 2 the 600-row draw crosses it.  Half
+    # of the trials are taken after the second draw and continue their streams
+    seeds = 40 + np.arange(300)
+    oracle = np.stack([oracle_rows(1.5, d, int(s), sum(pattern)) for s in seeds])
+    keep = seeds % 2 == 0
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(4) as executor:
+        monkeypatch.setattr(stable, "_pool", (executor, 4))
+        sys.setswitchinterval(1e-6)
+        try:
+            stream, done = dynamics.SasStream(1.5, d, seeds), 0
+            for k, n in enumerate(pattern):
+                rows = oracle[:, done:done + n]
+                assert np.array_equal(stream.draw(n), rows[keep] if k > 1 else rows)
+                if k == 1:
+                    stream = stream.take(keep)
+                done += n
+        finally:
+            sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("trials, pooled", [(128, False), (129, True)])
+def test_one_slice_draw_asks_for_no_pool(monkeypatch, trials, pooled):
+    # 128 trials of 256 rows are one slice of 32768 values, 129 are two
+    asked = []
+    monkeypatch.setattr(stable, "_slice_pool", lambda: asked.append(1) or (None, 0))
+    stream = dynamics.SasStream(1.5, 1, np.arange(trials))
+    stream.draw(8)
+    rows = stream.draw(256)
+    assert bool(asked) == pooled
+    oracle = np.stack([oracle_rows(1.5, 1, s, 264)[8:] for s in range(trials)])
+    assert np.array_equal(rows, oracle)
+
+
 _MEMO_SEEDS = np.array([5, 6, 1000, 2 ** 31])
 
 
@@ -523,9 +564,9 @@ def test_start_memo_misses_on_another_key(monkeypatch, alpha, d, seeds, n, taken
     dynamics.SasStream(1.5, 2, _MEMO_SEEDS).draw(8)
     counted = []
 
-    def counting(alpha, u_angle, u_exp, out=None):
+    def counting(alpha, u_angle, u_exp, out=None, parts=None):
         counted.append(np.size(u_angle))
-        return sas_from_uniforms(alpha, u_angle, u_exp, out=out)
+        return sas_from_uniforms(alpha, u_angle, u_exp, out=out, parts=parts)
 
     monkeypatch.setattr(dynamics, "sas_from_uniforms", counting)
     stream = dynamics.SasStream(alpha, d, seeds)

@@ -3,8 +3,10 @@ import hashlib
 import math
 import sys
 import threading
+import time
 import types
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -76,9 +78,9 @@ def _count_transforms(monkeypatch):
     """Sizes of every batch of values passed to the CMS transform."""
     counted = []
 
-    def counting(alpha, u_angle, u_exp, out=None):
+    def counting(alpha, u_angle, u_exp, out=None, parts=None):
         counted.append(np.size(u_angle))
-        return sas_from_uniforms(alpha, u_angle, u_exp, out=out)
+        return sas_from_uniforms(alpha, u_angle, u_exp, out=out, parts=parts)
 
     monkeypatch.setattr(dynamics, "sas_from_uniforms", counting)
     return counted
@@ -168,13 +170,14 @@ def test_blocks_share_the_slice_pool_and_give_serial_exit_steps(monkeypatch):
     # slice of values, so both blocks' transforms use the one slice pool
     cfg = _compare_basin_cfg("SGD", 0.02, trials=200, max_steps=256, seed=3)
     serial = escape.run_escape_experiment(cfg).exit_steps
-    passes, sliced = [], stable._sliced
+    passes, sliced = [], stable.sliced
 
-    def recording(kernel, n, *args):
-        passes.append((threading.get_ident(), n))
-        return sliced(kernel, n, *args)
+    def recording(kernel, parts, *args):
+        taken = []
+        sliced(kernel, (taken.append(part) or part for part in parts), *args)
+        passes.append((threading.get_ident(), len(taken)))
 
-    monkeypatch.setattr(stable, "_sliced", recording)
+    monkeypatch.setattr(stable, "sliced", recording)
     runs = []
     runner = threading.Thread(target=lambda: runs.append(
         escape.run_escape_experiment(cfg, threads=2).exit_steps), daemon=True)
@@ -182,7 +185,7 @@ def test_blocks_share_the_slice_pool_and_give_serial_exit_steps(monkeypatch):
     runner.join(60)
     assert not runner.is_alive()
     assert np.array_equal(runs[0], serial)
-    multi_slice = {tid for tid, n in passes if n > stable._SLICE}
+    multi_slice = {tid for tid, parts in passes if parts > 1}
     assert len(multi_slice) == 2 and runner.ident not in multi_slice
 
 
@@ -770,6 +773,77 @@ def test_scan_chunk_does_not_depend_on_its_slices(monkeypatch, name):
         results.append([a.tobytes() for a in (first, second, y, dev)])
         assert np.unique(y).size > cfg.trials // 2 and (dev > 0).all()
     assert results[0] == results[1] == results[2]
+
+
+_POOLED_SCAN_CASES = {
+    **{f"fig3_a{a:g}": escape.double_well_config(a, 1.58e-4, trials=600, base_seed=31, gamma=2.0)
+       for a in (100000.0, 500.0, 150.0)},
+    "sweep_eps0.01": interval_cfg(eps=0.01, trials=600, seed=31),
+}
+
+
+def _two_scan_chunks(cfg):
+    """Bytes of ends, offsets and bounds over a 248- and a 208-step chunk,
+    each of several slices of trials at 600 trials."""
+    drift = escape._affine_drift(cfg)
+    seeds = cfg.base_seed + np.arange(cfg.trials)
+    noise = dynamics.SasStream(cfg.optimizer.alpha, 1, seeds).draw(456)
+    y0 = cfg.theta0[0] - drift[2]
+    state = (np.full(cfg.trials, y0), np.full(cfg.trials, escape._U * abs(y0)))
+    state, first = escape._scan_chunk(drift, cfg, state, noise[:, :248])
+    (y, dev), second = escape._scan_chunk(drift, cfg, state, noise[first == 0, 248:])
+    return [a.tobytes() for a in (first, second, y, dev)]
+
+
+@pytest.mark.parametrize("name", list(_POOLED_SCAN_CASES))
+def test_pooled_scan_chunk_equals_the_serial_one(monkeypatch, name):
+    # no workers, the default pool, and four workers switching every microsecond
+    cfg = _POOLED_SCAN_CASES[name]
+    with monkeypatch.context() as m:
+        m.setattr(stable, "_pool", (None, 0))
+        serial = _two_scan_chunks(cfg)
+    assert _two_scan_chunks(cfg) == serial
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(4) as executor:
+        monkeypatch.setattr(stable, "_pool", (executor, 4))
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert _two_scan_chunks(cfg) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_pooled_scan_chunk_raises_a_slice_error_once_its_slices_end(monkeypatch, failing):
+    # one worker: the failing thread's first slice raises once the worker has
+    # started a slice, and every other slice sleeps; the error reaches the
+    # caller, and only after every started slice has returned
+    cfg = _POOLED_SCAN_CASES["sweep_eps0.01"]
+    caller, in_worker, running, failed = threading.get_ident(), threading.Event(), [], []
+    bracket = escape._chunk_bracket
+
+    def slow_or_failing(*args):
+        running.append(None)
+        try:
+            on_caller = threading.get_ident() == caller
+            if not on_caller:
+                in_worker.set()
+            if on_caller == (failing == "caller") and not failed:
+                failed.append(None)
+                assert in_worker.wait(30)
+                raise RuntimeError("slice failed")
+            time.sleep(0.05)
+            return bracket(*args)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(escape, "_chunk_bracket", slow_or_failing)
+    with ThreadPoolExecutor(1) as executor:
+        monkeypatch.setattr(stable, "_pool", (executor, 1))
+        with pytest.raises(RuntimeError, match="slice failed"):
+            _two_scan_chunks(cfg)
+        assert running == []
 
 
 def test_sweep_bound_stays_certain_over_a_long_run(monkeypatch):

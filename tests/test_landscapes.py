@@ -151,6 +151,19 @@ def test_quadratic_boundary_distance_on_ray():
     assert qb.boundary_distance(np.array([0.6, 0.0])) == -np.inf
 
 
+def test_points_next_to_the_center_read_the_centers_ray_gap():
+    # on the compare basin, ||d||^2 underflows to 0 at d = (1e-162, 0) while q
+    # does not (inf * 0 read NaN), and h_f_star / q overflows at (1e-155, 0)
+    # (read inf); like the center, both read the shortest semi-axis a_min
+    qb = landscapes.QuadraticBasin(H=np.diag([10.0, 0.1]), center=np.zeros(2), height=0.5)
+    spec = landscapes.BasinSpec(region=qb, eps=0.3, gamma=2.0)
+    points = np.array([[1e-162, 0.0], [1e-155, 0.0], [0.0, 0.0]])
+    a_min = math.sqrt(qb.h_f_star / qb.ell)
+    assert qb.boundary_distance(points).tolist() == [a_min] * 3
+    assert [qb.boundary_distance(p) for p in points] == [a_min] * 3
+    assert spec.in_inner(points).all() and all(spec.in_inner(p) for p in points)
+
+
 def test_in_inner_forms_the_quadratic_once(monkeypatch):
     qb = landscapes.QuadraticBasin(H=np.diag([4.0, 1.0]), center=np.zeros(2),
                                    height=0.5)

@@ -148,6 +148,19 @@ def test_transform_rejects_an_out_it_cannot_fill():
             stable.sas_from_uniforms(1.5, u, u, out=out)
 
 
+def test_transform_by_parts_reads_its_uniforms_in_place():
+    # each part is transformed from the uniforms as they are when it is
+    # yielded, so inputs that would be copied first (strided, broadcast) are
+    # refused; parts in any order give the bits of the default slices
+    u = np.random.default_rng(4).random((4, 6))
+    parts = [slice(0, 10), slice(10, 24)]
+    for u_angle, u_exp in ((u[:, ::2], u[:, ::2]), (u, 0.5)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            stable.sas_from_uniforms(1.5, u_angle, u_exp, parts=parts)
+    got = stable.sas_from_uniforms(1.5, u, u[::-1].copy(), parts=iter(parts[::-1]))
+    assert got.tobytes() == stable.sas_from_uniforms(1.5, u, u[::-1].copy()).tobytes()
+
+
 def test_sample_sas_scales_in_place_bit_equal():
     law = stable.StableLaw(1.3, sigma=2.5)
     rng = np.random.default_rng(8)
