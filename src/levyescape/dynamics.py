@@ -173,9 +173,17 @@ class SdeState:
         return cls(theta0, m, np.zeros_like(theta0) if kind == "ADAM" else None)
 
     def take(self, keep):
-        """The trajectories selected by ``keep`` along the leading batch axis."""
-        return SdeState(self.theta[keep], None if self.m is None else self.m[keep],
-                        None if self.v is None else self.v[keep], self.t)
+        """The trajectories selected by the boolean mask ``keep`` along the leading batch axis.
+
+        Each array keeps its memory order and values: a column-major batch is
+        compressed column by column, where boolean indexing would return it row-major.
+        """
+        def rows(a):
+            if a is not None and a.flags.f_contiguous:
+                return a.T.compress(keep, axis=-1).T
+            return None if a is None else a.compress(keep, axis=0)
+
+        return SdeState(rows(self.theta), rows(self.m), rows(self.v), self.t)
 
 
 # NumPy's SeedSequence constants (pool size 4, uint32 lanes)

@@ -166,13 +166,22 @@ def _run_chunks(cfg, trial_ids, state, advance):
 
 
 def _levy_chunk(cfg, state, noise):
-    """One chunk of ``levy_step`` with the exit check after every step."""
+    """One chunk of ``levy_step`` with the exit check after every step.
+
+    The (rows, chunk, d) noise is copied once to (chunk, d, rows) and
+    dropped, so a step's (rows, d) increment is a view in the column-major
+    order of the state (``_run_generic``), gathered only after an exit.
+    """
     opt = cfg.optimizer
     scale = opt.increment_scale(opt.step_h)
-    rows = np.arange(len(noise))
+    cols = np.ascontiguousarray(noise.transpose(1, 2, 0))
+    del noise
+    order = "F" if state.theta.flags.f_contiguous else "C"
+    rows = np.arange(cols.shape[2])
     ends = np.zeros(rows.size, dtype=np.int32)
-    for j in range(noise.shape[1]):
-        state = levy_step(state, cfg.landscape, opt, scale * noise[rows, j, :])
+    for j in range(len(cols)):
+        dl = cols[j] if rows.size == cols.shape[2] else cols[j].take(rows, axis=1)
+        state = levy_step(state, cfg.landscape, opt, scale * np.asarray(dl.T, order=order))
         ok = cfg.basin.in_inner(state.theta)
         if not ok.all():
             ends[rows[~ok]] = j + 1
@@ -183,10 +192,20 @@ def _levy_chunk(cfg, state, noise):
 
 
 def _run_generic(cfg, trial_ids):
-    """Step the trials with ``levy_step`` and record each one's first exit step."""
+    """Step the trials with ``levy_step`` and record each one's first exit step.
+
+    Up to d = 7 the state is column-major (trials, d), so each elementwise
+    operation against a (d,) vector (the centre, H's diagonal, sigma,
+    ``q_fixed``) runs one inner loop per coordinate instead of one per
+    trial, and every bit is as in a row-major state: numpy adds the up to 7
+    terms of a row's last-axis sum (q, a norm) in order in either layout.
+    From d = 8 a row-major row is added in pairwise blocks, so the state
+    keeps rows there.
+    """
+    shape = (len(trial_ids), cfg.theta0.size)
     # not named here, or the full initial state would live for the whole run
-    return _run_chunks(cfg, trial_ids, SdeState.initial(
-        np.tile(cfg.theta0, (len(trial_ids), 1)), cfg.optimizer.kind), _levy_chunk)
+    return _run_chunks(cfg, trial_ids, SdeState.initial(np.full(
+        shape, cfg.theta0, order="F" if shape[1] <= 7 else "C"), cfg.optimizer.kind), _levy_chunk)
 
 
 def _chunk_length(cfg, step, thinned):

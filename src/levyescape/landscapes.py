@@ -125,6 +125,8 @@ class QuadraticBasin(Landscape):
         Elementwise products and last-axis sums keep each row's q independent
         of the rest of the batch; einsum's summation order changes with the
         batch size, so a point's basin membership would depend on its batch.
+        Up to d = 7 a column-major batch, which runs one inner loop per
+        coordinate, adds each row in the same order (``escape._run_generic``).
         """
         d = np.asarray(theta, dtype=float) - self.center
         if self._h is not None:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from levyescape import dynamics, probe, stable
+from levyescape import dynamics, escape, probe, stable
 
 
 def sas_tail_mass(u, alpha):
@@ -189,3 +189,29 @@ def chunk_outcome_oracle(basin, theta0, low, high):
             out[i] = j + 1 if not (low_in or high_in) and beside else -1
             break
     return out
+
+
+def _levy_chunk_row_major(cfg, state, noise):
+    """The generic chunk step on a row-major state, gathering each step's (rows, d) noise rows."""
+    opt = cfg.optimizer
+    scale = opt.increment_scale(opt.step_h)
+    rows = np.arange(len(noise))
+    ends = np.zeros(rows.size, dtype=np.int32)
+    for j in range(noise.shape[1]):
+        state = dynamics.levy_step(state, cfg.landscape, opt, scale * noise[rows, j, :])
+        ok = cfg.basin.in_inner(state.theta)
+        if not ok.all():
+            ends[rows[~ok]] = j + 1
+            theta, m, v, t = state
+            rows, state = rows[ok], dynamics.SdeState(
+                theta[ok], None if m is None else m[ok], None if v is None else v[ok], t)
+            if not rows.size:
+                break
+    return state, ends
+
+
+def generic_exit_steps_row_major(cfg, trial_ids):
+    """The exit steps of ``trial_ids`` from the generic loop, stepping a row-major (trials, d) state."""
+    state = dynamics.SdeState.initial(np.tile(cfg.theta0, (len(trial_ids), 1)),
+                                      cfg.optimizer.kind)
+    return escape._run_chunks(cfg, trial_ids, state, _levy_chunk_row_major)

@@ -139,6 +139,22 @@ def test_sgd_step_gradient_count():
         assert land.calls == substeps
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(9, 3), (9, 1), (9,)])
+def test_state_take_keeps_values_and_memory_order(shape, order):
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    arrays = [np.asarray(rng.standard_normal(shape), order=order) for _ in range(2)]
+    arrays.append(np.asarray(rng.uniform(0.0, 1.0, shape), order=order))
+    keep = np.array([True, False, True, True, False, False, True, True, False])
+    got = SdeState(*arrays, t=0.5).take(keep)
+    assert got.t == 0.5
+    for a, b in zip(arrays, tuple(got)[:3]):
+        assert b.shape == a[keep].shape and np.array_equal(b, a[keep])
+        assert (b.flags.c_contiguous, b.flags.f_contiguous) == (
+            a.flags.c_contiguous, a.flags.f_contiguous)
+    assert SdeState(arrays[0]).take(keep).m is None
+
+
 def test_sgd_flow_checks_every_gradient():
     # off quadratics the SGD flow steps through levy_step, which raises on a
     # non-finite gradient

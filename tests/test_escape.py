@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from levyescape import dynamics, escape, geometry, landscapes, probe, stable
 from levyescape.stable import ParameterError, sas_from_uniforms
-from oracles import chunk_outcome_oracle
+from oracles import chunk_outcome_oracle, generic_exit_steps_row_major
 
 
 def interval_cfg(alpha=1.5, eps=0.05, b=1.0, mu=1.0, trials=400, max_steps=20000,
@@ -224,6 +224,86 @@ def test_driver_keeps_no_reference_to_a_chunk_start():
     escape._run_chunks(cfg, np.arange(cfg.trials), dynamics.SdeState.initial(
         np.tile(cfg.theta0, (cfg.trials, 1)), "SGDM"), advance)
     assert len(freed) > 2 and all(freed)
+
+
+def _layout_case(d, kind, h_dense, sigma_form):
+    """An ensemble on a d-dim quadratic basin whose exits spread over the first 300 steps.
+
+    ``kind`` is an optimizer kind, or "ADAM_Q" for Adam with ``q_fixed``.
+    """
+    rng = np.random.default_rng(d)
+    h = np.geomspace(10.0, 0.1, d)
+    if h_dense:
+        rot, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        h = (rot * h) @ rot.T
+        h = 0.5 * (h + h.T)
+    else:
+        h = np.diag(h)
+    sigma = {"none": None, "diag": rng.uniform(0.1, 3.0, d),
+             "dense": np.eye(d) + 0.3 * rng.standard_normal((d, d))}[sigma_form]
+    land = landscapes.QuadraticBasin(H=h, center=0.1 * rng.standard_normal(d), height=0.5)
+    opt = dynamics.OptimizerConfig(
+        kind=kind.removesuffix("_Q"), alpha=1.5, step_h=0.05, noise_scale=0.03, sigma=sigma,
+        beta2=0.99, eps_adam=1.0, q_fixed=rng.uniform(0.5, 2.0, d) if kind == "ADAM_Q" else None)
+    return escape.EscapeConfig(landscape=land, basin=landscapes.BasinSpec(land, 0.03, 2.0),
+                               optimizer=opt, theta0=land.center, trials=40, max_steps=300,
+                               base_seed=d)
+
+
+_LAYOUT_DIMS = (2, 3, 5, 7, 8, 16)
+_LAYOUT_KINDS = ("SGD", "ADAM", "ADAM_Q", "SGDM")
+
+
+# case (2 i_d + i_kind) mod 6 of (H diagonal, dense) x (sigma none, diagonal,
+# dense): every d and every kind meets both H forms and all three sigmas
+@pytest.mark.parametrize("d, kind, h_dense, sigma_form", [
+    (d, kind, c // 3 == 1, ("none", "diag", "dense")[c % 3])
+    for i, d in enumerate(_LAYOUT_DIMS) for k, kind in enumerate(_LAYOUT_KINDS)
+    for c in [(2 * i + k) % 6]])
+def test_generic_loop_equals_the_row_major_loop(d, kind, h_dense, sigma_form):
+    # the column-major state and noise change no bit of any exit step, also
+    # on two threads, whose blocks the oracle runs as separate ensembles
+    # (a dense H or sigma rounds a row with its batch)
+    cfg = _layout_case(d, kind, h_dense, sigma_form)
+    ids = np.arange(cfg.trials)
+    serial = escape.run_escape_experiment(cfg).exit_steps
+    assert np.array_equal(serial, generic_exit_steps_row_major(cfg, ids))
+    assert np.unique(serial).size > 10
+    blocks = [generic_exit_steps_row_major(cfg, b) for b in np.array_split(ids, 2)]
+    assert np.array_equal(escape.run_escape_experiment(cfg, threads=2).exit_steps,
+                          np.concatenate(blocks))
+
+
+def _chunk_layouts(monkeypatch):
+    """The arrays of each ``_levy_chunk``'s input and output state, and its ends."""
+    seen = []
+    chunk = escape._levy_chunk
+
+    def recording(cfg, state, noise):
+        before = [a for a in tuple(state)[:3] if a is not None]
+        state, ends = chunk(cfg, state, noise)
+        seen.append((before + [a for a in tuple(state)[:3] if a is not None], ends))
+        return state, ends
+
+    monkeypatch.setattr(escape, "_levy_chunk", recording)
+    return seen
+
+
+def test_generic_loop_keeps_a_column_major_state(monkeypatch):
+    # a d = 2 Adam ensemble stays column-major through its steps and its
+    # compactions; an edit that drops the layout costs 10-20% of a step
+    seen = _chunk_layouts(monkeypatch)
+    escape.run_escape_experiment(_layout_case(2, "ADAM", False, "diag"))
+    assert sum((ends > 0).any() and (ends == 0).sum() > 1 for _, ends in seen) >= 2
+    assert all(len(arrays) == 6 and all(a.flags.f_contiguous for a in arrays)
+               for arrays, _ in seen)
+
+
+def test_generic_loop_keeps_rows_from_d_8(monkeypatch):
+    # numpy adds 8 or more terms of a column-major row in another order
+    seen = _chunk_layouts(monkeypatch)
+    escape.run_escape_experiment(_layout_case(8, "ADAM", False, "diag"))
+    assert len(seen) > 2 and all(a.flags.c_contiguous for arrays, _ in seen for a in arrays)
 
 
 @settings(max_examples=200, deadline=None)

@@ -340,6 +340,27 @@ def test_affine_gradient_of_quadratics_and_base():
     assert dw.affine_gradient(lo + 1e-9, hi) == (300.0, 1.0)
 
 
+@pytest.mark.parametrize("n", [1, 7, 2000])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("kind", ["diag", "dense"])
+def test_column_major_batch_rounds_as_row_major(kind, d, n):
+    # the generic loop keeps its state column-major up to d = 7: numpy then
+    # adds a row's q terms, and its norm's, in the row-major order, and a
+    # dense H's d @ H rounds each row alike; a numpy that changes this fails here
+    rng = np.random.default_rng(10 * d + n)
+    basin = _region(kind, d, rng)
+    rows = basin.center + rng.uniform(0.0, 3.0, (n, 1)) * rng.standard_normal((n, d))
+    cols = np.asfortranarray(rows)
+    assert cols.flags.f_contiguous and (n == 1 or d == 1 or not cols.flags.c_contiguous)
+    assert basin._offset_form(cols)[1].tobytes() == basin._offset_form(rows)[1].tobytes()
+    for name in ("gradient", "boundary_distance"):
+        assert getattr(basin, name)(cols).tobytes() == getattr(basin, name)(rows).tobytes()
+    # a diagonal H's gradient keeps the layout; a matrix product returns rows
+    assert basin.gradient(cols).flags.f_contiguous == (kind == "diag" or n == 1 or d == 1)
+    margin = 0.1 * basin._a_min
+    assert np.array_equal(basin.within(cols, margin), basin.within(rows, margin))
+
+
 # FOUND (CHANGES.md): from d = 4 the matrix product d @ H rounds a row of a
 # dense H differently in batches of different sizes, so batched gradient rows
 # need not equal the same rows computed alone; ROADMAP item 5 is to mend it.
