@@ -132,12 +132,17 @@ class OptimizerConfig:
         return np.sqrt(omega_t * v) + self.eps_adam
 
     def noise_term(self, increment):
-        """eps Sigma dL, the noise a step adds to theta (before Adam's Q_t^-1), for rows dL."""
+        """eps Sigma dL, the noise a step adds to theta (before Adam's Q_t^-1), for rows dL.
+
+        A dense sigma forms (Sigma dL)_i = sum_j Sigma_ij dL_j as an elementwise
+        product and a last-axis sum, as ``QuadraticBasin`` forms H d, so each
+        row rounds as it would alone and a column-major batch stays so.
+        """
         if self.sigma is None:
             return self.eps_noise * increment
         if self.sigma.ndim == 1:
             return self.eps_noise * (increment * self.sigma)
-        return self.eps_noise * (increment @ self.sigma.T)
+        return self.eps_noise * np.sum(self.sigma * increment[..., None, :], axis=-1)
 
 
 @dataclass

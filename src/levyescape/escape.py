@@ -308,19 +308,15 @@ def _affine_scan(a, y0, y):
 
 
 def _chunk_bracket(drift, xi, y, dev):
-    """Offsets ``x`` (L, rows) of one chunk, their half-widths and column extremes.
+    """Brackets ``(low, high)``, each (L, rows), around the generic iterates of one chunk.
 
-    Returns ``(x, half, bottom, top)``: the kernel's iterates are c + x, each
-    trial's bracket is [c + x_j - half, c + x_j + half], and bottom and top
-    are min_j and max_j of c + x_j, each rounded as c + x_j is, since
-    rounding is monotone.  ``xi`` (rows, L) holds the noise terms as
-    ``noise_term`` forms them and is overwritten with |xi|; ``y`` and
-    ``dev`` (rows,), the offsets theta - c and their deviation bounds at the
-    chunk start, are advanced in place to the chunk end.  The bracket holds
-    the generic loop's iterate at every step up to a trial's first exit (see
-    ``_run_block``); a step whose bracket straddles the basin's edge leaves
-    the trial undecided, exit step 0 in the driver's result.  The scan runs
-    on a time-major copy of ``xi``.
+    ``xi`` (rows, L) holds the noise terms as ``noise_term`` forms them and is
+    overwritten with |xi|; ``y`` and ``dev`` (rows,), the offsets theta - c
+    and their deviation bounds at the chunk start, are advanced in place to
+    the chunk end.  The bracket holds the generic loop's iterate at every
+    step up to a trial's first exit (see ``_run_block``); a step whose
+    bracket straddles the basin's edge leaves the trial undecided, exit step
+    0 in the driver's result.  The scan runs on a time-major copy of ``xi``.
 
     S of ``_run_block`` sums |xi_j| in one pairwise row sum per trial
     (within gamma_(ceil(log2 L))) before the transpose.  The copy's
@@ -339,9 +335,11 @@ def _chunk_bracket(drift, xi, y, dev):
     total += dev + gamma_n * np.abs(y) + length * b
     x = _affine_scan(big_r, y, x)
     y[:], dev[:] = x[-1], max(1.0, rho) ** length * total * (1.0 + 4.0 * gamma_n)
-    bottom, top = c + x.min(axis=0), c + x.max(axis=0)
-    half = _BOUND_SLACK * (dev + 2.0 * _U * np.maximum(top, -bottom))
-    return x, half, bottom, top
+    x += c
+    half = _BOUND_SLACK * (dev + 2.0 * _U * np.maximum(x.max(axis=0), -x.min(axis=0)))
+    low = x - half
+    x += half
+    return low, x
 
 
 def _chunk_outcome(inner_lo, inner_hi, low, high):
@@ -355,23 +353,6 @@ def _chunk_outcome(inner_lo, inner_hi, low, high):
     leaves = (high[stop, cols] < inner_lo) | (low[stop, cols] > inner_hi)
     out[cols] = np.where(leaves, stop + 1, -1)
     return out
-
-
-def _slice_ends(drift, x, half, bottom, top):
-    """``_chunk_outcome`` of one slice, from ``_chunk_bracket``'s ``(x, half, bottom, top)``.
-
-    Rounding is monotone, so fl(bottom - half) and fl(top + half) are the
-    least low end and the greatest high end of a trial's brackets over the
-    chunk: a trial with both in [I_lo, I_hi] is inside at every step (0),
-    and a NaN fails the test.  Only the other trials form their brackets.
-    """
-    c, inner_lo, inner_hi = drift[2], *drift[4:]
-    ends = np.zeros(half.size, dtype=np.int32)
-    moves = ~((bottom - half >= inner_lo) & (top + half <= inner_hi))
-    if moves.any():
-        x, half = x[:, moves] + c, half[moves]
-        ends[moves] = _chunk_outcome(inner_lo, inner_hi, x - half, x + half)
-    return ends
 
 
 def _scan_chunk(drift, cfg, state, noise):
@@ -395,7 +376,7 @@ def _scan_chunk(drift, cfg, state, noise):
 def _scan_slice(sl, drift, opt, scale, noise, y, dev, ends):
     # not named here, so the bracket can free the rows once it has copied
     # them, and the slice's arrays are freed together
-    ends[sl] = _slice_ends(drift, *_chunk_bracket(
+    ends[sl] = _chunk_outcome(*drift[4:], *_chunk_bracket(
         drift, opt.noise_term(scale * noise[sl])[..., 0], y[sl], dev[sl]))
 
 
@@ -474,10 +455,8 @@ def run_escape_experiment(cfg, threads=None):
     """Run the ensemble and aggregate exit statistics.
 
     Trial i draws its noise from its own stream, the ``SasStream`` seeded
-    base_seed + i, so its noise does not depend on how trials are split
-    across workers; its path can, in the last bits, where a matrix product
-    rounds a row with the batch size (``QuadraticBasin.gradient`` from
-    d = 4, a dense sigma).  Streams are keyed by base_seed + i alone, so
+    base_seed + i, so neither its noise nor its path depends on how trials
+    are split across workers.  Streams are keyed by base_seed + i alone, so
     neighbouring base seeds share all but one of their trials' streams,
     shifted by one trial.  Ensembles with the same base_seed, trials and
     dimension read the same streams, and the first chunk of noise that one

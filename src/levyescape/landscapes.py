@@ -102,10 +102,8 @@ class QuadraticBasin(Landscape):
         return float(out) if out.ndim == 0 else out
 
     def gradient(self, theta):
-        d = np.asarray(theta, dtype=float) - self.center
-        if self._h is not None:
-            return d * self._h  # d @ H bit for bit on finite rows: the rest adds exact zeros
-        return d @ self.H  # H is symmetric; from d = 4 a dense H's row rounds with the batch size
+        """H (theta - center) per row, as ``_offset_gradient`` forms it."""
+        return self._offset_gradient(theta)[1]
 
     def minimizer(self):
         return self.center.copy()
@@ -116,22 +114,27 @@ class QuadraticBasin(Landscape):
             return None
         return float(self.H[0, 0]), float(self.center[0])
 
-    def _offset_form(self, theta):
-        """Offsets d = theta - center and quadratic forms q = d^T H d, per row.
+    def _offset_gradient(self, theta):
+        """Offsets d = theta - center and gradients g = H d, per row.
 
-        A diagonal H forms q = sum_i d_i (h_i d_i); a dense one
-        sum_i d_i (sum_j H_ij d_j), whose off-diagonal terms are exact zeros
-        for a diagonal H, so the two agree bit for bit on finite rows.
-        Elementwise products and last-axis sums keep each row's q independent
-        of the rest of the batch; einsum's summation order changes with the
-        batch size, so a point's basin membership would depend on its batch.
-        Up to d = 7 a column-major batch, which runs one inner loop per
-        coordinate, adds each row in the same order (``escape._run_generic``).
+        A diagonal H forms g_i = d_i h_i; a dense one g_i = sum_j H_ij d_j, whose
+        off-diagonal terms are exact zeros for a diagonal H, so the two agree
+        bit for bit on finite rows.  Elementwise products and last-axis sums
+        keep each row's g independent of the rest of the batch, where a matrix
+        product's rounding changes with the batch size, and keep a
+        column-major batch column-major.  Up to d = 7 such a batch, which runs
+        one inner loop per coordinate, adds each row in the same order
+        (``escape._run_generic``).
         """
         d = np.asarray(theta, dtype=float) - self.center
         if self._h is not None:
-            return d, np.sum(d * (self._h * d), axis=-1)
-        return d, np.sum(d * np.sum(self.H * d[..., None, :], axis=-1), axis=-1)
+            return d, d * self._h
+        return d, np.sum(self.H * d[..., None, :], axis=-1)
+
+    def _offset_form(self, theta):
+        """Offsets d and quadratic forms q = sum_i d_i g_i per row, g from ``_offset_gradient``."""
+        d, g = self._offset_gradient(theta)
+        return d, np.sum(d * g, axis=-1)
 
     def boundary_distance(self, theta):
         """Ray distance from ``theta`` to the basin boundary per (..., d) row, -inf outside.

@@ -673,6 +673,15 @@ def test_noise_term_is_amplitude_times_sigma_increment(shape):
     z = np.random.default_rng(2).standard_cauchy(shape)
     diag = np.array([3.0, 0.1, 1.5])
     dense = np.array([[1.0, 0.5, 0.0], [0.0, 2.0, -0.3], [0.1, 0.0, 0.7]])
-    for sigma, sigma_z in ((None, z), (diag, z * diag), (dense, z @ dense.T)):
+    # a dense sigma's row i is sum_j sigma_ij z_j added in order, in every row
+    # alike, whatever the batch
+    in_order = np.empty(shape)
+    for row in np.ndindex(shape[:-1]):
+        for i, sigma_i in enumerate(dense):
+            total = sigma_i[0] * z[row][0]
+            for j in range(1, shape[-1]):
+                total += sigma_i[j] * z[row][j]
+            in_order[row + (i,)] = total
+    for sigma, sigma_z in ((None, z), (diag, z * diag), (dense, in_order)):
         cfg = OptimizerConfig(alpha=1.5, eta=0.02, sigma=sigma)
         assert np.array_equal(cfg.noise_term(z), cfg.eps_noise * sigma_z)

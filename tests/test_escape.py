@@ -262,16 +262,12 @@ _LAYOUT_KINDS = ("SGD", "ADAM", "ADAM_Q", "SGDM")
     for c in [(2 * i + k) % 6]])
 def test_generic_loop_equals_the_row_major_loop(d, kind, h_dense, sigma_form):
     # the column-major state and noise change no bit of any exit step, also
-    # on two threads, whose blocks the oracle runs as separate ensembles
-    # (a dense H or sigma rounds a row with its batch)
+    # on two threads
     cfg = _layout_case(d, kind, h_dense, sigma_form)
-    ids = np.arange(cfg.trials)
     serial = escape.run_escape_experiment(cfg).exit_steps
-    assert np.array_equal(serial, generic_exit_steps_row_major(cfg, ids))
+    assert np.array_equal(serial, generic_exit_steps_row_major(cfg, np.arange(cfg.trials)))
     assert np.unique(serial).size > 10
-    blocks = [generic_exit_steps_row_major(cfg, b) for b in np.array_split(ids, 2)]
-    assert np.array_equal(escape.run_escape_experiment(cfg, threads=2).exit_steps,
-                          np.concatenate(blocks))
+    assert np.array_equal(escape.run_escape_experiment(cfg, threads=2).exit_steps, serial)
 
 
 def _chunk_layouts(monkeypatch):
@@ -290,13 +286,40 @@ def _chunk_layouts(monkeypatch):
 
 
 def test_generic_loop_keeps_a_column_major_state(monkeypatch):
-    # a d = 2 Adam ensemble stays column-major through its steps and its
-    # compactions; an edit that drops the layout costs 10-20% of a step
-    seen = _chunk_layouts(monkeypatch)
-    escape.run_escape_experiment(_layout_case(2, "ADAM", False, "diag"))
-    assert sum((ends > 0).any() and (ends == 0).sum() > 1 for _, ends in seen) >= 2
-    assert all(len(arrays) == 6 and all(a.flags.f_contiguous for a in arrays)
-               for arrays, _ in seen)
+    # a d = 2 Adam ensemble, and a d = 3 SGD one with a dense H and a dense
+    # sigma, stay column-major through their steps and their compactions; an
+    # edit that drops the layout costs 10-20% of a step
+    for case, arrays_per_chunk in (((2, "ADAM", False, "diag"), 6), ((3, "SGD", True, "dense"), 2)):
+        seen = _chunk_layouts(monkeypatch)
+        escape.run_escape_experiment(_layout_case(*case))
+        assert sum((ends > 0).any() and (ends == 0).sum() > 1 for _, ends in seen) >= 2
+        assert all(len(arrays) == arrays_per_chunk and all(a.flags.f_contiguous for a in arrays)
+                   for arrays, _ in seen)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("d, kind", [(3, "SGD"), (4, "ADAM"), (5, "ADAM_Q"), (8, "SGDM")])
+def test_dense_h_and_sigma_paths_do_not_depend_on_the_batch(d, kind):
+    # H d and a dense sigma's product round each row as it would alone: every
+    # step of a batch equals its rows stepped one at a time, bit for bit, two
+    # threads give the serial exit steps, and so does each trial run alone
+    cfg = _layout_case(d, kind, True, "dense")
+    opt = cfg.optimizer
+    noise = opt.increment_scale(opt.step_h) * dynamics.SasStream(
+        opt.alpha, d, cfg.base_seed + np.arange(cfg.trials)).draw(20)
+    batch = dynamics.SdeState.initial(np.tile(cfg.theta0, (cfg.trials, 1)), opt.kind)
+    rows = [dynamics.SdeState.initial(cfg.theta0, opt.kind)] * cfg.trials
+    for j in range(noise.shape[1]):
+        batch = dynamics.levy_step(batch, cfg.landscape, opt, noise[:, j])
+        rows = [dynamics.levy_step(row, cfg.landscape, opt, noise[i, j])
+                for i, row in enumerate(rows)]
+        assert batch.theta.tobytes() == np.array([row.theta for row in rows]).tobytes()
+    serial = escape.run_escape_experiment(cfg).exit_steps
+    assert np.unique(serial).size > 10
+    assert np.array_equal(escape.run_escape_experiment(cfg, threads=2).exit_steps, serial)
+    alone = [escape.run_escape_experiment(dataclasses.replace(
+        cfg, trials=1, base_seed=cfg.base_seed + i)).exit_steps[0] for i in range(cfg.trials)]
+    assert np.array_equal(alone, serial)
 
 
 def test_generic_loop_keeps_rows_from_d_8(monkeypatch):
@@ -628,8 +651,7 @@ def test_chunk_bracket_holds_generic_iterates(land, substeps, step_gamma, alpha,
                                               offset, rel_noise, length, seed):
     # the certified bracket contains the generic loop's iterate at every step
     # up to each trial's first exit, across two chunks (the bound is carried);
-    # brackets and iterates are time-major, (step, trial), and the column
-    # extremes are those of the iterates c + x
+    # brackets and iterates are time-major, (step, trial)
     cfg = _kernel_case(land, substeps, step_gamma, alpha, sigma, offset, rel_noise,
                        2 * length, seed)
     drift = escape._affine_drift(cfg)
@@ -644,13 +666,8 @@ def test_chunk_bracket_holds_generic_iterates(land, substeps, step_gamma, alpha,
     generic = np.array(generic)
     y = np.full(cfg.trials, cfg.theta0[0] - drift[2])
     dev = escape._U * np.abs(y)
-    brackets = []
-    for part in (noise[:, :length], noise[:, length:]):
-        x, half, bottom, top = escape._chunk_bracket(
-            drift, opt.noise_term(scale * part)[..., 0], y, dev)
-        x += drift[2]
-        assert np.array_equal(bottom, x.min(axis=0)) and np.array_equal(top, x.max(axis=0))
-        brackets.append((x - half, x + half))
+    brackets = [escape._chunk_bracket(drift, opt.noise_term(scale * part)[..., 0], y, dev)
+                for part in (noise[:, :length], noise[:, length:])]
     low = np.vstack([lo for lo, _ in brackets])
     high = np.vstack([hi for _, hi in brackets])
     assert low.shape == high.shape == generic.shape == (2 * length, cfg.trials)
@@ -806,9 +823,10 @@ def test_chunk_outcome_matches_the_in_inner_rule(name):
 
 @pytest.mark.parametrize("name", ["fig3_a500", "straddles_zero", "below_zero", "int_ends_0_2"])
 def test_scan_chunk_settles_columns_as_the_per_step_check(monkeypatch, name):
-    # _scan_chunk settles a trial as inside throughout from its extremes alone;
-    # it must agree with _chunk_outcome on the full brackets, also where one
-    # step's bracket end lies within a few floats of I_lo or I_hi
+    # _scan_chunk settles each trial by _chunk_outcome on its full brackets; a
+    # shortcut, such as settling a trial from its column extremes, must agree
+    # with it, also where one step's bracket end lies within a few floats of
+    # I_lo or I_hi
     cfg = _ENDPOINT_CASES[name]
     drift = escape._affine_drift(cfg)
     c, inner_lo, inner_hi = drift[2], *drift[4:]
@@ -824,8 +842,7 @@ def test_scan_chunk_settles_columns_as_the_per_step_check(monkeypatch, name):
         end + rng.integers(-3, 4, trials) * np.spacing(end)) - c
     x[:, 7] = np.nan
     xc = x + c
-    monkeypatch.setattr(escape, "_chunk_bracket",
-                        lambda *args: (x.copy(), half, xc.min(axis=0), xc.max(axis=0)))
+    monkeypatch.setattr(escape, "_chunk_bracket", lambda *args: (xc - half, xc + half))
     state = (np.zeros(trials), np.zeros(trials))
     _, ends = escape._scan_chunk(drift, cfg, state, np.zeros((trials, steps, 1)))
     assert np.array_equal(ends, escape._chunk_outcome(inner_lo, inner_hi, xc - half, xc + half))

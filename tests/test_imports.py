@@ -142,6 +142,19 @@ def test_cli_import_leaves_out_scipy_signal():
     assert out.stdout.strip() == "False"
 
 
+def test_package_imports_leave_out_scipy():
+    # scipy is a test and benchmark dependency only (pyproject's test extra)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    modules = sorted(f"levyescape.{path.stem}".removesuffix(".__init__")
+                     for path in PACKAGE.glob("*.py"))
+    code = f"import sys, {', '.join(modules)}; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert len(modules) == 8 and out.stdout.strip() == "False"
+
+
 def test_geometry_and_compare_leave_out_scipy():
     # scipy.special alone adds about 0.4 s to start-up on a 2-vCPU x86 host; the
     # chunk kernel's scan and bound are plain numpy, where scipy.signal.lfilter

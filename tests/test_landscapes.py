@@ -345,8 +345,8 @@ def test_affine_gradient_of_quadratics_and_base():
 @pytest.mark.parametrize("kind", ["diag", "dense"])
 def test_column_major_batch_rounds_as_row_major(kind, d, n):
     # the generic loop keeps its state column-major up to d = 7: numpy then
-    # adds a row's q terms, and its norm's, in the row-major order, and a
-    # dense H's d @ H rounds each row alike; a numpy that changes this fails here
+    # adds a row's q terms, its H d terms and its norm's in the row-major
+    # order; a numpy that changes this fails here
     rng = np.random.default_rng(10 * d + n)
     basin = _region(kind, d, rng)
     rows = basin.center + rng.uniform(0.0, 3.0, (n, 1)) * rng.standard_normal((n, d))
@@ -355,24 +355,14 @@ def test_column_major_batch_rounds_as_row_major(kind, d, n):
     assert basin._offset_form(cols)[1].tobytes() == basin._offset_form(rows)[1].tobytes()
     for name in ("gradient", "boundary_distance"):
         assert getattr(basin, name)(cols).tobytes() == getattr(basin, name)(rows).tobytes()
-    # a diagonal H's gradient keeps the layout; a matrix product returns rows
-    assert basin.gradient(cols).flags.f_contiguous == (kind == "diag" or n == 1 or d == 1)
+    # the gradient keeps the layout for either kind of H
+    assert basin.gradient(cols).flags.f_contiguous
     margin = 0.1 * basin._a_min
     assert np.array_equal(basin.within(cols, margin), basin.within(rows, margin))
 
 
-# FOUND (CHANGES.md): from d = 4 the matrix product d @ H rounds a row of a
-# dense H differently in batches of different sizes, so batched gradient rows
-# need not equal the same rows computed alone; ROADMAP item 5 is to mend it.
-# A diagonal H adds exact zeros, so its rows match at every d.
-_GRADIENT_ROWS_FOUND = pytest.mark.xfail(
-    strict=False, reason="FOUND: QuadraticBasin.gradient rows depend on the batch size for d >= 4")
-
-
-@pytest.mark.parametrize("kind, d", [("diag", d) for d in (1, 2, 3, 4, 5, 8)]
-                         + [("dense", d) for d in (1, 2, 3)]
-                         + [pytest.param("dense", d, marks=_GRADIENT_ROWS_FOUND)
-                            for d in (4, 5, 8)])
+@pytest.mark.parametrize("kind, d", [(kind, d) for kind in ("diag", "dense")
+                                     for d in (1, 2, 3, 4, 5, 8)])
 def test_batched_gradient_matches_rows(kind, d):
     rng = np.random.default_rng(d)
     basin = _region(kind, d, rng)
