@@ -229,21 +229,57 @@ def empirical_char_fn(samples, omega):
 
     The imaginary part vanishes in expectation by symmetry; it is asserted
     small (|mean sin| < 5/sqrt(n)) and then discarded.
+
+    A float32 screen decides the guard first.  Per slice, with y = omega x
+    formed as the exact pass forms it, it sums in float64 S = sum sin32(fl32 y)
+    and A = sum min(|y|, 2^25).  Each |sin(y) - sin32(fl32 y)| is at most
+    2^-24 min(|y|, 2^25) from the cast (sin is 1-Lipschitz; two sines differ
+    by at most 2), plus 2^-53 from the float64 sine, plus the float32
+    sine's error.  The one assumption: that error is at most 2^-20 (about 16
+    float32 ulps at 1; it covers float32's subnormal range too).  The
+    factor 2 of E = 2 (2^-20 + 2^-24 A/n) covers rounding the sums and the
+    division by n (below 1e-12 for n < 2^40), so |S|/n + E < 5/sqrt(n)
+    proves the guard passes and the float64 sin pass is skipped.  Else, or
+    when a NaN or inf makes S NaN, or when underflow is not ignored (only
+    the float64 sine signals it), the exact sin pass decides, with its
+    warnings and errors.  The value returned never depends on the screen.
     """
     samples = np.asarray(samples, dtype=float).reshape(-1)
     n = samples.size
     if n == 0:
         raise SampleSizeError("empirical_char_fn needs a nonempty sample")
     buf = np.empty(n)  # the sin and then the cos of omega * samples
-    sliced(_phase_slice, _value_slices(n), np.sin, omega, samples, buf)
-    imag = float(np.mean(buf))
-    if abs(imag) >= 5.0 / math.sqrt(n):
-        raise ValueError(
-            f"imaginary part {imag:.4g} of the empirical characteristic function "
-            f"exceeds the symmetry guard 5/sqrt(n); input looks asymmetric"
-        )
+    if not _screen_passes(omega, samples):
+        sliced(_phase_slice, _value_slices(n), np.sin, omega, samples, buf)
+        imag = float(np.mean(buf))
+        if abs(imag) >= 5.0 / math.sqrt(n):
+            raise ValueError(
+                f"imaginary part {imag:.4g} of the empirical characteristic function "
+                f"exceeds the symmetry guard 5/sqrt(n); input looks asymmetric"
+            )
     sliced(_phase_slice, _value_slices(n), np.cos, omega, samples, buf)
     return float(np.mean(buf))
+
+
+def _screen_passes(omega, x):
+    """True if the float32 screen proves |mean sin(omega x)| < 5/sqrt(n); False if it cannot."""
+    if np.geterr()["under"] != "ignore":
+        return False
+    n = x.size
+    sums = np.empty((-(-n // _SLICE), 2))  # per slice: S and A
+    sliced(_screen_slice, range(len(sums)), omega, x, sums)
+    s, a = sums.sum(axis=0).tolist()
+    return abs(s) / n + 2.0 * (2.0 ** -20 + 2.0 ** -24 * a / n) < 5.0 / math.sqrt(n)
+
+
+def _screen_slice(i, omega, x, sums):
+    # |y| > FLT_MAX casts to inf, and sin32(inf) is a quiet NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.multiply(omega, x[i * _SLICE:(i + 1) * _SLICE])
+        y32 = y.astype(np.float32)
+        sums[i, 0] = np.sin(y32, out=y32).sum(dtype=float)
+        np.abs(y, out=y)
+        sums[i, 1] = np.minimum(y, 2.0 ** 25, out=y).sum()
 
 
 def _phase_slice(part, trig, omega, x, out):
@@ -274,8 +310,11 @@ def estimate_tail_index(samples, k1=None, k2=None):
     with np.errstate(divide="ignore"):
         log_y = np.log(np.abs(y))
         log_x = np.log(np.abs(x))
-    mean_log_y = float(np.mean(log_y[np.isfinite(log_y)]))
-    mean_log_x = float(np.mean(log_x[np.isfinite(log_x)]))
+    log_y, log_x = log_y[np.isfinite(log_y)], log_x[np.isfinite(log_x)]
+    if log_y.size == 0 or log_x.size == 0:
+        raise SampleSizeError("no sample or no block sum has a finite, nonzero magnitude")
+    mean_log_y = float(np.mean(log_y))
+    mean_log_x = float(np.mean(log_x))
     inv_alpha = (mean_log_y - mean_log_x) / math.log(k2)
     if inv_alpha <= 0.5:  # alpha_hat would exceed 2
         return 2.0

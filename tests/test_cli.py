@@ -61,6 +61,14 @@ def test_estimate_default_k2_reported(tmp_path):
     assert doc["result"]["k2_default_used"]
 
 
+def test_estimate_on_all_zero_samples_exits_2(tmp_path, capsys):
+    samples = tmp_path / "zeros.txt"
+    np.savetxt(samples, np.zeros(100))
+    code, doc = run(["estimate", "--input", str(samples)], tmp_path)
+    assert code == 2 and doc is None
+    assert "no sample or no block sum has a finite, nonzero magnitude" in capsys.readouterr().err
+
+
 def test_parameter_errors_exit_2(tmp_path, capsys):
     assert main(["sample", "--alpha", "2.5"]) == 2
     assert main(["estimate", "--input", str(tmp_path / "missing.txt")]) == 2

@@ -75,6 +75,111 @@ def test_stability_under_summation():
         assert abs(stable.empirical_char_fn(summed, omega) - law.char_fn(omega)) < 0.01
 
 
+def guard_trips(s, omega):
+    """The symmetry guard's decision from the float64 sines, unsliced."""
+    return abs(float(np.mean(np.sin(omega * s)))) >= 5 / math.sqrt(s.size)
+
+
+def char_fn_reference(s, omega):
+    """``empirical_char_fn`` without a screen: a sin pass, the guard, a cos pass."""
+    imag = float(np.mean(np.sin(np.multiply(omega, s))))
+    if abs(imag) >= 5.0 / math.sqrt(s.size):
+        raise ValueError("symmetry guard")
+    return float(np.mean(np.cos(np.multiply(omega, s))))
+
+
+@pytest.fixture
+def exact_sin_passes(monkeypatch):
+    """A list that gets one entry per exact float64 sin pass slice."""
+    calls, phase_slice = [], stable._phase_slice
+
+    def counted(part, trig, omega, x, out):
+        if trig is np.sin:
+            calls.append(part)
+        return phase_slice(part, trig, omega, x, out)
+
+    monkeypatch.setattr(stable, "_phase_slice", counted)
+    return calls
+
+
+def test_char_fn_screen_decides_as_the_exact_guard(exact_sin_passes):
+    # bisect the shift c of s + c to the two neighbouring floats where the
+    # float64 guard flips: |mean sin| sits within rounding of 5/sqrt(n) there
+    s = stable.sample_sas(stable.StableLaw(1.5), 10 ** 4, seed=31)
+    under, over = 0.0, 1.0
+    assert not guard_trips(s + under, 1.0) and guard_trips(s + over, 1.0)
+    while (under + over) / 2 not in (under, over):
+        mid = (under + over) / 2
+        under, over = (under, mid) if guard_trips(s + mid, 1.0) else (mid, over)
+    # exactly at the limit: sin(fl(pi/2)) is 1.0 and the sums are exact
+    at_limit = [np.full(25, np.pi / 2), np.repeat([np.pi / 2, 0.0], 50)]
+    for x in at_limit:
+        assert abs(float(np.mean(np.sin(x)))) == 5 / math.sqrt(x.size)
+    cases = [s + c for c in (0.0, 0.05, under, over, 0.5)] + at_limit
+    for x in cases:
+        if guard_trips(x, 1.0):
+            with pytest.raises(ValueError, match="symmetry guard"):
+                stable.empirical_char_fn(x, 1.0)
+        else:
+            assert stable.empirical_char_fn(x, 1.0) == float(np.mean(np.cos(x)))
+    exact_sin_passes.clear()
+    for x in at_limit:
+        with pytest.raises(ValueError, match="symmetry guard"):
+            stable.empirical_char_fn(x, 1.0)
+    assert len(exact_sin_passes) == 2
+
+
+def test_char_fn_screen_decides_every_criterion_1_input(exact_sin_passes):
+    # the inputs of acceptance criterion 1 never need the float64 sin pass
+    for alpha in (1.0, 1.2, 1.5, 1.8, 2.0):
+        s = stable.sample_sas(stable.StableLaw(alpha), 10 ** 6, seed=int(alpha * 1000))
+        for omega in (0.5, 1.0, 2.0):
+            assert stable.empirical_char_fn(s, omega) == float(np.mean(np.cos(omega * s)))
+    assert exact_sin_passes == []
+
+
+def test_float32_sine_stays_within_the_screens_allowance():
+    # the screen's one assumption, with a factor 4 to spare: past the cast's
+    # own error 2^-24 min(|y|, 2^25), numpy's float32 sine errs by <= 2^-22
+    flt_max = float(np.finfo(np.float32).max)
+    y = np.geomspace(1e-300, flt_max, 400_001)
+    y = np.concatenate([y, -y])
+    with np.errstate(under="ignore"):
+        sin32 = np.sin(y.astype(np.float32)).astype(float)
+    excess = np.abs(sin32 - np.sin(y)) - 2.0 ** -24 * np.minimum(np.abs(y), 2.0 ** 25)
+    assert np.all(excess <= 2.0 ** -22)
+
+
+def _observed(call):
+    """(value or error, warnings) of ``call()``, a NaN value as the string "nan"."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = call()
+            value = "nan" if math.isnan(value) else value
+        except (ValueError, FloatingPointError) as exc:
+            value = (type(exc), str(exc) if isinstance(exc, FloatingPointError) else None)
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("errstate", [{}, {"all": "raise"}, {"over": "raise", "invalid": "raise"}])
+def test_char_fn_screen_leaves_nonfinite_inputs_to_the_exact_pass(errstate):
+    # a NaN, an inf or |omega x| > FLT_MAX makes the screen's sum NaN; the
+    # exact pass then gives the reference's value, warnings and errors.  A
+    # subnormal makes the float64 sine underflow, which only all="raise" sees
+    s = stable.sample_sas(stable.StableLaw(1.5), 1000, seed=32)
+    cases = []
+    for bad in (np.inf, -np.inf, np.nan, 1e39, 1e300, 1e-310):
+        x = s.copy()
+        x[7] = bad
+        cases += [(x, 1.0), (x, 1e10), (x + 1.0, 1.0)]
+    for x, omega in cases:
+        with np.errstate(**errstate):
+            got = _observed(lambda: stable.empirical_char_fn(x, omega))
+            want = _observed(lambda: char_fn_reference(x, omega))
+        assert got == want, (x[7], omega)
+
+
 def test_sampler_symmetry_sign_balance():
     s = stable.sample_sas(stable.StableLaw(1.3), 10 ** 6, seed=17)
     assert abs(np.mean(np.sign(s))) < 3.0 / math.sqrt(10 ** 6)
@@ -195,6 +300,42 @@ def test_slices_are_each_taken_once_by_more_workers_than_cores(monkeypatch):
             sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("n", [1, S - 1, S, S + 1, 3 * S + 5])
+def test_char_fn_screen_slices_are_each_taken_once(monkeypatch, exact_sin_passes, n):
+    # a screen slice taken twice or never leaves its sums wrong; the value
+    # and the guard's decision are the unsliced formula's, and a NaN at
+    # either end of any slice leaves the decision to the exact sin pass
+    s = stable.sample_sas(stable.StableLaw(1.2), n, seed=n)
+    for at in {0, n - 1} | {k * S + e for k in range(1, -(-n // S)) for e in (-1, 0)}:
+        x = s.copy()
+        x[at] = np.nan
+        exact_sin_passes.clear()
+        assert math.isnan(stable.empirical_char_fn(x, 1.0)) and exact_sin_passes
+    taken, screen_slice = [], stable._screen_slice
+
+    def counted(i, *args):
+        taken.append(i)
+        return screen_slice(i, *args)
+
+    monkeypatch.setattr(stable, "_screen_slice", counted)
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(4) as executor:
+        monkeypatch.setattr(stable, "_pool", (executor, 4))
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                for x in (s, s + 1.0):
+                    taken.clear()
+                    if guard_trips(x, 1.0):
+                        with pytest.raises(ValueError, match="symmetry guard"):
+                            stable.empirical_char_fn(x, 1.0)
+                    else:
+                        assert stable.empirical_char_fn(x, 1.0) == float(np.mean(np.cos(x)))
+                    assert sorted(taken) == list(range(-(-n // S)))
+        finally:
+            sys.setswitchinterval(interval)
+
+
 def _zero_in_a_worker_slice(monkeypatch):
     # the calling thread holds its first slice until the worker has taken
     # one, and the worker's slices see u_exp = 0.0 at their first value
@@ -294,6 +435,15 @@ def test_estimator_size_errors():
         stable.estimate_tail_index(np.ones(10), k1=5, k2=3)
     with pytest.raises(stable.SampleSizeError):
         stable.estimate_tail_index(np.ones(10), k2=1)
+
+
+def test_estimator_refuses_data_without_a_finite_log_magnitude():
+    # all zeros, or block sums that all cancel to 0, leave no log|.| to average
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, k2 in ((np.zeros(100), None), (np.tile([1.0, -1.0], 50), 2)):
+            with pytest.raises(stable.SampleSizeError, match="finite, nonzero"):
+                stable.estimate_tail_index(x, k2=k2)
 
 
 def test_jump_intensity_values():
