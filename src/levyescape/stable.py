@@ -313,9 +313,7 @@ def estimate_tail_index(samples, k1=None, k2=None):
     log_y, log_x = log_y[np.isfinite(log_y)], log_x[np.isfinite(log_x)]
     if log_y.size == 0 or log_x.size == 0:
         raise SampleSizeError("no sample or no block sum has a finite, nonzero magnitude")
-    mean_log_y = float(np.mean(log_y))
-    mean_log_x = float(np.mean(log_x))
-    inv_alpha = (mean_log_y - mean_log_x) / math.log(k2)
+    inv_alpha = (float(np.mean(log_y)) - float(np.mean(log_x))) / math.log(k2)
     if inv_alpha <= 0.5:  # alpha_hat would exceed 2
         return 2.0
     return min(1.0 / inv_alpha, 2.0)
