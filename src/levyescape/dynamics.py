@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .stable import ParameterError, sas_from_uniforms, tail_normalization
+from .stable import ParameterError, row_sum, sas_from_uniforms, tail_normalization
 
 __all__ = [
     "DivergedError",
@@ -95,15 +95,15 @@ class OptimizerConfig:
             raise ParameterError("drift_substeps must be >= 1")
         if self.sigma is not None:
             self.sigma = np.asarray(self.sigma, dtype=float)
+            if self.sigma.ndim not in (1, 2) or self.sigma.shape[0] != self.sigma.shape[-1]:
+                raise ParameterError(f"sigma must be 1-D or square, got shape {self.sigma.shape}")
         if self.q_fixed is not None:
             self.q_fixed = np.asarray(self.q_fixed, dtype=float)
             if np.any(self.q_fixed <= 0):
                 raise ParameterError("q_fixed entries must be positive")
         if self.noise_scale is None and self.alpha <= 1.0:
-            raise ParameterError(
-                "the amplitude formula eta^((alpha-1)/alpha) degenerates for "
-                "alpha <= 1; set noise_scale directly"
-            )
+            raise ParameterError("the amplitude formula eta^((alpha-1)/alpha) degenerates for "
+                                 "alpha <= 1; set noise_scale directly")
 
     @property
     def eps_noise(self):
@@ -134,15 +134,14 @@ class OptimizerConfig:
     def noise_term(self, increment):
         """eps Sigma dL, the noise a step adds to theta (before Adam's Q_t^-1), for rows dL.
 
-        A dense sigma forms (Sigma dL)_i = sum_j Sigma_ij dL_j as an elementwise
-        product and a last-axis sum, as ``QuadraticBasin`` forms H d, so each
-        row rounds as it would alone and a column-major batch stays so.
+        A dense sigma sums Sigma_ij dL_j by ``row_sum``, as ``QuadraticBasin`` forms H d,
+        so each row rounds as it would alone and a column-major batch stays so.
         """
         if self.sigma is None:
             return self.eps_noise * increment
         if self.sigma.ndim == 1:
             return self.eps_noise * (increment * self.sigma)
-        return self.eps_noise * np.sum(self.sigma * increment[..., None, :], axis=-1)
+        return self.eps_noise * row_sum(self.sigma * increment[..., None, :])
 
 
 @dataclass

@@ -58,14 +58,13 @@ class EscapeConfig:
             raise ParameterError("max_steps must lie in [1, 2**31): exit steps are int32")
         if not 0 <= int(self.base_seed) <= 2**63 - int(self.trials):
             raise ParameterError("trial seeds base_seed + i must lie in [0, 2**63)")
-        if self.theta0.size != self.landscape.dim:
-            raise ParameterError(
-                f"theta0 has {self.theta0.size} coordinates, the landscape {self.landscape.dim}"
-            )
+        d, opt = self.landscape.dim, self.optimizer
+        shapes = {"theta0": [(d,)], "sigma": [(d,), (d, d)], "q_fixed": [(d,)]}
+        for name, value in zip(shapes, (self.theta0, opt.sigma, opt.q_fixed)):
+            if value is not None and value.shape not in shapes[name]:
+                raise ParameterError(f"{name} of shape {value.shape} does not fit {d} coordinates")
         if not self.basin.in_inner(self.theta0, margin_factor=2.0):
-            raise ParameterError(
-                "theta0 must lie in the basin with doubled margin 2 eps^gamma"
-            )
+            raise ParameterError("theta0 must lie in the basin with doubled margin 2 eps^gamma")
 
 
 @dataclass
@@ -176,12 +175,11 @@ def _levy_chunk(cfg, state, noise):
     scale = opt.increment_scale(opt.step_h)
     cols = np.ascontiguousarray(noise.transpose(1, 2, 0))
     del noise
-    order = "F" if state.theta.flags.f_contiguous else "C"
     rows = np.arange(cols.shape[2])
     ends = np.zeros(rows.size, dtype=np.int32)
     for j in range(len(cols)):
         dl = cols[j] if rows.size == cols.shape[2] else cols[j].take(rows, axis=1)
-        state = levy_step(state, cfg.landscape, opt, scale * np.asarray(dl.T, order=order))
+        state = levy_step(state, cfg.landscape, opt, scale * dl.T)
         ok = cfg.basin.in_inner(state.theta)
         if not ok.all():
             ends[rows[~ok]] = j + 1
@@ -194,18 +192,14 @@ def _levy_chunk(cfg, state, noise):
 def _run_generic(cfg, trial_ids):
     """Step the trials with ``levy_step`` and record each one's first exit step.
 
-    Up to d = 7 the state is column-major (trials, d), so each elementwise
-    operation against a (d,) vector (the centre, H's diagonal, sigma,
-    ``q_fixed``) runs one inner loop per coordinate instead of one per
-    trial, and every bit is as in a row-major state: numpy adds the up to 7
-    terms of a row's last-axis sum (q, a norm) in order in either layout.
-    From d = 8 a row-major row is added in pairwise blocks, so the state
-    keeps rows there.
+    The state is column-major (trials, d), so each elementwise operation
+    against a (d,) vector (the centre, H's diagonal, sigma, ``q_fixed``)
+    runs one inner loop per coordinate instead of one per trial.
     """
     shape = (len(trial_ids), cfg.theta0.size)
     # not named here, or the full initial state would live for the whole run
-    return _run_chunks(cfg, trial_ids, SdeState.initial(np.full(
-        shape, cfg.theta0, order="F" if shape[1] <= 7 else "C"), cfg.optimizer.kind), _levy_chunk)
+    return _run_chunks(cfg, trial_ids, SdeState.initial(
+        np.full(shape, cfg.theta0, order="F"), cfg.optimizer.kind), _levy_chunk)
 
 
 def _chunk_length(cfg, step, thinned):
@@ -226,11 +220,11 @@ def _chunk_length(cfg, step, thinned):
 def _affine_drift(cfg):
     """Constants of the chunk kernel's step ``_scan_chunk``, or None where it does not apply.
 
-    The kernel needs: kind SGD, d = 1, an ``IntervalRegion`` basin, sigma
-    None or one entry, |r| <= 1 for the substep factor r = 1 - step gamma,
-    and a gradient gamma (x - c) on every point a drift substep can start
-    from.  Those start from inner points, which lie at least half the margin
-    inside the region, and move towards c (r >= 0) or across it (r < 0).
+    The kernel needs: kind SGD, d = 1, an ``IntervalRegion`` basin, |r| <= 1
+    for the substep factor r = 1 - step gamma, and a gradient gamma (x - c)
+    on every point a drift substep can start from.  Those start from inner
+    points, which lie at least half the margin inside the region, and move
+    towards c (r >= 0) or across it (r < 0).
     Returns ``(R, rho, c, b, I_lo, I_hi)``: the computed R = r^K, the bound
     rho on |R| and on the computed R's modulus, the noise-free part b of the
     per-step bound (``_run_block``) and the inner interval's ends.
@@ -238,7 +232,6 @@ def _affine_drift(cfg):
     opt, basin = cfg.optimizer, cfg.basin
     if (opt.kind != "SGD" or cfg.theta0.size != 1
             or not isinstance(basin.region, IntervalRegion)
-            or (opt.sigma is not None and opt.sigma.size != 1)
             or not basin.in_inner(cfg.theta0)):
         return None
     lo, hi = basin.region.lo, basin.region.hi

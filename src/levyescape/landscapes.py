@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stable import ParameterError
+from .stable import ParameterError, row_sum
 
 __all__ = [
     "Landscape",
@@ -117,24 +117,20 @@ class QuadraticBasin(Landscape):
     def _offset_gradient(self, theta):
         """Offsets d = theta - center and gradients g = H d, per row.
 
-        A diagonal H forms g_i = d_i h_i; a dense one g_i = sum_j H_ij d_j, whose
-        off-diagonal terms are exact zeros for a diagonal H, so the two agree
-        bit for bit on finite rows.  Elementwise products and last-axis sums
-        keep each row's g independent of the rest of the batch, where a matrix
-        product's rounding changes with the batch size, and keep a
-        column-major batch column-major.  Up to d = 7 such a batch, which runs
-        one inner loop per coordinate, adds each row in the same order
-        (``escape._run_generic``).
+        A diagonal H forms g_i = d_i h_i; a dense one g_i = sum_j H_ij d_j by ``row_sum``,
+        whose off-diagonal terms are exact zeros for a diagonal H, so the forms agree bit
+        for bit on finite rows.  Unlike a matrix product, each keeps a row's g independent
+        of its batch and a column-major batch column-major.
         """
         d = np.asarray(theta, dtype=float) - self.center
         if self._h is not None:
             return d, d * self._h
-        return d, np.sum(self.H * d[..., None, :], axis=-1)
+        return d, row_sum(self.H * d[..., None, :])
 
     def _offset_form(self, theta):
         """Offsets d and quadratic forms q = sum_i d_i g_i per row, g from ``_offset_gradient``."""
         d, g = self._offset_gradient(theta)
-        return d, np.sum(d * g, axis=-1)
+        return d, row_sum(d * g)
 
     def boundary_distance(self, theta):
         """Ray distance from ``theta`` to the basin boundary per (..., d) row, -inf outside.
@@ -152,7 +148,7 @@ class QuadraticBasin(Landscape):
     def _ray_gap(self, d, q):
         """The ray gap |s - 1| ||d|| of ``boundary_distance`` per row, for any q."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            gap = np.abs(np.sqrt(self.h_f_star / q) - 1.0) * np.linalg.norm(d, axis=-1)
+            gap = np.abs(np.sqrt(self.h_f_star / q) - 1.0) * np.sqrt(row_sum(d * d))
         # at the center, or so near it that q or ||d||^2 underflows (inf or
         # inf * 0): the shortest semi-axis, along the steepest direction
         return np.where(np.isfinite(gap), gap, math.sqrt(self.h_f_star / self.ell))

@@ -25,6 +25,7 @@ __all__ = [
     "sample_sas",
     "sas_from_uniforms",
     "sliced",
+    "row_sum",
     "empirical_char_fn",
     "estimate_tail_index",
     "jump_intensity",
@@ -143,6 +144,15 @@ def sliced(kernel, parts, *args):
             task.exception()  # waits: the caller's arrays are its own again after this
     for task in started:
         task.result()  # raises a worker's error
+
+
+def row_sum(x):
+    """Last-axis sums ((0.0 + x[..., 0]) + x[..., 1]) + ..., whose bits depend on neither a row's
+    batch, its memory layout nor d; up to 7 terms they equal ``np.sum``'s, signed zeros too."""
+    total = x[..., 0] + 0.0
+    for j in range(1, x.shape[-1]):
+        total += x[..., j]
+    return total
 
 
 def sas_from_uniforms(alpha, u_angle, u_exp, out=None, parts=None):

@@ -65,6 +65,30 @@ def test_theta0_must_match_landscape_dim():
         dataclasses.replace(escape.double_well_config(500, 1e-3), theta0=np.ones(2))
 
 
+def test_sigma_and_q_fixed_must_fit_the_landscape():
+    # a scalar sigma took the dense branch, so every coordinate got the same
+    # summed noise; a sigma or q_fixed of another d failed mid-run in numpy
+    for sigma in (3.0, np.ones((2, 3)), np.ones((2, 2, 2))):
+        with pytest.raises(ParameterError, match="square"):
+            dynamics.OptimizerConfig(sigma=sigma)
+    land = landscapes.QuadraticBasin(H=np.diag([4.0, 1.0]), center=np.zeros(2), height=1.0)
+
+    def config(**field):
+        opt = dynamics.OptimizerConfig(kind="ADAM", step_h=0.1, noise_scale=0.05, **field)
+        return escape.EscapeConfig(landscape=land, basin=landscapes.BasinSpec(region=land, eps=0.05),
+                                   optimizer=opt, theta0=np.zeros(2), trials=10, max_steps=10)
+
+    for name, value in (("sigma", np.ones(3)), ("sigma", np.ones(1)), ("sigma", np.eye(3)),
+                        ("q_fixed", np.ones(3)), ("q_fixed", 1.5), ("q_fixed", np.ones((2, 2)))):
+        with pytest.raises(ParameterError, match=name):
+            config(**{name: value})
+    for name, value in (("sigma", np.ones(2)), ("sigma", np.eye(2)), ("q_fixed", np.ones(2))):
+        assert config(**{name: value}).trials == 10
+    well = escape.double_well_config(500, 1e-3)
+    with pytest.raises(ParameterError, match="sigma"):
+        dataclasses.replace(well, optimizer=dataclasses.replace(well.optimizer, sigma=np.ones(2)))
+
+
 def test_reproducible_and_thread_invariant():
     cfg = interval_cfg(trials=200, max_steps=3000)
     a = escape.run_escape_experiment(cfg)
@@ -286,10 +310,12 @@ def _chunk_layouts(monkeypatch):
 
 
 def test_generic_loop_keeps_a_column_major_state(monkeypatch):
-    # a d = 2 Adam ensemble, and a d = 3 SGD one with a dense H and a dense
-    # sigma, stay column-major through their steps and their compactions; an
-    # edit that drops the layout costs 10-20% of a step
-    for case, arrays_per_chunk in (((2, "ADAM", False, "diag"), 6), ((3, "SGD", True, "dense"), 2)):
+    # Adam ensembles with a diagonal H, and SGD ones with a dense H and a dense
+    # sigma, stay column-major through their steps and their compactions, at
+    # d = 2 and 3 as at d = 8 and 16; an edit that drops the layout costs
+    # 10-20% of a step
+    for case, arrays_per_chunk in (((2, "ADAM", False, "diag"), 6), ((3, "SGD", True, "dense"), 2),
+                                   ((8, "SGD", True, "dense"), 2), ((16, "ADAM", False, "none"), 6)):
         seen = _chunk_layouts(monkeypatch)
         escape.run_escape_experiment(_layout_case(*case))
         assert sum((ends > 0).any() and (ends == 0).sum() > 1 for _, ends in seen) >= 2
@@ -298,7 +324,8 @@ def test_generic_loop_keeps_a_column_major_state(monkeypatch):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("d, kind", [(3, "SGD"), (4, "ADAM"), (5, "ADAM_Q"), (8, "SGDM")])
+@pytest.mark.parametrize("d, kind", [(3, "SGD"), (4, "ADAM"), (5, "ADAM_Q"), (8, "SGDM"),
+                                     (9, "SGD"), (16, "ADAM")])
 def test_dense_h_and_sigma_paths_do_not_depend_on_the_batch(d, kind):
     # H d and a dense sigma's product round each row as it would alone: every
     # step of a batch equals its rows stepped one at a time, bit for bit, two
@@ -322,11 +349,37 @@ def test_dense_h_and_sigma_paths_do_not_depend_on_the_batch(d, kind):
     assert np.array_equal(alone, serial)
 
 
-def test_generic_loop_keeps_rows_from_d_8(monkeypatch):
-    # numpy adds 8 or more terms of a column-major row in another order
-    seen = _chunk_layouts(monkeypatch)
-    escape.run_escape_experiment(_layout_case(8, "ADAM", False, "diag"))
-    assert len(seen) > 2 and all(a.flags.c_contiguous for arrays, _ in seen for a in arrays)
+@pytest.mark.parametrize("d", [8, 9, 16, 33])
+@pytest.mark.parametrize("h_dense", [False, True], ids=["diag", "dense"])
+def test_column_major_rows_round_as_each_row_alone(d, h_dense):
+    # numpy's own last-axis sum adds 8 or more terms of a contiguous row in
+    # pairwise blocks but a column-major batch's rows in order; ``row_sum``
+    # adds both in index order, so each row of a column-major batch equals
+    # that row taken alone, bit for bit
+    kind = "ADAM_Q" if h_dense else "SGD"
+    cfg = _layout_case(d, kind, h_dense, "dense" if h_dense else "diag")
+    land, opt = cfg.landscape, cfg.optimizer
+    rng = np.random.default_rng(d)
+    z = rng.standard_normal((2000, d))
+    # quadratic forms spread over the inside, the shell and the outside of the basin
+    q_z = np.einsum("ni,ij,nj->n", z, land.H, z)[:, None]
+    theta = np.asfortranarray(land.center + z * np.sqrt(rng.uniform(0.0, 2.0, (2000, 1)) / q_z))
+    inc = np.asfortranarray(opt.increment_scale(opt.step_h) * rng.standard_cauchy((2000, d)))
+    margin = 0.1 * land._a_min
+
+    def parts(x, dl):
+        state = dynamics.levy_step(dynamics.SdeState.initial(x, opt.kind), land, opt, dl)
+        return {"gradient": land.gradient(x), "q": land._offset_form(x)[1],
+                "boundary_distance": land.boundary_distance(x), "within": land.within(x, margin),
+                "noise_term": opt.noise_term(dl),
+                "levy_step": np.concatenate([a for a in tuple(state)[:2] if a is not None], -1)}
+
+    batch = parts(theta, inc)
+    alone = [parts(np.ascontiguousarray(x), np.ascontiguousarray(dl)) for x, dl in zip(theta, inc)]
+    for name, value in batch.items():
+        assert np.asarray(value).tobytes() == np.array([a[name] for a in alone]).tobytes(), name
+    within = land.within(theta, margin)
+    assert 0 < within.sum() < (land.boundary_distance(theta) > -np.inf).sum() < len(theta)
 
 
 @settings(max_examples=200, deadline=None)

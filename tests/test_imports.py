@@ -1,6 +1,7 @@
 """Every top-level import in the package is used, every export exists, no
-module imports another package module's underscore-prefixed names, and every
-underscore-prefixed top-level name is read somewhere in the package.
+module imports another package module's underscore-prefixed names, every
+underscore-prefixed top-level name is read somewhere in the package, and no
+call reduces over ``axis=-1``, whose rounding depends on the memory layout.
 
 A stdlib-``ast`` stand-in for a linter's unused-import rule: a module-level
 ``import`` or ``from ... import`` binds names, and each must be read somewhere
@@ -84,6 +85,20 @@ def private_imports(source):
                   if alias.name.startswith("_") and not alias.name.endswith("__"))
 
 
+def last_axis_reductions(source):
+    """Calls of ``sum``, ``mean``, ``norm`` or ``reduce`` that pass ``axis=-1``, as line numbers.
+
+    numpy adds a contiguous row of 8 or more terms in pairwise blocks and a
+    column-major batch's rows in order, so such a row's bits depend on its
+    layout; ``stable.row_sum`` adds every row in index order.
+    """
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in (
+                "sum", "mean", "norm", "reduce")
+            and any(kw.arg == "axis" and ast.unparse(kw.value) == "-1" for kw in node.keywords)]
+
+
 def test_unused_import_check_catches_one():
     assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
         "math", "path"]
@@ -129,6 +144,19 @@ def test_no_private_imports_between_modules():
     found = {path.name: private_imports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_last_axis_reduction_check_catches_one():
+    source = ("np.sum(x, axis=-1)\nx.mean(axis=-1)\nnp.linalg.norm(d, axis=-1)\n"
+              "np.add.reduce(x, axis=-1)\nsum(x)\nx.sum(axis=1)\nnp.stack(x, axis=-1)\n"
+              "x.sum(axis=-2)\n")
+    assert last_axis_reductions(source) == [1, 2, 3, 4]
+
+
+def test_no_last_axis_reductions():
+    found = {path.name: last_axis_reductions(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_cli_import_leaves_out_scipy_signal():

@@ -341,12 +341,12 @@ def test_affine_gradient_of_quadratics_and_base():
 
 
 @pytest.mark.parametrize("n", [1, 7, 2000])
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 33])
 @pytest.mark.parametrize("kind", ["diag", "dense"])
 def test_column_major_batch_rounds_as_row_major(kind, d, n):
-    # the generic loop keeps its state column-major up to d = 7: numpy then
-    # adds a row's q terms, its H d terms and its norm's in the row-major
-    # order; a numpy that changes this fails here
+    # the generic loop keeps its state column-major at every d: a row's q
+    # terms, its H d terms and its norm's are added in index order
+    # (``stable.row_sum``) in either layout
     rng = np.random.default_rng(10 * d + n)
     basin = _region(kind, d, rng)
     rows = basin.center + rng.uniform(0.0, 3.0, (n, 1)) * rng.standard_normal((n, d))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pathlib
@@ -403,6 +404,52 @@ def test_forked_child_drops_the_pool_and_transforms():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def _sum_in_order(x):
+    """Last-axis sums of ``x``, each row added left to right from 0.0 in Python floats."""
+    out = np.empty(x.shape[:-1])
+    for row in np.ndindex(out.shape):
+        total = 0.0
+        for value in x[row]:
+            total += float(value)
+        out[row] = total
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 33])
+def test_row_sum_adds_in_index_order(d):
+    # magnitudes over 16 decades, so any other order of the adds shows; up to
+    # 7 terms np.sum adds in this order too, in either layout
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((50, d)) * 10.0 ** rng.uniform(-8.0, 8.0, (50, d))
+    dense = rng.standard_normal((d, d)) * np.asfortranarray(x)[:, None, :]
+    for batch in (x, np.asfortranarray(x), x[0], x[:1], dense):
+        out = stable.row_sum(batch)
+        assert np.shape(out) == batch.shape[:-1]
+        assert np.asarray(out).tobytes() == _sum_in_order(batch).tobytes()
+        if d <= 7:
+            assert np.asarray(out).tobytes() == np.sum(batch, axis=-1).tobytes()
+        if batch.ndim > 1 and not batch.flags.c_contiguous:
+            assert out.flags.f_contiguous
+    assert not np.shares_memory(stable.row_sum(x), x)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9])
+def test_row_sum_gives_np_sums_signed_zeros_nan_and_inf(d):
+    # every mix of -0.0, 0.0, nan, inf, -inf and 1.0 in the first three terms:
+    # a zero sum is 0.0 as from np.sum, also for a single -0.0, and nan and
+    # inf propagate where np.sum has them
+    specials = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1.0]
+    k = min(d, 3)
+    x = np.array(list(itertools.product(specials, repeat=k)))
+    x = np.hstack([x, np.full((len(x), d - k), -0.0)])
+    with np.errstate(invalid="ignore"):
+        for batch in (x, np.asfortranarray(x)):
+            out, ref = stable.row_sum(batch), np.sum(batch, axis=-1)
+            assert np.array_equal(out, ref, equal_nan=True)
+            assert np.array_equal(np.signbit(out[out == 0]), np.signbit(ref[ref == 0]))
+            assert np.isnan(out).any() and np.isinf(out).any() and (out == 0).any()
 
 
 def test_sampler_determinism():
