@@ -324,6 +324,36 @@ def test_generic_loop_keeps_a_column_major_state(monkeypatch):
         monkeypatch.undo()
 
 
+def test_generic_loop_keeps_rows_from_d_8(monkeypatch):
+    # numpy adds 8 or more terms of a contiguous row pairwise but those of a
+    # column-major batch's row in order; each chunk of the generic loop gives
+    # every row of its column-major batch the ends and the state bits that the
+    # same chunk gives that row alone, with a dense H and sigma and with Adam
+    chunk = escape._levy_chunk
+    for case in ((8, "SGD", True, "dense"), (8, "ADAM_Q", True, "dense"), (16, "ADAM_Q", True, "diag"),
+                 (8, "ADAM", False, "none")):
+        cfg, calls = _layout_case(*case), []
+
+        def recording(cfg, state, noise):
+            out = chunk(cfg, state, noise)
+            calls.append((state, noise, out))
+            return out
+
+        monkeypatch.setattr(escape, "_levy_chunk", recording)
+        escape.run_escape_experiment(cfg)
+        monkeypatch.undo()
+        assert len(calls) >= 2 and sum((ends == 0).sum() for _, _, (_, ends) in calls) > 10
+        for state, noise, (out, ends) in calls:
+            assert state.theta.flags.f_contiguous and state.theta.shape[1] == cfg.theta0.size
+            kept = np.cumsum(ends == 0) - 1
+            for i in range(len(ends)):
+                row, row_ends = chunk(cfg, state.take(np.arange(len(ends)) == i), noise[i:i + 1])
+                assert row_ends[0] == ends[i]
+                if not ends[i]:
+                    assert all(a[kept[i]].tobytes() == b[0].tobytes()
+                               for a, b in zip(tuple(out)[:3], tuple(row)[:3]) if a is not None)
+
+
 @pytest.mark.parametrize("d, kind", [(3, "SGD"), (4, "ADAM"), (5, "ADAM_Q"), (8, "SGDM"),
                                      (9, "SGD"), (16, "ADAM")])
 def test_dense_h_and_sigma_paths_do_not_depend_on_the_batch(d, kind):
