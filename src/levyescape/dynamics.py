@@ -16,7 +16,8 @@ time, matching the compound-Poisson intensity and the exit-time predictions.
 
 ``deterministic_flow`` steps each noise-free state with its one gradient and,
 in one pass over the states, reports the Lyapunov value and, for Adam and SGD-M,
-the assumption monitors rho_t and tau_t that ``probe.assumption_monitors`` selects.
+the assumption monitors rho_t and tau_t that ``probe.assumption_monitors`` selects;
+each state's sums go through ``stable.row_sum``, as the stepper's do.
 """
 
 from __future__ import annotations
@@ -635,15 +636,6 @@ def _fit_decay_rate(ts, ls):
     return -float(np.polyfit(ts[keep], np.log(ls[keep]), 1)[0])
 
 
-def _momentum_ratio(m, g):
-    """tau = ||m|| / ||grad F||, or NaN where ||grad F|| is below 1e-12.
-
-    Each norm is sqrt(x @ x), as ``np.linalg.norm`` forms it for a vector.
-    """
-    g_norm = math.sqrt(g @ g)
-    return math.sqrt(m @ m) / g_norm if g_norm > 1e-12 else math.nan
-
-
 def deterministic_flow(state0, landscape, cfg, T):
     """Integrate the noise-free flow and fit the decay rate of its Lyapunov value.
 
@@ -657,25 +649,28 @@ def deterministic_flow(state0, landscape, cfg, T):
     state.  A momentum flow also reports the assumption monitors in
     ``monitor_series``: rho_t = (10/t) times the trapezoidal integral of
     <g / (1 + F - F*), mu_t Q_t^{-1} m> from the first state, and
-    tau_t = ``_momentum_ratio``.  The Lyapunov value of a momentum flow is
+    tau_t = ||m|| / ||grad F|| (NaN where ||grad F|| <= 1e-12), each sum over a
+    state's coordinates by ``row_sum``.  The Lyapunov value of a momentum flow is
     L = F - F* + 1/2 ||m||^2 weighted by 1/s_t, s_t = (beta1/mu_t) Q_t.
-    The predicted Adam rate uses tau, the sup of tau_t over the trajectory,
-    and bounds Q_t by v_max + eps_adam, or by max(Q) when Q is constant
-    (``q_fixed``, SGD-M).
+    The predicted Adam rate uses tau, the largest positive tau_t, and
+    bounds Q_t by v_max + eps_adam, or by max(Q) when Q is constant
+    (``q_fixed``, SGD-M).  T must round to at least one step h.
     """
-    if not T > 0:
-        raise ParameterError(f"horizon T must be positive, got {T}")
-    h = cfg.step_h
+    if not 0.0 < T < math.inf:
+        raise ParameterError(f"horizon T must be positive and finite, got {T}")
+    h, n_steps = cfg.step_h, int(round(T / cfg.step_h))
+    if n_steps == 0:
+        raise ParameterError(f"horizon T = {T} rounds to no step of {h}")
     rows, grads = [tuple(state0)], []
     if cfg.kind == "SGD" and isinstance(getattr(landscape, "H", None), np.ndarray):
         # (I + h drift_scale H)(theta' - c) = theta - c
         a, c = np.eye(landscape.dim) + h * cfg.drift_scale * landscape.H, landscape.center
-        for _ in range(int(round(T / h))):
+        for _ in range(n_steps):
             theta, _, _, t = rows[-1]
             rows.append((c + np.linalg.solve(a, theta - c), None, None, t + h))
     else:
         zero_noise = replace(cfg, noise_scale=0.0)
-        for _ in range(int(round(T / h))):
+        for _ in range(n_steps):
             row = rows[-1]
             grads.append(_checked_gradient(landscape, row[0], row))
             rows.append(_advance(row, grads[-1], landscape, zero_noise, np.zeros_like(row[0])))
@@ -688,10 +683,11 @@ def deterministic_flow(state0, landscape, cfg, T):
         v = traj.v if cfg.kind == "ADAM" else np.zeros(1)
         mu_t, omega_t = np.hsplit(np.array([_bias_corrections(cfg, max(t, h)) for t in traj.t]), 2)
         q = cfg.preconditioner(v, omega_t)
-        ls = gaps + 0.5 * np.sum(m ** 2 / ((cfg.beta1 / mu_t) * q), axis=1)
-        # one dot product per row: a batched sum rounds differently for d >= 2
-        integrands = np.array([a @ b for a, b in zip(g / (1.0 + gaps[:, None]), mu_t * m / q)])
-        ratios = [_momentum_ratio(a, b) for a, b in zip(m, g)]
+        ls = gaps + 0.5 * row_sum(m ** 2 / ((cfg.beta1 / mu_t) * q))
+        integrands = row_sum(g / (1.0 + gaps[:, None]) * (mu_t * m / q))
+        g_norm = np.sqrt(row_sum(g * g))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(g_norm > 1e-12, np.sqrt(row_sum(m * m)) / g_norm, np.nan)
         # a leading 0.0 makes cumsum an accumulator started at 0.0, down to the sign of zero
         trapezoids = np.r_[0.0, 0.5 * (integrands[:-1] + integrands[1:]) * h]
         rho = (10.0 / traj.t[1:]) * np.cumsum(trapezoids)[1:]
@@ -702,7 +698,8 @@ def deterministic_flow(state0, landscape, cfg, T):
     observed = _fit_decay_rate(traj.t, ls)
     if cfg.kind == "SGD":
         return traj, FlowRateReport(observed, 2.0 * landscape.mu * cfg.drift_scale, series)
-    tau = max((r for r in ratios if r > 0), default=None)
+    positive = ratios[ratios > 0]
+    tau = float(positive.max()) if positive.size else None
     v_max = float(np.sqrt(v).max())
     predicted = 0.0
     if tau is not None:

@@ -169,31 +169,44 @@ def _radon_integrand(x, log_mu, log_mu_sum, p):
 def _sphere_quadrature(lam, p, budget):
     """(mean, error bound, evaluations) of (u^T diag(lam) u)^p over S^{d-1}, d >= 2.
 
-    lam is ascending.  By z^p = p / Gamma(1-p) int_0^inf (1 - e^{-sz}) s^{-1-p} ds
+    lam is ascending.  By Jensen's inequality (p <= 1) the mean lies in
+    [lam_min^p, mean(lam)^p]: at p = 1 it is mean(lam), and while fewer than
+    two levels of ``_line_integral`` fit the budget, mean(lam)^p is the
+    value and the interval's width the error.  Otherwise the value is the
+    line integral and the error its last change and tails.  Each error adds
+    ``_rounding_floor``, which may spend the budget the integral left over.
+    """
+    lam = np.clip(lam, 0.0, None)
+    jensen = float(np.mean(lam)) ** p
+    if p == 1.0:
+        value, err, used, spare = jensen, 0.0, 1, 0
+    elif budget < 2 * _FIRST_INTERVALS + 1:
+        value, err, used, spare = jensen, jensen - float(lam[0]) ** p, 0, 0
+    else:
+        value, err, used = _line_integral(lam, p, budget)
+        spare = budget - used
+    floor, extra = _rounding_floor(lam, p, value, spare)
+    return value, err + floor, used + extra
+
+
+def _line_integral(lam, p, budget):
+    """(mean, last change plus tails, evaluations) of the sphere mean for p < 1.
+
+    lam is ascending and nonnegative with a positive largest value.  By
+    z^p = p / Gamma(1-p) int_0^inf (1 - e^{-sz}) s^{-1-p} ds
     and E exp(-s X^T diag(lam) X) = prod_i (1 + 2 s lam_i)^{-1/2} for
     X ~ N(0, I), the mean is max(lam)^p p Gamma(d/2) / (Gamma(1-p) Gamma(d/2+p))
     times I = int_R f(x) dx, with f from ``_radon_integrand`` at
-    mu = lam / max(lam), for p < 1.  Since f <= (sum(mu)/2) e^{(1-p)x} and
+    mu = lam / max(lam).  Since f <= (sum(mu)/2) e^{(1-p)x} and
     f <= e^{-px}, cutting the line at X0 and X1 leaves tails of at most
     (sum(mu)/2) e^{(1-p)X0} / (1-p) and e^{-pX1} / p; each is set to eps
     times a lower bound on I, the integral for the largest eigenvalue alone.
     On [X0, X1], in y with x = sinh y, the trapezoid step halves from
     ``_FIRST_INTERVALS`` intervals, reusing the earlier nodes, until two
     estimates agree to ``_REL_TOL`` or the next level would take the
-    evaluations past ``budget``.  The error bound is the last change, the
-    two tails and a rounding floor.
-
-    By Jensen's inequality (p <= 1) the mean lies in [lam_min^p, mean(lam)^p]:
-    at p = 1 it is mean(lam), and while fewer than two levels fit the
-    budget, mean(lam)^p is the value and the interval's width the error.
+    evaluations past ``budget``; below two levels the change is infinite.
     """
-    lam = np.clip(lam, 0.0, None)
     d, top = lam.size, float(lam[-1])
-    jensen = float(np.mean(lam)) ** p
-    if p == 1.0:
-        return jensen, _rounding_floor(lam, p, jensen), 1
-    if budget < 2 * _FIRST_INTERVALS + 1:
-        return jensen, jensen - float(lam[0]) ** p + _rounding_floor(lam, p, jensen), 0
     mu = lam[lam > 0.0] / top
     log_mu, log_mu_sum = np.log(mu), math.log(float(np.sum(mu)))
     # I >= int_R (1 - (1 + e^x)^{-1/2}) e^{-px} dx = Gamma(1-p) Gamma(1/2+p) / (p sqrt(pi))
@@ -219,23 +232,31 @@ def _sphere_quadrature(lam, p, budget):
         value, used, n = est, used + k.size, 2 * n
         if change <= _REL_TOL * value:
             break
-    return value, change + 2.0 * scale * tail + _rounding_floor(lam, p, value), used
+    return value, change + 2.0 * scale * tail, used
 
 
-def _rounding_floor(lam, p, value):
-    """Bound on the value's shift from eigenvalue and summation rounding.
+def _rounding_floor(lam, p, value, spare):
+    """(bound on the value's shift from eigenvalue and summation rounding, evaluations).
 
     A backward-stable symmetric eigensolver returns each eigenvalue within
     about d eps max(lam) of exact; allow 8 d eps max(lam) = delta.  Moving
     every eigenvalue by at most delta moves q = u^T diag(lam) u by at most
     delta, so q^p by at most delta^p (p <= 1), and by at most
-    p delta (lam_min - delta)^(p - 1) when lam_min exceeds 2 delta.
+    p delta (lam_min - delta)^(p - 1) when lam_min exceeds 2 delta.  Else,
+    since the sphere mean M increases in every eigenvalue, its shift is at
+    most M(lam + delta) - M(max(lam - delta, 0)) plus the last change and
+    tails of those two line integrals (p < 1), which share the ``spare``
+    evaluations when they fit two levels each; the smaller bound is taken.
     """
     delta = 8.0 * lam.size * _EPS * float(lam[-1])
-    shift = delta ** p
+    shift, evals = delta ** p, 0
     if lam[0] > 2.0 * delta:
         shift = min(shift, p * delta * (float(lam[0]) - delta) ** (p - 1.0))
-    return shift + 64.0 * _EPS * value
+    elif spare >= 2 * (2 * _FIRST_INTERVALS + 1):
+        hi, hi_err, hi_evals = _line_integral(lam + delta, p, spare // 2)
+        lo, lo_err, lo_evals = _line_integral(np.maximum(lam - delta, 0.0), p, spare // 2)
+        shift, evals = min(shift, hi - lo + hi_err + lo_err), hi_evals + lo_evals
+    return shift + 64.0 * _EPS * value, evals
 
 
 def ellipsoid_volume(a, c):

@@ -120,12 +120,21 @@ def flow_states(traj):
             for k in range(len(traj.t))]
 
 
+def left_to_right_sum(terms):
+    """0.0 + x0 + x1 + ... in Python floats, each term added in index order."""
+    total = 0.0
+    for x in terms:
+        total += float(x)
+    return total
+
+
 def momentum_flow_series(traj, landscape, cfg):
     """(lyapunov_series, monitor_series, tau, v_max) of a momentum flow, state by state.
 
-    Each state's L, rho integrand and tau come from its own numpy calls on
-    its own gradient; rho_t is (10/t) times the trapezoidal sum from the
-    first state, and tau the largest positive tau_t.
+    Each state's L, rho integrand and tau come from its own calls on its own
+    gradient, every sum over its coordinates a ``left_to_right_sum``; rho_t
+    is (10/t) times the trapezoidal sum from the first state, and tau the
+    largest positive tau_t.
     """
     f_star = landscape.value(landscape.minimizer())
     ls, integrands, ratios = [], [], []
@@ -134,10 +143,11 @@ def momentum_flow_series(traj, landscape, cfg):
         gap = landscape.value(s.theta) - f_star
         mu_t, omega_t = dynamics._bias_corrections(cfg, max(s.t, cfg.step_h))
         q = cfg.preconditioner(s.v, omega_t)
-        ls.append(gap + 0.5 * float(np.sum(s.m ** 2 / ((cfg.beta1 / mu_t) * q))))
-        integrands.append(float((g / (1.0 + gap)) @ (mu_t * s.m / q)))
-        g_norm = float(np.linalg.norm(g))
-        ratios.append(float(np.linalg.norm(s.m)) / g_norm if g_norm > 1e-12 else math.nan)
+        ls.append(gap + 0.5 * left_to_right_sum(s.m ** 2 / ((cfg.beta1 / mu_t) * q)))
+        integrands.append(left_to_right_sum((g / (1.0 + gap)) * (mu_t * s.m / q)))
+        g_norm = math.sqrt(left_to_right_sum(g * g))
+        m_norm = math.sqrt(left_to_right_sum(s.m * s.m))
+        ratios.append(m_norm / g_norm if g_norm > 1e-12 else math.nan)
     ts = np.array([s.t for s in traj])
     integrands = np.array(integrands)
     trapezoids = np.r_[0.0, 0.5 * (integrands[:-1] + integrands[1:]) * cfg.step_h]

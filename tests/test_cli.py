@@ -69,6 +69,16 @@ def test_estimate_on_all_zero_samples_exits_2(tmp_path, capsys):
     assert "no sample or no block sum has a finite, nonzero magnitude" in capsys.readouterr().err
 
 
+def test_flow_horizon_of_no_step_or_inf_exits_2(tmp_path, capsys):
+    for kind in ("SGD", "ADAM"):
+        assert main(["flow", "--kind", kind, "--T", "0.0001",
+                     "--out", str(tmp_path / f"{kind}.json")]) == 2
+    assert capsys.readouterr().err.count("rounds to no step") == 2
+    assert main(["flow", "--T", "inf", "--out", str(tmp_path / "inf.json")]) == 2
+    assert "positive and finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_parameter_errors_exit_2(tmp_path, capsys):
     assert main(["sample", "--alpha", "2.5"]) == 2
     assert main(["estimate", "--input", str(tmp_path / "missing.txt")]) == 2

@@ -12,7 +12,7 @@ from levyescape import dynamics, landscapes, stable
 from levyescape.dynamics import OptimizerConfig, SdeState
 from levyescape.stable import ParameterError, sas_from_uniforms
 
-from oracles import flow_states, momentum_flow_series
+from oracles import flow_states, left_to_right_sum, momentum_flow_series
 
 
 def quad(mu=1.0, d=1, height=10.0):
@@ -255,6 +255,23 @@ def test_flow_terms_match_per_state_oracle():
         assert (rep.tau, rep.v_max) == (tau, v_max), (kind, q_fixed)
 
 
+def test_flow_horizon_of_no_step_or_inf_raises():
+    # round(T / h) == 0 would leave a one-point series and an SGD rate of None;
+    # T = h / 2 rounds to 0 as well (round half to even)
+    for land, kind in ((quad(mu=2.0), "SGD"), (PlainQuadratic(), "SGD"),
+                       (quad(mu=2.0), "ADAM"), (quad(mu=2.0), "SGDM")):
+        cfg = OptimizerConfig(kind=kind, step_h=1e-2, noise_scale=0.0)
+        state0 = SdeState.initial(np.array([1.0]), kind)
+        for T in (1e-4, 0.5e-2):
+            with pytest.raises(ParameterError, match="rounds to no step"):
+                dynamics.deterministic_flow(state0, land, cfg, T)
+        for T in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError, match="positive and finite"):
+                dynamics.deterministic_flow(state0, land, cfg, T)
+        traj, rep = dynamics.deterministic_flow(state0, land, cfg, 0.6e-2)
+        assert traj.t.shape == (2,) and rep.lyapunov_series.shape == (2, 2), kind
+
+
 def stepwise_monitors(traj, land, cfg):
     """(t, rho, tau) rows after the first state, accumulated one state at a time."""
     f_star = land.value(land.minimizer())
@@ -264,11 +281,12 @@ def stepwise_monitors(traj, land, cfg):
         g = land.gradient(state.theta)
         f = land.value(state.theta) - f_star
         q = cfg.preconditioner(state.v, omega_t)
-        integrand = float((g / (1.0 + f)) @ (mu_t * state.m / q))
+        integrand = left_to_right_sum((g / (1.0 + f)) * (mu_t * state.m / q))
         integral += 0.5 * (prev + integrand) * cfg.step_h
         prev = integrand
-        g_norm = float(np.linalg.norm(g))
-        tau = float(np.linalg.norm(state.m)) / g_norm if g_norm > 1e-12 else math.nan
+        g_norm = math.sqrt(left_to_right_sum(g * g))
+        m_norm = math.sqrt(left_to_right_sum(state.m * state.m))
+        tau = m_norm / g_norm if g_norm > 1e-12 else math.nan
         rows.append((state.t, (10.0 / state.t) * integral, tau))
     return np.array(rows)
 

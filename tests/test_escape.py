@@ -657,6 +657,29 @@ def test_frozen_flow_and_monitor_series():
     }
 
 
+def test_frozen_dense_flow_series():
+    # digests recorded once the flow's sums went through row_sum: at d = 3 with a
+    # dense H, the path, L, rho and tau no longer depend on the BLAS kernel.  The
+    # fitted and predicted rates are left out, since polyfit and eigvalsh are LAPACK
+    land = landscapes.QuadraticBasin(H=np.array([[2.0, 0.5, -0.3], [0.5, 1.5, 0.2],
+                                                 [-0.3, 0.2, 1.0]]),
+                                     center=np.array([0.3, -1.0, 2.0]), height=10.0)
+    got = {}
+    for name, kind, q_fixed in (("adam", "ADAM", None), ("adam_q_fixed", "ADAM", [1.5, 0.5, 2.0]),
+                                ("sgdm", "SGDM", None)):
+        cfg = dynamics.OptimizerConfig(kind=kind, step_h=1e-2, beta1=0.9, beta2=0.99,
+                                       noise_scale=0.0, q_fixed=q_fixed)
+        traj, rep = dynamics.deterministic_flow(
+            dynamics.SdeState.initial(np.array([1.0, 0.5, 1.5]), kind), land, cfg, 3.0)
+        got[name] = _float_digest(traj.theta, traj.m, rep.lyapunov_series, rep.monitor_series,
+                                  [rep.tau, rep.v_max])
+    assert got == {
+        "adam": "17aa45c6e7ab1d5e",
+        "adam_q_fixed": "af59e7c69e94ec47",
+        "sgdm": "c726a41753859b68",
+    }
+
+
 def test_frozen_interval_exit_steps():
     # digests recorded before the chunk kernel: 1D SGD on the sweep preset's
     # interval basin at three tail indices, max_steps = 600 ending mid-chunk

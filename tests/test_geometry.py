@@ -262,6 +262,21 @@ def test_integral_matches_sampled_oracle_d6():
     assert abs(m - sampled) <= 4.0 * stderr
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.5])
+def test_singular_set_error_brackets_the_eigenvalues(alpha):
+    # at a zero eigenvalue the pointwise bound delta^p is 0.45 of the value at
+    # alpha = 0.05; the bracket between lam - delta and lam + delta is 1.3e-9 of it
+    w = geometry.QuadraticEscapeSet(A=np.diag([4.0, 0.0]), c=1.0)
+    p = alpha / 2.0
+    exact = ((2.0 * math.pi / alpha) * 4.0 ** p * math.gamma(p + 0.5)
+             / (math.sqrt(math.pi) * math.gamma(p + 1.0)))
+    m, err, used = geometry._radon_measure(w, alpha, 1_000_000)
+    assert err < 1e-6 * m
+    assert abs(m - exact) <= err
+    # the two bracketing integrals count with the value's own evaluations
+    assert used > geometry._line_integral(np.array([0.0, 4.0]), p, 1_000_000)[2]
+
+
 def test_closed_form_error_is_a_rounding_bound():
     w = geometry.QuadraticEscapeSet(A=np.array([[3.0]]), c=2.0)
     m, err = geometry.radon_measure(w, 1.2, with_stderr=True)

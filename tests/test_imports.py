@@ -1,7 +1,8 @@
 """Every top-level import in the package is used, every export exists, no
 module imports another package module's underscore-prefixed names, every
-underscore-prefixed top-level name is read somewhere in the package, and no
-call reduces over ``axis=-1``, whose rounding depends on the memory layout.
+underscore-prefixed top-level name is read somewhere in the package, no
+call reduces over ``axis=-1``, whose rounding depends on the memory layout,
+and outside the probe's MLP no sum goes through a BLAS product.
 
 A stdlib-``ast`` stand-in for a linter's unused-import rule: a module-level
 ``import`` or ``from ... import`` binds names, and each must be read somewhere
@@ -99,6 +100,23 @@ def last_axis_reductions(source):
             and any(kw.arg == "axis" and ast.unparse(kw.value) == "-1" for kw in node.keywords)]
 
 
+BLAS_REDUCTIONS = ("dot", "vdot", "inner", "matmul", "einsum", "tensordot", "norm")
+
+
+def blas_reductions(source):
+    """Uses of ``@`` and calls named in ``BLAS_REDUCTIONS``, as line numbers.
+
+    A BLAS kernel picks its own order of summation, and so its bits, by CPU;
+    ``stable.row_sum`` adds a row's terms in index order on every CPU.
+    """
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                      and isinstance(node.op, ast.MatMult))
+                  or (isinstance(node, ast.Call)
+                      and getattr(node.func, "attr", getattr(node.func, "id", None))
+                      in BLAS_REDUCTIONS))
+
+
 def test_unused_import_check_catches_one():
     assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
         "math", "path"]
@@ -156,6 +174,21 @@ def test_last_axis_reduction_check_catches_one():
 def test_no_last_axis_reductions():
     found = {path.name: last_axis_reductions(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_blas_reduction_check_catches_one():
+    source = ("a @ b\nx @= y\nnp.dot(a, b)\na.dot(b)\nnp.linalg.norm(g)\n"
+              "np.einsum('i,i', a, b)\nnp.vdot(a, b)\nnp.inner(a, b)\nnp.matmul(a, b)\n"
+              "np.tensordot(a, b, 1)\nnp.linalg.solve(a, b)\nnp.linalg.eigvalsh(a)\n"
+              "np.linalg.det(a)\nbasin.in_inner(x)\na * b\nrow_sum(a * b)\n")
+    assert blas_reductions(source) == list(range(1, 11))
+
+
+def test_no_blas_reductions_outside_the_probe():
+    # the probe's MLP is matrix products by nature
+    found = {path.name: blas_reductions(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "probe.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
