@@ -40,8 +40,8 @@ __all__ = [
 class Spectrum:
     """Curvature / noise spectra at a minimizer, in a shared eigenbasis.
 
-    lambdas are the Hessian singular values (descending), sigmas the noise
-    covariance singular values (descending), S the batch size, and h_f_star
+    lambdas are the Hessian singular values (descending), sigma_i the noise
+    scale along eigendirection i (any order), S the batch size, and h_f_star
     the basin height term 2 (height - f*).  The eigenbasis is the coordinate
     axes: every measure, volume and echo depends on the spectra alone.
     """
@@ -56,8 +56,8 @@ class Spectrum:
         self.sigmas = np.asarray(self.sigmas, dtype=float)
         if self.lambdas.size != self.sigmas.size:
             raise ParameterError("lambdas and sigmas must have the same length")
-        if np.any(np.diff(self.lambdas) > 0) or np.any(np.diff(self.sigmas) > 0):
-            raise ParameterError("singular values must be in descending order")
+        if np.any(np.diff(self.lambdas) > 0):
+            raise ParameterError("Hessian singular values must be in descending order")
         if np.any(self.lambdas <= 0):
             raise ParameterError("Hessian singular values must be positive")
         if np.any(self.sigmas < 0):

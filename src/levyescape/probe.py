@@ -7,6 +7,7 @@ and monitors the quantities the escape theory assumes about Adam's moments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -106,12 +107,19 @@ class SyntheticDataset:
         return cls(features=features, labels=labels)
 
 
-def _forward(model, params, x):
+def _forward_blocks(model, params, x, y):
+    """The forward pass over row blocks: (x, y, z1, a1, logits) of each block in order.
+
+    OpenBLAS hands a product of more than 4 * 65536 multiply-adds to its own
+    thread pool, whose waiting thread spins on the core the slice pool needs;
+    a block of ``rows`` rows keeps each product at or below that size.
+    """
     w1, b1, w2, b2 = model.unpack(params)
-    z1 = x @ w1 + b1
-    a1 = np.maximum(z1, 0.0)
-    logits = a1 @ w2 + b2
-    return z1, a1, logits
+    rows = max(1, 2 ** 18 // (model.d_hidden * max(model.d_in, model.d_classes)))
+    for i in range(0, x.shape[0], rows):
+        z1 = x[i : i + rows] @ w1 + b1
+        a1 = np.maximum(z1, 0.0)
+        yield x[i : i + rows], y[i : i + rows], z1, a1, a1 @ w2 + b2
 
 
 def _softmax(logits):
@@ -122,10 +130,11 @@ def _softmax(logits):
 
 def loss_value(model, dataset, params=None):
     """Mean softmax cross-entropy over the whole dataset."""
-    x, y = dataset.features, dataset.labels
-    _, _, logits = _forward(model, params, x)
-    p = _softmax(logits)
-    return float(-np.mean(np.log(p[np.arange(x.shape[0]), y] + 1e-300)))
+    if dataset.n == 0:
+        raise SampleSizeError("dataset is empty")
+    blocks = _forward_blocks(model, params, dataset.features, dataset.labels)
+    p = np.concatenate([_softmax(logits)[np.arange(y.size), y] for _, y, _, _, logits in blocks])
+    return float(-np.mean(np.log(p + 1e-300)))
 
 
 def _subset(dataset, indices):
@@ -138,20 +147,18 @@ def _subset(dataset, indices):
 
 
 def _gradient(model, params, x, y):
+    """Each row block's share of the mean's gradient, added in block order."""
     n = x.shape[0]
-    z1, a1, logits = _forward(model, params, x)
-    p = _softmax(logits)
-    d_logits = p.copy()
-    d_logits[np.arange(n), y] -= 1.0
-    d_logits /= n
-    w1, b1, w2, b2 = model.unpack(params)
-    d_w2 = a1.T @ d_logits
-    d_b2 = d_logits.sum(axis=0)
-    d_a1 = d_logits @ w2.T
-    d_z1 = d_a1 * (z1 > 0)
-    d_w1 = x.T @ d_z1
-    d_b1 = d_z1.sum(axis=0)
-    return np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
+    w2 = model.unpack(params)[2]
+    grads = []
+    for xb, yb, z1, a1, logits in _forward_blocks(model, params, x, y):
+        d_logits = _softmax(logits)
+        d_logits[np.arange(yb.size), yb] -= 1.0
+        d_logits /= n
+        d_z1 = (d_logits @ w2.T) * (z1 > 0)
+        grads.append(np.concatenate([(xb.T @ d_z1).ravel(), d_z1.sum(axis=0),
+                                     (a1.T @ d_logits).ravel(), d_logits.sum(axis=0)]))
+    return functools.reduce(np.add, grads)
 
 
 def full_gradient(model, dataset, params=None):

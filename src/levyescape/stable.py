@@ -297,6 +297,15 @@ def _phase_slice(part, trig, omega, x, out):
     trig(out[part], out=out[part])
 
 
+def _finite_logs(x):
+    """The finite values of log|x|, formed in one buffer, copied only if some are not."""
+    logs = np.abs(x)
+    with np.errstate(divide="ignore"):
+        np.log(logs, out=logs)
+    finite = np.isfinite(logs)
+    return logs if finite.all() else logs[finite]
+
+
 def estimate_tail_index(samples, k1=None, k2=None):
     """Grouped log-moment estimate of the stability index.
 
@@ -316,11 +325,7 @@ def estimate_tail_index(samples, k1=None, k2=None):
     if k1 < 1 or n < k1 * k2:
         raise SampleSizeError(f"need at least k1*k2 = {k1 * k2} samples, got {n}")
     x = samples[: k1 * k2]
-    y = x.reshape(k1, k2).sum(axis=1)
-    with np.errstate(divide="ignore"):
-        log_y = np.log(np.abs(y))
-        log_x = np.log(np.abs(x))
-    log_y, log_x = log_y[np.isfinite(log_y)], log_x[np.isfinite(log_x)]
+    log_y, log_x = _finite_logs(x.reshape(k1, k2).sum(axis=1)), _finite_logs(x)
     if log_y.size == 0 or log_x.size == 0:
         raise SampleSizeError("no sample or no block sum has a finite, nonzero magnitude")
     inv_alpha = (float(np.mean(log_y)) - float(np.mean(log_x))) / math.log(k2)

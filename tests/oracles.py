@@ -4,8 +4,9 @@ Everything here is computed by a different method than the library uses:
 characteristic-function inversion instead of sampling; polar/spherical grid
 quadrature, a closed form for d = 4 and sphere sampling instead of the
 library's one-dimensional integral over the eigenvalues; hit-or-miss Monte
-Carlo instead of closed-form volumes; and the per-state or every-step
-loops that the library replaced with array passes or lazy evaluation.
+Carlo instead of closed-form volumes; the per-state or every-step loops
+that the library replaced with array passes or lazy evaluation; and the
+one-pass formulas that it replaced with row blocks or one buffer.
 """
 
 import math
@@ -111,6 +112,32 @@ def finite_difference_gradient(f, x, h=1e-5):
         e[i] = h
         g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return g
+
+
+def unblocked_gradient(model, params, x, y):
+    """The MLP's mean-loss gradient from one pass over all rows of ``x``."""
+    n = x.shape[0]
+    w1, b1, w2, b2 = model.unpack(params)
+    z1 = x @ w1 + b1
+    a1 = np.maximum(z1, 0.0)
+    d_logits = probe._softmax(a1 @ w2 + b2)
+    d_logits[np.arange(n), y] -= 1.0
+    d_logits /= n
+    d_z1 = (d_logits @ w2.T) * (z1 > 0)
+    return np.concatenate([(x.T @ d_z1).ravel(), d_z1.sum(axis=0),
+                           (a1.T @ d_logits).ravel(), d_logits.sum(axis=0)])
+
+
+def tail_index_two_buffers(samples, k1, k2):
+    """``stable.estimate_tail_index``'s value from log|x| and its finite entries as copies."""
+    x = np.asarray(samples, dtype=float)[: k1 * k2]
+    y = x.reshape(k1, k2).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        log_y = np.log(np.abs(y))
+        log_x = np.log(np.abs(x))
+    log_y, log_x = log_y[np.isfinite(log_y)], log_x[np.isfinite(log_x)]
+    inv_alpha = (float(np.mean(log_y)) - float(np.mean(log_x))) / math.log(k2)
+    return 2.0 if inv_alpha <= 0.5 else min(1.0 / inv_alpha, 2.0)
 
 
 def flow_states(traj):

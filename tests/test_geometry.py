@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyescape import geometry
+from levyescape.cli import main
+from levyescape.stable import ParameterError
 
 from oracles import (
     ellipsoid_volume_mc,
@@ -159,6 +161,19 @@ def test_spectrum_validation():
         geometry.QuadraticEscapeSet(A=np.array([[1.0, 2.0], [2.0, 1.0]]), c=1.0)
     with pytest.raises(Exception):
         geometry.ellipsoid_volume(np.zeros((2, 2)), 1.0)
+
+
+def test_sigmas_pair_with_lambdas_in_any_order(tmp_path):
+    # sigma_i is the noise scale along eigendirection i, whatever its size
+    spec = geometry.Spectrum(lambdas=np.array([10.0, 0.1]), sigmas=np.array([0.1, 3.0]))
+    w_sgd, w_adam = geometry.build_escape_sets(spec)
+    assert np.array_equal(np.diag(w_sgd.A), [10.0 * 0.1 ** 2, 0.1 * 3.0 ** 2])
+    assert w_sgd.A == pytest.approx(np.diag([0.1, 0.9]), rel=1e-15)
+    assert np.array_equal(w_adam.A, np.diag([10.0, 0.1]))
+    assert main(["geometry", "--lambdas", "10 0.1", "--sigmas", "0.1 3",
+                 "--out", str(tmp_path / "g.json")]) == 0
+    with pytest.raises(ParameterError, match="descending"):
+        geometry.Spectrum(lambdas=np.array([0.1, 10.0]), sigmas=np.array([3.0, 0.1]))
 
 
 @pytest.mark.parametrize("lambdas, sigmas", [

@@ -2,7 +2,8 @@
 module imports another package module's underscore-prefixed names, every
 underscore-prefixed top-level name is read somewhere in the package, no
 call reduces over ``axis=-1``, whose rounding depends on the memory layout,
-and outside the probe's MLP no sum goes through a BLAS product.
+and outside the probe's row-blocked MLP products no sum goes through a BLAS
+product.
 
 A stdlib-``ast`` stand-in for a linter's unused-import rule: a module-level
 ``import`` or ``from ... import`` binds names, and each must be read somewhere
@@ -102,19 +103,32 @@ def last_axis_reductions(source):
 
 BLAS_REDUCTIONS = ("dot", "vdot", "inner", "matmul", "einsum", "tensordot", "norm")
 
+# (function, use) pairs allowed in probe.py: the MLP's products, which run on
+# row blocks small enough for OpenBLAS to keep on the calling thread, and the
+# length each noise record reports
+PROBE_BLAS = {("_forward_blocks", "@"), ("_gradient", "@"), ("noise_trajectory", "norm")}
 
-def blas_reductions(source):
+
+def blas_reductions(source, allowed=()):
     """Uses of ``@`` and calls named in ``BLAS_REDUCTIONS``, as line numbers.
 
     A BLAS kernel picks its own order of summation, and so its bits, by CPU;
-    ``stable.row_sum`` adds a row's terms in index order on every CPU.
+    ``stable.row_sum`` adds a row's terms in index order on every CPU.  A use
+    is left out when (the top-level function or class holding it, ``"@"`` or
+    the call's name) is in ``allowed``.
     """
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if (isinstance(node, (ast.BinOp, ast.AugAssign))
-                      and isinstance(node.op, ast.MatMult))
-                  or (isinstance(node, ast.Call)
-                      and getattr(node.func, "attr", getattr(node.func, "id", None))
-                      in BLAS_REDUCTIONS))
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                use = "@"
+            elif isinstance(node, ast.Call):
+                use = getattr(node.func, "attr", getattr(node.func, "id", None))
+            else:
+                continue
+            if use in ("@", *BLAS_REDUCTIONS) and (getattr(top, "name", None), use) not in allowed:
+                found.append(node.lineno)
+    return sorted(found)
 
 
 def test_unused_import_check_catches_one():
@@ -183,12 +197,19 @@ def test_blas_reduction_check_catches_one():
               "np.tensordot(a, b, 1)\nnp.linalg.solve(a, b)\nnp.linalg.eigvalsh(a)\n"
               "np.linalg.det(a)\nbasin.in_inner(x)\na * b\nrow_sum(a * b)\n")
     assert blas_reductions(source) == list(range(1, 11))
+    # a dataset-wide product added to the probe outside its row blocks
+    probe = ("def _gradient(x, w):\n    return x @ w\n"
+             "def loss_value(x, w):\n    return x @ w\n"
+             "def noise_trajectory(u, w):\n    return np.linalg.norm(u), u @ w\n"
+             "class C:\n    def _gradient(self, x, w):\n        return x @ w\n")
+    assert blas_reductions(probe, PROBE_BLAS) == [4, 6, 9]
+    assert blas_reductions(probe) == [2, 4, 6, 6, 9]
 
 
 def test_no_blas_reductions_outside_the_probe():
-    # the probe's MLP is matrix products by nature
-    found = {path.name: blas_reductions(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "probe.py"}
+    found = {path.name: blas_reductions(path.read_text(),
+                                        PROBE_BLAS if path.name == "probe.py" else ())
+             for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

@@ -1,11 +1,16 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from levyescape import dynamics, landscapes, probe
 from levyescape.cli import main
-from levyescape.stable import ParameterError
+from levyescape.stable import ParameterError, SampleSizeError
 
-from oracles import finite_difference_gradient, noise_records_every_step
+from oracles import finite_difference_gradient, noise_records_every_step, unblocked_gradient
 from test_dynamics import CountingQuadratic
 
 
@@ -45,6 +50,57 @@ def test_backprop_matches_finite_differences():
         denom = max(1.0, float(np.max(np.abs(g))))
         assert np.max(np.abs(g[mask] - fd[mask])) / denom < 1e-5
     assert checked > 500
+
+
+def test_backprop_matches_finite_differences_over_several_blocks():
+    # 1000 rows of the default 20-32-3 MLP run as blocks of 409, 409 and 182
+    model = probe.MlpModel.random_init(seed=6)
+    data = probe.SyntheticDataset.blobs(n=1000, seed=7)
+    params = model.params + 0.2 * np.random.default_rng(2).standard_normal(model.n_params)
+    g = probe.full_gradient(model, data, params=params)
+    fd = finite_difference_gradient(lambda p: probe.loss_value(model, data, params=p), params)
+    mask = smooth_coordinate_mask(model, data, params)
+    assert mask.mean() > 0.5
+    assert np.max(np.abs(g[mask] - fd[mask])) / max(1.0, float(np.max(np.abs(g)))) < 1e-5
+
+
+def test_blocked_gradient_matches_unblocked_oracle():
+    small_model, small_data = small_setup()
+    model = probe.MlpModel.random_init(seed=6)
+    one_block = [(small_model, small_data, np.arange(200)),
+                 (model, probe.SyntheticDataset.blobs(n=400, seed=4), np.arange(400)),
+                 (model, probe.SyntheticDataset.blobs(n=409, seed=7), np.arange(409)),
+                 (model, probe.SyntheticDataset.blobs(seed=7), np.arange(5, 2000, 61))]
+    for m, data, rows in one_block:
+        x, y = data.features[rows], data.labels[rows]
+        oracle = unblocked_gradient(m, m.params, x, y)
+        assert probe.minibatch_gradient(m, data, rows).tobytes() == oracle.tobytes()
+        if rows.size == data.n:
+            assert probe.full_gradient(m, data).tobytes() == oracle.tobytes()
+    data = probe.SyntheticDataset.blobs(seed=7)
+    oracle = unblocked_gradient(model, model.params, data.features, data.labels)
+    g = probe.full_gradient(model, data)
+    assert np.max(np.abs(g - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_full_gradient_bits_do_not_depend_on_blas_threads():
+    # a 2000-row gradient in one product rounded differently at 1 and 2 OpenBLAS threads
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS")
+    code = ("import hashlib; from levyescape import probe; "
+            "g = probe.full_gradient(probe.MlpModel.random_init(seed=6), "
+            "probe.SyntheticDataset.blobs(seed=7)); "
+            "print(hashlib.sha256(g.tobytes()).hexdigest())")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_duplicated_dataset_same_gradient():
@@ -92,6 +148,15 @@ def test_disjoint_batches_average_to_full():
         for i in range(0, data.n, s)
     ]
     assert np.allclose(np.mean(grads, axis=0), probe.full_gradient(model, data))
+
+
+def test_empty_data_raise_sample_size_error():
+    model, data = small_setup()
+    empty = probe.SyntheticDataset(features=np.zeros((0, 6)), labels=np.zeros(0, int))
+    for call in (lambda: probe.full_gradient(model, empty), lambda: probe.loss_value(model, empty),
+                 lambda: probe.minibatch_gradient(model, data, np.arange(0))):
+        with pytest.raises(SampleSizeError):
+            call()
 
 
 def test_random_batch_noise_nonzero():

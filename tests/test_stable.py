@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from levyescape import stable
 
-from oracles import sas_tail_mass
+from oracles import sas_tail_mass, tail_index_two_buffers
 
 # exact tail mass P(|X| > 10) of SaS(1) at alpha = 1.5, frozen from the
 # characteristic-function inversion oracle (the power-law asymptote
@@ -475,6 +475,18 @@ def test_estimator_known_laws():
         s = stable.sample_sas(stable.StableLaw(alpha), 10 ** 6, seed=int(alpha * 7))
         a_hat = stable.estimate_tail_index(s, k2=1000)
         assert lo <= a_hat <= hi
+
+
+def test_estimator_equals_two_buffer_formula_with_and_without_zeros():
+    x = stable.sample_sas(stable.StableLaw(1.3), 40_000, seed=5)
+    zeros = x.copy()
+    zeros[::9] = 0.0
+    cancel = np.repeat(x[:200], 2) * np.tile([1.0, -1.0], 200)  # every k2 = 2 block sums to 0
+    cancel[:6] = [1.0, 2.0, 0.0, 3.0, -1.0, 4.0]
+    for data, k1, k2 in ((x, 200, 200), (zeros, 200, 200), (x, 7, 5000), (cancel, 200, 2)):
+        got = stable.estimate_tail_index(data, k1=k1, k2=k2)
+        assert got == tail_index_two_buffers(data, k1, k2)
+    assert stable.estimate_tail_index(zeros) == tail_index_two_buffers(zeros, 200, 200)
 
 
 def test_estimator_size_errors():
