@@ -165,6 +165,8 @@ def _cmd_estimate(cfg, seed):
     samples = np.loadtxt(_s(cfg, "input"), ndmin=1)
     if samples.size == 0:
         raise stable.SampleSizeError("input file contains no samples")
+    if not np.isfinite(samples).all():
+        raise stable.ParameterError("input file contains a non-finite sample")
     k2 = _i(cfg, "k2", 0) or None
     k1 = _i(cfg, "k1", 0) or None
     alpha_hat = stable.estimate_tail_index(samples, k1=k1, k2=k2)
@@ -180,16 +182,20 @@ def _cmd_escape(cfg, seed):
     given = _given(cfg, trials=_i, max_steps=_i, alpha=_f, drift_scale=_f,
                    drift_substeps=_i, gamma=_f)
     a_values = _flist(cfg, "a_values", [_f(cfg, "a", 150.0)])
+    keys = [f"{a:g}" for a in a_values]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise stable.ParameterError(f"a values repeat the key a_{key}")
     trial_csv = cfg.get("trial_csv")
     if trial_csv and len(a_values) > 1 and "{a}" not in trial_csv:
         raise stable.ParameterError("trial_csv must contain {a} when several a values run")
     result = {"basin_convention": "level cut through the branch crossover"}
-    for a in a_values:
+    for a, key in zip(a_values, keys):
         ecfg = escape.double_well_config(a, _f(cfg, "noise_scale"), base_seed=seed, **given)
         stats = escape.run_escape_experiment(ecfg)
-        result[f"a_{a:g}"] = stats.summary()
+        result[f"a_{key}"] = stats.summary()
         if trial_csv:
-            path = trial_csv.replace("{a}", f"{a:g}")
+            path = trial_csv.replace("{a}", key)
             _write_csv(path, ["trial", "exited", "exit_step", "exit_time"],
                        stats.exit_times)
     return result

@@ -227,7 +227,7 @@ def _affine_drift(cfg):
     towards c (r >= 0) or across it (r < 0).
     Returns ``(R, rho, c, b, I_lo, I_hi)``: the computed R = r^K, the bound
     rho on |R| and on the computed R's modulus, the noise-free part b of the
-    per-step bound (``_run_block``) and the inner interval's ends.
+    per-step bound (``_scan_chunk``) and the inner interval's ends.
     """
     opt, basin = cfg.optimizer, cfg.basin
     if (opt.kind != "SGD" or cfg.theta0.size != 1
@@ -307,11 +307,11 @@ def _chunk_bracket(drift, xi, y, dev):
     overwritten with |xi|; ``y`` and ``dev`` (rows,), the offsets theta - c
     and their deviation bounds at the chunk start, are advanced in place to
     the chunk end.  The bracket holds the generic loop's iterate at every
-    step up to a trial's first exit (see ``_run_block``); a step whose
+    step up to a trial's first exit (see ``_scan_chunk``); a step whose
     bracket straddles the basin's edge leaves the trial undecided, exit step
     0 in the driver's result.  The scan runs on a time-major copy of ``xi``.
 
-    S of ``_run_block`` sums |xi_j| in one pairwise row sum per trial
+    S of ``_scan_chunk`` sums |xi_j| in one pairwise row sum per trial
     (within gamma_(ceil(log2 L))) before the transpose.  The copy's
     ``sum(axis=0)`` would add sequentially, within gamma_(L-1), and L - 1
     plus S's four other roundings is at most N, so S would still be low by
@@ -349,46 +349,18 @@ def _chunk_outcome(inner_lo, inner_hi, low, high):
 
 
 def _scan_chunk(drift, cfg, state, noise):
-    """One chunk of the chunk kernel on the offsets ``state = (y, dev)``; see ``_run_block``.
+    """One chunk of the chunk kernel on the offsets ``state = (y, dev)``.
 
-    Its slices of trials share the slice pool (``stable.sliced``); each
-    reads and writes only its own trials of ``ends``, ``y`` and ``dev``.
-    """
-    opt = cfg.optimizer
-    scale = opt.increment_scale(opt.step_h)
-    y, dev = state
-    ends = np.empty(y.size, dtype=np.int32)
-    rows = max(1, _SCAN_SLICE // noise.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        sliced(_scan_slice, [slice(lo, lo + rows) for lo in range(0, y.size, rows)],
-               drift, opt, scale, noise, y, dev, ends)
-    keep = ends == 0
-    return (y[keep], dev[keep]), ends
-
-
-def _scan_slice(sl, drift, opt, scale, noise, y, dev, ends):
-    # not named here, so the bracket can free the rows once it has copied
-    # them, and the slice's arrays are freed together
-    ends[sl] = _chunk_outcome(*drift[4:], *_chunk_bracket(
-        drift, opt.noise_term(scale * noise[sl])[..., 0], y[sl], dev[sl]))
-
-
-def _run_block(cfg, trial_ids):
-    """Exit steps of ``trial_ids``: the chunk kernel where it applies, else ``levy_step``.
-
-    Both run on the chunk driver ``_run_chunks`` and differ only in its
-    per-chunk step.  The generic loop (``_run_generic``, step ``_levy_chunk``)
-    steps every trial with ``levy_step`` and checks ``basin.in_inner`` after
-    each step; it serves every config and is the oracle.  For 1D SGD on an
-    interval basin over an affine gradient (``_affine_drift``), the drift
-    over one step is the linear map y -> R y of the offset y = theta - c,
-    R = r^K, r = 1 - step gamma, so a chunk of L steps is
-    y_j = R y_{j-1} + xi_j.  The kernel's step (``_scan_chunk``) forms
-    xi = noise_term(scale * noise) from the same ``SasStream`` rows, the
-    call the generic step makes, so xi carries the generic bits, and runs
-    the recursion as one ``_affine_scan`` per slice of trials, time-major
-    (L, rows) so that each doubling pass is one contiguous operation; the
-    calling thread and the slice pool's workers share the slices.
+    For 1D SGD on an interval basin over an affine gradient (``_affine_drift``),
+    the drift over one step is the linear map y -> R y of the offset
+    y = theta - c, R = r^K, r = 1 - step gamma, so a chunk of L steps is
+    y_j = R y_{j-1} + xi_j.  The kernel forms xi = noise_term(scale * noise)
+    from the same ``SasStream`` rows, the call the generic step makes, so xi
+    carries the generic bits, and runs the recursion as one ``_affine_scan``
+    per slice of trials, time-major (L, rows) so that each doubling pass is
+    one contiguous operation.  Its slices share the slice pool
+    (``stable.sliced``); each reads and writes only its own trials of
+    ``ends``, ``y`` and ``dev``.
 
     Rounding-error bound.  Let u = 2^-53, x_j the generic loop's iterate,
     Y = max |theta - c| over the region, and delta_j a bound on
@@ -431,51 +403,57 @@ def _run_block(cfg, trial_ids):
     records as exit step 0, and is re-run from step 0 on the generic loop,
     so the exit steps equal the generic loop's by construction.
     """
-    drift = _affine_drift(cfg)
-    if drift is None:
-        return _run_generic(cfg, trial_ids)
-    n, y = len(trial_ids), cfg.theta0[0] - drift[2]
-    # offsets y = theta - c and dev = _U |y|, which bounds |c + y - generic theta|
-    exit_step = _run_chunks(cfg, trial_ids, (np.full(n, y), np.full(n, _U * abs(y))),
-                            partial(_scan_chunk, drift))
-    undecided = exit_step == 0
-    if undecided.any():
-        exit_step[undecided] = _run_generic(cfg, trial_ids[undecided])
-    return exit_step
+    opt = cfg.optimizer
+    scale = opt.increment_scale(opt.step_h)
+    y, dev = state
+    ends = np.empty(y.size, dtype=np.int32)
+    rows = max(1, _SCAN_SLICE // noise.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sliced(_scan_slice, [slice(lo, lo + rows) for lo in range(0, y.size, rows)],
+               drift, opt, scale, noise, y, dev, ends)
+    keep = ends == 0
+    return (y[keep], dev[keep]), ends
+
+
+def _scan_slice(sl, drift, opt, scale, noise, y, dev, ends):
+    # not named here, so the bracket can free the rows once it has copied
+    # them, and the slice's arrays are freed together
+    ends[sl] = _chunk_outcome(*drift[4:], *_chunk_bracket(
+        drift, opt.noise_term(scale * noise[sl])[..., 0], y[sl], dev[sl]))
 
 
 def run_escape_experiment(cfg, threads=None):
     """Run the ensemble and aggregate exit statistics.
 
+    The trials run on the chunk driver ``_run_chunks``.  The generic loop
+    (``_run_generic``, step ``_levy_chunk``) steps every trial with
+    ``levy_step`` and checks ``basin.in_inner`` after each step; it serves
+    every config and is the oracle.  Where ``_affine_drift`` applies, the
+    certified chunk kernel (step ``_scan_chunk``) runs first, and the trials
+    it leaves undecided are re-run on the generic loop.
+
     Trial i draws its noise from its own stream, the ``SasStream`` seeded
-    base_seed + i, so neither its noise nor its path depends on how trials
-    are split across workers.  Streams are keyed by base_seed + i alone, so
+    base_seed + i, so a trial's path does not depend on which other trials
+    run beside it.  Streams are keyed by base_seed + i alone, so
     neighbouring base seeds share all but one of their trials' streams,
     shifted by one trial.  Ensembles with the same base_seed, trials and
     dimension read the same streams, and the first chunk of noise that one
     of them seeds and transforms serves the next from ``SasStream``'s start
-    memo.  ``threads`` (None = serial) splits the trials over a thread pool,
-    each block a stream of its own, so at most one block reads the memo.
-    The pool is reachable only through this argument and is kept for the
-    benchmark's thread-scaling measurement.  Its blocks share the slice
-    workers, which already spread every transform and every chunk-kernel
-    step of two or more slices over the usable cores, so two threads no
-    longer beat one: traced fig3 at seed 5 read ``escape.threads2_speedup``
-    0.89-0.98, against 1.10-1.26 before the transform was sliced (two
-    cores, three runs each, equal exit steps).  Deleting or reusing this
-    pool is left to a benchmark change.
+    memo.  ``threads`` is ignored; it stays for callers that still pass it.
     """
-    all_ids = np.arange(cfg.trials)
-    if threads is None or threads <= 1 or cfg.trials < 2 * threads:
-        exit_step = _run_block(cfg, all_ids)
+    trial_ids = np.arange(cfg.trials)
+    drift = _affine_drift(cfg)
+    if drift is None:
+        exit_step = _run_generic(cfg, trial_ids)
     else:
-        from concurrent.futures import ThreadPoolExecutor  # about 6 ms to import
-
-        blocks = np.array_split(all_ids, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ids: _run_block(cfg, ids), blocks))
-        exit_step = np.concatenate(parts)
-
+        y = cfg.theta0[0] - drift[2]
+        # offsets y = theta - c and dev = _U |y|, which bounds |c + y - generic theta|
+        exit_step = _run_chunks(
+            cfg, trial_ids, (np.full(cfg.trials, y), np.full(cfg.trials, _U * abs(y))),
+            partial(_scan_chunk, drift))
+        undecided = exit_step == 0
+        if undecided.any():
+            exit_step[undecided] = _run_generic(cfg, trial_ids[undecided])
     return EscapeStats(exit_steps=exit_step, step_h=cfg.optimizer.step_h,
                        max_steps=cfg.max_steps)
 
@@ -494,14 +472,16 @@ def predicted_mean_exit(m_w, alpha, eps):
 def scaling_sweep(cfg, eps_list):
     """Fit the log-log slope of mean exit time against noise amplitude.
 
-    Reruns ``cfg`` at each amplitude in ``eps_list`` (setting both the
-    optimizer's noise_scale and the basin margin eps), drops amplitudes that
-    produce fewer than 100 exits with a warning, and least-squares fits log
-    mean-exit-time vs log eps.
+    Reruns ``cfg`` at each of the distinct amplitudes in ``eps_list`` (setting
+    both the optimizer's noise_scale and the basin margin eps), drops those
+    that produce fewer than 100 exits with a warning, and least-squares fits
+    log mean-exit-time vs log eps.
     """
     eps_list = sorted(float(e) for e in eps_list)
     if len(eps_list) < 2:
         raise ParameterError("a sweep needs at least two amplitudes")
+    if len(set(eps_list)) < len(eps_list):
+        raise ParameterError("sweep amplitudes must be distinct")
     if not all(0.0 < e < 1.0 for e in eps_list):
         raise ParameterError(f"sweep amplitudes must lie in (0, 1), got {eps_list}")
     if len(eps_list) < 4 or eps_list[-1] / eps_list[0] < 10.0 - 1e-9:

@@ -69,6 +69,37 @@ def test_estimate_on_all_zero_samples_exits_2(tmp_path, capsys):
     assert "no sample or no block sum has a finite, nonzero magnitude" in capsys.readouterr().err
 
 
+def test_estimate_on_non_finite_samples_exits_2(tmp_path, capsys):
+    # the estimator would drop the sample's log and read an alpha_hat
+    for bad in ("nan", "inf"):
+        samples = tmp_path / f"{bad}.txt"
+        samples.write_text("\n".join([bad, *map(str, range(2, 11))]) + "\n")
+        code, doc = run(["estimate", "--input", str(samples)], tmp_path)
+        assert code == 2 and doc is None
+    assert capsys.readouterr().err.count("non-finite sample") == 2
+
+
+def test_sweep_repeated_amplitudes_exit_2(tmp_path, capsys):
+    for eps_list in ("0.1 0.1", "0.01 0.02 0.02 0.05"):
+        code, doc = run(["sweep", "--eps-list", eps_list, "--trials", "200"], tmp_path)
+        assert code == 2 and doc is None
+    assert capsys.readouterr().err.count("sweep amplitudes must be distinct") == 2
+
+
+def test_escape_a_values_sharing_a_key_exit_2(tmp_path, capsys, monkeypatch):
+    # each basin's summary is keyed a_{a:g}, and its trial file named by the same
+    # key, so two values with one key are refused before any ensemble runs
+    runs = []
+    monkeypatch.setattr(escape, "run_escape_experiment", runs.append)
+    trial_csv = tmp_path / "t_{a}.csv"
+    for a_values, key in (("150 150", "a_150"), ("1e5 100000", "a_100000")):
+        code, doc = run(["escape", "--a-values", a_values, "--noise-scale", "0.01",
+                         "--trial-csv", str(trial_csv)], tmp_path)
+        assert code == 2 and doc is None
+        assert key in capsys.readouterr().err
+    assert runs == [] and not list(tmp_path.glob("t_*.csv"))
+
+
 def test_flow_horizon_of_no_step_or_inf_exits_2(tmp_path, capsys):
     for kind in ("SGD", "ADAM"):
         assert main(["flow", "--kind", kind, "--T", "0.0001",

@@ -89,13 +89,27 @@ def test_sigma_and_q_fixed_must_fit_the_landscape():
         dataclasses.replace(well, optimizer=dataclasses.replace(well.optimizer, sigma=np.ones(2)))
 
 
-def test_reproducible_and_thread_invariant():
+def _tail_run(cfg, k):
+    """Exit steps of trials k.. of ``cfg``, run as an ensemble of their own."""
+    return escape.run_escape_experiment(dataclasses.replace(
+        cfg, base_seed=cfg.base_seed + k, trials=cfg.trials - k)).exit_steps
+
+
+def test_reproducible_and_batch_invariant():
+    # a trial's exit step does not depend on the trials beside it, on the
+    # chunk kernel and on the generic loop
     cfg = interval_cfg(trials=200, max_steps=3000)
+    assert escape._affine_drift(cfg) is not None
     a = escape.run_escape_experiment(cfg)
     b = escape.run_escape_experiment(cfg)
-    c = escape.run_escape_experiment(cfg, threads=4)
     assert np.array_equal(a.exit_steps, b.exit_steps)
-    assert np.array_equal(a.exit_steps, c.exit_steps)
+    for k in (1, 37, 100):
+        assert np.array_equal(_tail_run(cfg, k), a.exit_steps[k:])
+    cfg = _compare_basin_cfg("SGD", 0.1, trials=100, max_steps=300, seed=3)
+    assert escape._affine_drift(cfg) is None
+    serial = escape.run_escape_experiment(cfg).exit_steps
+    assert np.unique(serial).size > 10
+    assert np.array_equal(_tail_run(cfg, 50), serial[50:])
 
 
 def _count_transforms(monkeypatch):
@@ -175,42 +189,18 @@ def test_non_thinning_ensemble_keeps_long_chunks(monkeypatch):
 
 
 def test_blocks_thinning_differently_give_serial_exit_steps(monkeypatch):
-    # 2-D SGD on the generic loop; each thread's block picks its own chunks
+    # 2-D SGD on the generic loop; each block of trials picks its own chunks
     cfg = _compare_basin_cfg("SGD", 0.1, trials=100, max_steps=300, seed=3)
     rows = _record_draws(monkeypatch)
-    schedules = []
+    schedules, parts = [], []
     for block in np.array_split(np.arange(cfg.trials), 2):
-        escape._run_generic(cfg, block)
+        parts.append(escape._run_generic(cfg, block))
         schedules.append(rows.copy())
         rows.clear()
     assert schedules[0] != schedules[1]
     serial = escape.run_escape_experiment(cfg).exit_steps
     assert np.unique(serial).size > 10
-    assert np.array_equal(escape.run_escape_experiment(cfg, threads=2).exit_steps, serial)
-
-
-def test_blocks_share_the_slice_pool_and_give_serial_exit_steps(monkeypatch):
-    # the second chunk (248 rows) of each 100-trial block holds more than one
-    # slice of values, so both blocks' transforms use the one slice pool
-    cfg = _compare_basin_cfg("SGD", 0.02, trials=200, max_steps=256, seed=3)
-    serial = escape.run_escape_experiment(cfg).exit_steps
-    passes, sliced = [], stable.sliced
-
-    def recording(kernel, parts, *args):
-        taken = []
-        sliced(kernel, (taken.append(part) or part for part in parts), *args)
-        passes.append((threading.get_ident(), len(taken)))
-
-    monkeypatch.setattr(stable, "sliced", recording)
-    runs = []
-    runner = threading.Thread(target=lambda: runs.append(
-        escape.run_escape_experiment(cfg, threads=2).exit_steps), daemon=True)
-    runner.start()
-    runner.join(60)
-    assert not runner.is_alive()
-    assert np.array_equal(runs[0], serial)
-    multi_slice = {tid for tid, parts in passes if parts > 1}
-    assert len(multi_slice) == 2 and runner.ident not in multi_slice
+    assert np.array_equal(np.concatenate(parts), serial)
 
 
 def test_stream_follows_survivors_once_per_chunk(monkeypatch):
@@ -286,12 +276,12 @@ _LAYOUT_KINDS = ("SGD", "ADAM", "ADAM_Q", "SGDM")
     for c in [(2 * i + k) % 6]])
 def test_generic_loop_equals_the_row_major_loop(d, kind, h_dense, sigma_form):
     # the column-major state and noise change no bit of any exit step, also
-    # on two threads
+    # in a smaller batch
     cfg = _layout_case(d, kind, h_dense, sigma_form)
     serial = escape.run_escape_experiment(cfg).exit_steps
     assert np.array_equal(serial, generic_exit_steps_row_major(cfg, np.arange(cfg.trials)))
     assert np.unique(serial).size > 10
-    assert np.array_equal(escape.run_escape_experiment(cfg, threads=2).exit_steps, serial)
+    assert np.array_equal(_tail_run(cfg, 20), serial[20:])
 
 
 def _chunk_layouts(monkeypatch):
@@ -358,8 +348,8 @@ def test_generic_loop_keeps_rows_from_d_8(monkeypatch):
                                      (9, "SGD"), (16, "ADAM")])
 def test_dense_h_and_sigma_paths_do_not_depend_on_the_batch(d, kind):
     # H d and a dense sigma's product round each row as it would alone: every
-    # step of a batch equals its rows stepped one at a time, bit for bit, two
-    # threads give the serial exit steps, and so does each trial run alone
+    # step of a batch equals its rows stepped one at a time, bit for bit, a
+    # smaller batch gives the same exit steps, and so does each trial run alone
     cfg = _layout_case(d, kind, True, "dense")
     opt = cfg.optimizer
     noise = opt.increment_scale(opt.step_h) * dynamics.SasStream(
@@ -373,7 +363,7 @@ def test_dense_h_and_sigma_paths_do_not_depend_on_the_batch(d, kind):
         assert batch.theta.tobytes() == np.array([row.theta for row in rows]).tobytes()
     serial = escape.run_escape_experiment(cfg).exit_steps
     assert np.unique(serial).size > 10
-    assert np.array_equal(escape.run_escape_experiment(cfg, threads=2).exit_steps, serial)
+    assert np.array_equal(_tail_run(cfg, 20), serial[20:])
     alone = [escape.run_escape_experiment(dataclasses.replace(
         cfg, trials=1, base_seed=cfg.base_seed + i)).exit_steps[0] for i in range(cfg.trials)]
     assert np.array_equal(alone, serial)
@@ -490,6 +480,10 @@ def test_sweep_degenerate_input_errors():
     for eps_list in ([0.1, 0.0, 0.2, 0.3], [0.1, 0.0], [0.1, 1.5], [-0.1, 0.2]):
         with pytest.raises(ParameterError):
             escape.scaling_sweep(cfg, eps_list)
+    # a repeated amplitude would fit its one point twice
+    for eps_list in ([0.1, 0.1], [0.01, 0.02, 0.02, 0.05]):
+        with pytest.raises(ParameterError, match="sweep amplitudes must be distinct"):
+            escape.scaling_sweep(cfg, eps_list)
 
 
 def test_sweep_drops_low_exit_points():
@@ -567,14 +561,6 @@ def test_compare_transforms_the_shared_first_chunk_once(monkeypatch):
     assert counted.count(first_chunk) == 4
     for kind, stats in shared.items():
         assert np.array_equal(stats.exit_steps, unshared[kind].exit_steps)
-
-
-def test_start_memo_keeps_thread_invariance():
-    # the pool's blocks read and replace the module's one memo entry, so a
-    # block of the second threaded run can read an entry the first one left
-    cfg = _compare_basin_cfg("SGD", 0.3, trials=400, max_steps=5000, seed=9)
-    runs = [escape.run_escape_experiment(cfg, threads=t).exit_steps for t in (None, 2, 2, None)]
-    assert all(np.array_equal(runs[0], r) for r in runs[1:])
 
 
 def test_exit_steps_are_int32_and_max_steps_fits_them():
@@ -737,8 +723,8 @@ def test_chunk_kernel_matches_generic_loop(land, substeps, step_gamma, alpha, si
     cfg = _kernel_case(land, substeps, step_gamma, alpha, sigma, offset, rel_noise,
                        max_steps, seed)
     assert escape._affine_drift(cfg) is not None
-    ids = np.arange(cfg.trials)
-    assert np.array_equal(escape._run_block(cfg, ids), escape._run_generic(cfg, ids))
+    expected = escape._run_generic(cfg, np.arange(cfg.trials))
+    assert np.array_equal(escape.run_escape_experiment(cfg).exit_steps, expected)
 
 
 @settings(max_examples=30, deadline=None)
@@ -804,8 +790,8 @@ def _fallback_case(landscape, lo, hi, theta0, step_h=1.0, drift_scale=1.0):
 ], ids=["r_above_1", "not_affine", "reach_leaves_branch"])
 def test_chunk_kernel_declines_to_generic_loop(cfg):
     assert escape._affine_drift(cfg) is None
-    ids = np.arange(cfg.trials)
-    assert np.array_equal(escape._run_block(cfg, ids), escape._run_generic(cfg, ids))
+    expected = escape._run_generic(cfg, np.arange(cfg.trials))
+    assert np.array_equal(escape.run_escape_experiment(cfg).exit_steps, expected)
 
 
 def test_uncertain_trials_rerun_on_generic_loop(monkeypatch):
@@ -887,7 +873,7 @@ def test_chunk_kernel_matches_generic_loop_on_int_ends(lo, hi):
     ids = np.arange(cfg.trials)
     expected = escape._run_generic(cfg, ids)
     assert np.unique(expected).size > 20
-    assert np.array_equal(escape._run_block(cfg, ids), expected)
+    assert np.array_equal(escape.run_escape_experiment(cfg).exit_steps, expected)
 
 
 @pytest.mark.parametrize("name", ["fig3_a500", "straddles_zero", "below_zero", "int_ends_0_2"])

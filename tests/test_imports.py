@@ -2,8 +2,9 @@
 module imports another package module's underscore-prefixed names, every
 underscore-prefixed top-level name is read somewhere in the package, no
 call reduces over ``axis=-1``, whose rounding depends on the memory layout,
-and outside the probe's row-blocked MLP products no sum goes through a BLAS
-product.
+outside the probe's row-blocked MLP products no sum goes through a BLAS
+product, and no module but ``stable._slice_pool`` builds a thread or process
+pool.
 
 A stdlib-``ast`` stand-in for a linter's unused-import rule: a module-level
 ``import`` or ``from ... import`` binds names, and each must be read somewhere
@@ -131,6 +132,42 @@ def blas_reductions(source, allowed=()):
     return sorted(found)
 
 
+# the package's one worker pool: the slice pool that ``stable.sliced`` fills
+SLICE_POOL = {"_slice_pool"}
+
+
+def _builds_pool(name):
+    parts = name.split(".")
+    return (parts[-1] in ("ThreadPoolExecutor", "ProcessPoolExecutor")
+            or parts[-2:] == ["threading", "Thread"] or parts[0] == "multiprocessing")
+
+
+def pool_builders(source, allowed=()):
+    """Imports and uses of a thread or process pool's builder, as line numbers.
+
+    ``ThreadPoolExecutor``, ``ProcessPoolExecutor``, ``threading.Thread`` and
+    ``multiprocessing`` each count, as a name, an attribute or an import.  A
+    use is left out when the top-level function or class holding it is in
+    ``allowed``.
+    """
+    found = set()
+    for top in ast.parse(source).body:
+        if getattr(top, "name", None) in allowed:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = [ast.unparse(node)]
+            else:
+                continue
+            if any(map(_builds_pool, names)):
+                found.add(node.lineno)
+    return sorted(found)
+
+
 def test_unused_import_check_catches_one():
     assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
         "math", "path"]
@@ -209,6 +246,25 @@ def test_blas_reduction_check_catches_one():
 def test_no_blas_reductions_outside_the_probe():
     found = {path.name: blas_reductions(path.read_text(),
                                         PROBE_BLAS if path.name == "probe.py" else ())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_pool_builder_check_catches_one():
+    source = ("from concurrent.futures import ThreadPoolExecutor\n"
+              "import concurrent.futures\nconcurrent.futures.ProcessPoolExecutor(2)\n"
+              "import threading\nthreading.Thread(target=f)\nthreading.Lock()\n"
+              "import multiprocessing as mp\nfrom multiprocessing import get_context\n"
+              "def _slice_pool():\n    return ThreadPoolExecutor(1)\n"
+              "class Runner:\n    def go(self):\n        return ThreadPoolExecutor(2)\n"
+              "from threading import Thread, Lock\nfrom os import cpu_count\n")
+    assert pool_builders(source, SLICE_POOL) == [1, 3, 5, 7, 8, 13, 14]
+    assert pool_builders(source) == [1, 3, 5, 7, 8, 10, 13, 14]
+
+
+def test_one_worker_pool():
+    found = {path.name: pool_builders(path.read_text(),
+                                      SLICE_POOL if path.name == "stable.py" else ())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
