@@ -309,6 +309,10 @@ def _cmd_flow(cfg, seed):
 
 def _cmd_compare(cfg, seed):
     spec = _spectrum_from(cfg)
+    if not np.all(spec.sigmas > 0):
+        raise stable.ParameterError(
+            "--sigmas entries must be positive for compare: Adam's frozen "
+            "preconditioner Q = batch_size * sigma must be positive")
     noise_scale = _f(cfg, "noise_scale", 0.05)
     opt = dynamics.OptimizerConfig(
         step_h=_f(cfg, "step_h", 0.1), noise_scale=noise_scale, sigma=spec.sigmas,

@@ -55,8 +55,11 @@ class QuadraticBasin(Landscape):
 
     The basin is {y : F(y) <= height}; the derived constant
     h_f_star = 2 (height - f_star) appears in the escaping-set thresholds.
-    An H whose off-diagonal entries are all exactly 0 is kept as its
-    diagonal ``_h``, and q and the gradient skip the zero terms.
+    As a basin region it answers ``boundary_distance``, and a point lies in
+    the inner basin when ``boundary_distance >= margin``; the distance is
+    the ray distance, an upper bound on the Euclidean one.  An H whose
+    off-diagonal entries are all exactly 0 is kept as its diagonal ``_h``,
+    and q and the gradient skip the zero terms.
     """
 
     H: np.ndarray
@@ -81,13 +84,6 @@ class QuadraticBasin(Landscape):
         self.ell = float(eigvals[-1])
         h = np.diag(self.H).copy()
         self._h = h if np.array_equal(self.H, np.diag(h)) else None
-        # the exit screen's constants (``within``): the Gershgorin row-sum
-        # bound G on lambda_max, exact for a diagonal H, gives a_min; q below
-        # the floor may have underflowed; kappa is the screen's relative slack
-        gershgorin = float(np.abs(self.H).sum(axis=1).max())
-        self._a_min = math.sqrt(self.h_f_star / gershgorin)
-        self._q_floor = 2.0 ** -900 * max(1.0, gershgorin)
-        self._kappa = (4 * self.dim + 16) * 2.0 ** -53
 
     @property
     def h_f_star(self):
@@ -143,68 +139,12 @@ class QuadraticBasin(Landscape):
         lie closer to the boundary than the margin.
         """
         d, q = self._offset_form(theta)
-        return np.where(self.f_star + 0.5 * q <= self.height, self._ray_gap(d, q), -np.inf)
-
-    def _ray_gap(self, d, q):
-        """The ray gap |s - 1| ||d|| of ``boundary_distance`` per row, for any q."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             gap = np.abs(np.sqrt(self.h_f_star / q) - 1.0) * np.sqrt(row_sum(d * d))
         # at the center, or so near it that q or ||d||^2 underflows (inf or
         # inf * 0): the shortest semi-axis, along the steepest direction
-        return np.where(np.isfinite(gap), gap, math.sqrt(self.h_f_star / self.ell))
-
-    def within(self, theta, margin):
-        """``boundary_distance(theta) >= margin`` per (..., d) row, for margin >= 0.
-
-        Screen.  With a_min = sqrt(h_f_star / lambda_max), the shortest
-        semi-axis, ||d||^2 >= q / lambda_max gives a ray gap
-        (sqrt(h_f_star / q) - 1) ||d|| >= a_min (1 - sqrt(q / h_f_star)), so a
-        row with q <= (1 - r/a_min)^2 h_f_star is at least r = ``margin``
-        from the boundary along its ray (and in Euclidean distance: the
-        ellipsoid scaled by 1 - r/a_min plus a ball of radius r lies inside
-        the basin).  Such rows are accepted from q alone, rows outside the
-        basin are rejected by the same value test as ``boundary_distance``,
-        and only the rest (the shell) get the ray gap, by ``_ray_gap``.
-
-        Rounding bound.  Every row the screen accepts has a computed ray gap
-        g >= r, so the screen answers as ``boundary_distance`` does.  Take
-        u = 2^-53, gamma_k = k u / (1 - k u), d the dimension, q~ a row's
-        computed q and s^ = sqrt(q~ / h_f_star).
-        - q: in any summation order |q~ - q| <= gamma_2d |d|^T |H| |d|
-          <= gamma_2d G ||d||^2, where G, the greatest row sum of |H|, is at
-          least ||H||_2 = lambda_max; so ||d||^2 >= (1 - gamma_3d) q~ / G~
-          for the computed row sum G~, within gamma_(d-1) of G.
-        - a_min: the screen reads a~ = sqrt(h_f_star / G~), to 2u, which is
-          no larger than a_min beyond those roundings (G = lambda_max for a
-          diagonal H; eigvalsh states no error bound to lean on instead), so
-          ||d|| >= (1 - (2d + 2) u) s^ a~.
-        - |s - 1|: the computed s is at least (1 - 2u) / s^, so s - 1 >=
-          (1 - 2u - s^) / s^ before its own rounding.  Near the threshold
-          s - 1 is about r / a_min, and its error relative to that is about
-          2u a_min / r, which no fixed relative slack covers once r is small;
-          the bound keeps 2u as an absolute term in 1 - 2u - s^ instead.
-        With the roundings of the norm and the product, g >= (1 - (3d + 6) u)
-        (1 - 2u - s^) a~.  The threshold T~ = h_f_star c^2 (1 - kappa), with
-        c = max(0, 1 - (r / a~)(1 + kappa) - kappa) and kappa = (4d + 16) u,
-        is at most h_f_star c^2 after its roundings, and c leaves
-        1 - 2u - c >= (1 - 2u)(1 + kappa) r / a~.  So a row with q~ <= T~ has
-        s^ <= c and g >= (1 - (3d + 6) u)(1 - 2u)(1 + kappa) r >= r; and
-        0.5 q~ < height - f_star, so it passes the value test too.  The
-        roundings are relative while nothing underflows: rows with q~ below
-        2^-900 max(1, G~) go to the shell, which keeps ||d||^2 above 2^-901,
-        and H's nonzero entries are taken to be far from the subnormal range.
-        Overflow only makes g larger.
-        """
-        d, q = self._offset_form(theta)
-        c = max(0.0, 1.0 - margin / self._a_min * (1.0 + self._kappa) - self._kappa)
-        # an array, writable also for one (d,) point; boolean masks index a
-        # (..., n, d) batch as they do a flat one
-        far = np.asarray((q >= self._q_floor) & (q <= self.h_f_star * c * c * (1.0 - self._kappa)))
-        if not far.all():
-            shell = ~far & (self.f_star + 0.5 * q <= self.height)
-            if shell.any():
-                far[shell] = self._ray_gap(d[shell], q[shell]) >= margin
-        return far
+        gap = np.where(np.isfinite(gap), gap, math.sqrt(self.h_f_star / self.ell))
+        return np.where(self.f_star + 0.5 * q <= self.height, gap, -np.inf)
 
 
 @dataclass
@@ -288,10 +228,6 @@ class IntervalRegion:
         gap = np.minimum(np.abs(x - self.lo), np.abs(x - self.hi))
         return np.where((self.lo < x) & (x < self.hi), gap, -np.inf)
 
-    def within(self, theta, margin):
-        """``boundary_distance(theta) >= margin`` per (..., 1) row."""
-        return self.boundary_distance(theta) >= margin
-
 
 @dataclass
 class BasinSpec:
@@ -301,7 +237,7 @@ class BasinSpec:
     escape time is the first step the trajectory leaves that inner region.
     """
 
-    region: object  # within(theta, margin) on (..., d) batches
+    region: object  # boundary_distance(theta) on (..., d) batches, -inf outside
     eps: float
     gamma: float = 1.0
 
@@ -316,5 +252,6 @@ class BasinSpec:
         return self.eps ** self.gamma
 
     def in_inner(self, theta, margin_factor=1.0):
-        """Inner-basin membership of a (d,) point or a (..., d) batch of points."""
-        return self.region.within(theta, margin_factor * self.margin)
+        """Inner-basin membership of a (d,) point or a (..., d) batch of points:
+        ``boundary_distance(theta) >= margin_factor * margin``, one bool per point."""
+        return self.region.boundary_distance(theta) >= margin_factor * self.margin

@@ -286,6 +286,21 @@ def test_compare_small_run(tmp_path):
     assert doc["result"]["geometry"]["ratio_sgd_over_adam"] > 1.0
 
 
+def test_compare_rejects_a_zero_sigma(tmp_path, capsys, monkeypatch):
+    # Adam's frozen preconditioner is batch_size * sigmas, so a zero sigma
+    # fails before any ensemble runs; geometry keeps accepting it
+    ran = []
+    monkeypatch.setattr(escape, "compare_optimizers", lambda *a, **k: ran.append(1))
+    code, doc = run(["compare", "--lambdas", "10 0.1", "--sigmas", "3 0",
+                     "--trials", "20", "--n-dirs", "1000"], tmp_path)
+    assert (code, doc, ran) == (2, None, [])
+    err = capsys.readouterr().err
+    assert "--sigmas" in err and "Q = batch_size * sigma must be positive" in err
+    code, doc = run(["geometry", "--lambdas", "10 0.1", "--sigmas", "3 0",
+                     "--n-dirs", "1000"], tmp_path, "geo.json")
+    assert code == 0 and doc["result"]
+
+
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
 

@@ -246,33 +246,47 @@ def _level_basin(kind, d, rng):
                                      height=basin.f_star + 0.5 * basin.ell * a_min ** 2)
 
 
-@given(st.sampled_from(["diag", "dense"]), st.integers(1, 8), st.sampled_from([1.0, 2.0]),
-       st.floats(-12.0, math.log10(1.0 - 1e-9)), st.integers(0, 2 ** 32 - 1))
+@given(st.sampled_from(["interval", "diag", "dense"]), st.integers(1, 8),
+       st.sampled_from([1.0, 2.0]), st.floats(-12.0, math.log10(1.0 - 1e-9)),
+       st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=80, deadline=None)
-def test_screened_membership_equals_the_ray_gap_rule(kind, d, factor, log_ratio, seed):
-    # in_inner settles rows by q alone where it can; on every row it must
-    # still read boundary_distance >= margin, also a few ulps either side of
-    # the screen's threshold and of the level set, along random directions
-    # and along the steepest one, where the screen's bound is tight
+def test_in_inner_is_boundary_distance_at_least_the_margin(kind, d, factor, log_ratio, seed):
+    # every region answers membership by the one rule, on single points and on
+    # row- and column-major batches: rows a few ulps either side of the margin
+    # and of the boundary, along random directions and the steepest one, and
+    # NaN, infinite and center rows
     rng = np.random.default_rng(seed)
-    basin = _level_basin(kind, d, rng)
-    a_min = math.sqrt(basin.h_f_star / basin.ell)
-    spec = landscapes.BasinSpec(region=basin, eps=0.5 * a_min * 10.0 ** log_ratio, gamma=1.0)
+    if kind == "interval":
+        d = 1
+        region = _region(kind, d, rng)
+        center = np.array([0.5 * (region.lo + region.hi)])
+        a_min = 0.5 * (region.hi - region.lo)
+        dirs = np.array([[-1.0], [1.0]])
+        radii = np.full(2, a_min)
+    else:
+        region = _level_basin(kind, d, rng)
+        center = region.center
+        a_min = math.sqrt(region.h_f_star / region.ell)
+        dirs = np.vstack([rng.standard_normal((6, d)), np.linalg.eigh(region.H)[1][:, -1]])
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        # the boundary's distance from the center along each direction
+        radii = np.sqrt(region.h_f_star / np.sum(dirs * (dirs @ region.H), axis=1))
+    spec = landscapes.BasinSpec(region=region, eps=0.5 * a_min * 10.0 ** log_ratio, gamma=1.0)
     margin = factor * spec.margin
-    dirs = np.vstack([rng.standard_normal((6, d)), np.linalg.eigh(basin.H)[1][:, -1]])
-    q_dirs = np.sum(dirs * (dirs @ basin.H), axis=1)
     steps = np.concatenate([np.arange(-8, 9), [-1, 1] * 2.0 ** np.arange(4, 42, 3)[:, None]],
                            axis=None)
     ulps = 1.0 + steps * 2.0 ** -52
-    pts = []
-    for a in (a_min, basin._a_min):  # the screen reads the Gershgorin a_min
-        for q_edge in (basin.h_f_star * max(0.0, 1.0 - margin / a) ** 2, basin.h_f_star):
-            t = np.sqrt(q_edge / q_dirs)[:, None] * ulps
-            pts.append(basin.center + (t[..., None] * dirs[:, None, :]).reshape(-1, d))
-    pts = np.vstack(pts)
-    want = basin.boundary_distance(pts) >= margin
-    assert np.array_equal(spec.in_inner(pts, margin_factor=factor), want)
-    assert want.any() and not want.all()
+    edges = [radii - margin, radii]
+    pts = np.vstack([center + ((r[:, None] * ulps)[..., None] * dirs[:, None, :]).reshape(-1, d)
+                     for r in edges]
+                    + [np.full((1, d), v) for v in (np.nan, np.inf, -np.inf)] + [center])
+    with np.errstate(invalid="ignore"):
+        want = region.boundary_distance(pts) >= margin
+        for batch in (pts, np.asfortranarray(pts)):
+            assert np.array_equal(spec.in_inner(batch, margin_factor=factor), want)
+        assert [spec.in_inner(p, margin_factor=factor) for p in pts] == want.tolist()
+    assert want.any() and not want[:-4].all()
+    assert not want[-4:-1].any() and want[-1]
 
 
 @pytest.mark.parametrize("n", [1, 7, 2000])
@@ -357,8 +371,9 @@ def test_column_major_batch_rounds_as_row_major(kind, d, n):
         assert getattr(basin, name)(cols).tobytes() == getattr(basin, name)(rows).tobytes()
     # the gradient keeps the layout for either kind of H
     assert basin.gradient(cols).flags.f_contiguous
-    margin = 0.1 * basin._a_min
-    assert np.array_equal(basin.within(cols, margin), basin.within(rows, margin))
+    spec = landscapes.BasinSpec(region=basin, eps=0.5)
+    factor = 0.2 * math.sqrt(basin.h_f_star / basin.ell)  # a margin of a tenth of a_min
+    assert np.array_equal(spec.in_inner(cols, factor), spec.in_inner(rows, factor))
 
 
 @pytest.mark.parametrize("kind, d", [(kind, d) for kind in ("diag", "dense")
