@@ -91,6 +91,8 @@ def _flist(cfg, key, default=None):
     raw = _raw(cfg, key, default)
     if isinstance(raw, str):
         raw = raw.replace(",", " ").split()
+    if not raw:
+        raise stable.ParameterError(f"--{key.replace('_', '-')} needs at least one number")
     return [float(x) for x in raw]
 
 

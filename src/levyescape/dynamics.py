@@ -29,7 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .stable import ParameterError, row_sum, sas_from_uniforms, tail_normalization
+from .stable import (ParameterError, check_interval, row_sum, sas_from_uniforms,
+                     tail_normalization)
 
 __all__ = [
     "DivergedError",
@@ -82,26 +83,27 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if not (0.0 < self.alpha <= 2.0):
-            raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if not self.eta > 0:
-            raise ParameterError(f"eta must be positive, got {self.eta}")
-        if not self.step_h > 0:
-            raise ParameterError(f"step_h must be positive, got {self.step_h}")
+        check_interval("alpha", self.alpha, 2.0, closed=True)
+        check_interval("eta", self.eta)
+        check_interval("step_h", self.step_h)
+        check_interval("drift_scale", self.drift_scale)
         if self.kind in ("ADAM", "SGDM"):
-            for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
-                if not (0.0 < b < 1.0):
-                    raise ParameterError(f"{name} must lie in (0, 1), got {b}")
+            check_interval("beta1", self.beta1, 1.0)
+            check_interval("beta2", self.beta2, 1.0)
         if self.drift_substeps < 1:
             raise ParameterError("drift_substeps must be >= 1")
         if self.sigma is not None:
             self.sigma = np.asarray(self.sigma, dtype=float)
             if self.sigma.ndim not in (1, 2) or self.sigma.shape[0] != self.sigma.shape[-1]:
                 raise ParameterError(f"sigma must be 1-D or square, got shape {self.sigma.shape}")
+            if not np.isfinite(self.sigma).all():
+                raise ParameterError("sigma entries must be finite")
         if self.q_fixed is not None:
             self.q_fixed = np.asarray(self.q_fixed, dtype=float)
-            if np.any(self.q_fixed <= 0):
-                raise ParameterError("q_fixed entries must be positive")
+            if not np.all((self.q_fixed > 0) & (self.q_fixed < np.inf)):
+                raise ParameterError("q_fixed entries must be positive and finite")
+        if self.noise_scale is not None and not math.isfinite(self.noise_scale):
+            raise ParameterError(f"noise_scale must be finite, got {self.noise_scale}")
         if self.noise_scale is None and self.alpha <= 1.0:
             raise ParameterError("the amplitude formula eta^((alpha-1)/alpha) degenerates for "
                                  "alpha <= 1; set noise_scale directly")
@@ -368,7 +370,7 @@ def _pcg_doubles(hi, lo):
 
 # The start of the last stream whose first draw the stepper served, as
 # ((alpha, dim, n), seeds, rows, cursors, inc) with every array read-only; see
-# SasStream.  One tuple, replaced whole, so threads read it without a lock.
+# SasStream.  One tuple, replaced whole.
 _start_memo = None
 _START_MEMO_BYTES = 1 << 20  # larger rows are not kept; the buffer they view is twice their size
 
@@ -656,8 +658,7 @@ def deterministic_flow(state0, landscape, cfg, T):
     bounds Q_t by v_max + eps_adam, or by max(Q) when Q is constant
     (``q_fixed``, SGD-M).  T must round to at least one step h.
     """
-    if not 0.0 < T < math.inf:
-        raise ParameterError(f"horizon T must be positive and finite, got {T}")
+    check_interval("horizon T", T)
     h, n_steps = cfg.step_h, int(round(T / cfg.step_h))
     if n_steps == 0:
         raise ParameterError(f"horizon T = {T} rounds to no step of {h}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import OptimizerConfig, SasStream, SdeState, levy_step
 from .landscapes import BasinSpec, DoubleWell1D, IntervalRegion
-from .stable import ParameterError, SampleSizeError, sliced
+from .stable import ParameterError, SampleSizeError, check_interval, sliced
 
 __all__ = [
     "EscapeConfig",
@@ -460,12 +460,9 @@ def run_escape_experiment(cfg, threads=None):
 
 def predicted_mean_exit(m_w, alpha, eps):
     """Theory mean exit time alpha / (2 m(W) eps^alpha)."""
-    if not m_w > 0:
-        raise ParameterError(f"escaping-set measure must be positive, got {m_w}")
-    if not (0.0 < alpha <= 2.0):
-        raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
-    if not (0.0 < eps < 1.0):
-        raise ParameterError(f"eps must lie in (0, 1), got {eps}")
+    check_interval("escaping-set measure m_w", m_w)
+    check_interval("alpha", alpha, 2.0, closed=True)
+    check_interval("eps", eps, 1.0)
     return alpha / (2.0 * m_w * eps ** alpha)
 
 
@@ -482,8 +479,8 @@ def scaling_sweep(cfg, eps_list):
         raise ParameterError("a sweep needs at least two amplitudes")
     if len(set(eps_list)) < len(eps_list):
         raise ParameterError("sweep amplitudes must be distinct")
-    if not all(0.0 < e < 1.0 for e in eps_list):
-        raise ParameterError(f"sweep amplitudes must lie in (0, 1), got {eps_list}")
+    for eps in eps_list:
+        check_interval("sweep amplitude eps", eps, 1.0)
     if len(eps_list) < 4 or eps_list[-1] / eps_list[0] < 10.0 - 1e-9:
         warnings.warn("sweep amplitudes should span at least a decade with >= 4 points")
 
@@ -561,7 +558,6 @@ def double_well_config(a, noise_scale, trials=1000, max_steps=2000, base_seed=0,
     basin = BasinSpec(region=IntervalRegion(lo, hi), eps=noise_scale, gamma=gamma)
     opt = OptimizerConfig(
         kind="SGD",
-        eta=drift_scale,
         alpha=alpha,
         step_h=1.0,
         noise_scale=noise_scale,

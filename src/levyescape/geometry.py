@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stable import ParameterError
+from .stable import ParameterError, check_interval
 
 __all__ = [
     "Spectrum",
@@ -56,16 +56,17 @@ class Spectrum:
         self.sigmas = np.asarray(self.sigmas, dtype=float)
         if self.lambdas.size != self.sigmas.size:
             raise ParameterError("lambdas and sigmas must have the same length")
+        if self.lambdas.size == 0:
+            raise ParameterError("a spectrum needs at least one eigenvalue: lambdas is empty")
         if np.any(np.diff(self.lambdas) > 0):
             raise ParameterError("Hessian singular values must be in descending order")
-        if np.any(self.lambdas <= 0):
-            raise ParameterError("Hessian singular values must be positive")
-        if np.any(self.sigmas < 0):
-            raise ParameterError("covariance singular values must be nonnegative")
+        if not np.all((self.lambdas > 0) & (self.lambdas < np.inf)):
+            raise ParameterError("Hessian singular values lambdas must be positive and finite")
+        if not np.all((self.sigmas >= 0) & (self.sigmas < np.inf)):
+            raise ParameterError("covariance singular values sigmas must be nonnegative and finite")
         if self.batch_size < 1:
             raise ParameterError("batch size must be >= 1")
-        if not self.h_f_star > 0:
-            raise ParameterError("h_f_star must be positive")
+        check_interval("h_f_star", self.h_f_star)
 
     @property
     def dim(self):
@@ -85,8 +86,7 @@ class QuadraticEscapeSet:
             raise ParameterError("A must be symmetric")
         if np.any(np.linalg.eigvalsh(self.A) < -1e-12):
             raise ParameterError("A must be positive semidefinite")
-        if not self.c > 0:
-            raise ParameterError("threshold c must be positive")
+        check_interval("threshold c", self.c)
 
     @property
     def dim(self):
@@ -132,8 +132,7 @@ def radon_measure(w, alpha, n_dirs=1_000_000, seed=0, with_stderr=False):
 
 def _radon_measure(w, alpha, n_dirs):
     """(value, error bound, integrand evaluations) of ``radon_measure``."""
-    if not (0.0 < alpha <= 2.0):
-        raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
+    check_interval("alpha", alpha, 2.0, closed=True)
     if n_dirs < 1:
         raise ParameterError(f"n_dirs must be >= 1, got {n_dirs}")
     if not np.any(w.A):
@@ -262,8 +261,7 @@ def _rounding_floor(lam, p, value, spare):
 def ellipsoid_volume(a, c):
     """Volume of {y : y^T A y < c}: V_d(1) c^{d/2} / sqrt(det A)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if not c > 0:
-        raise ParameterError("threshold c must be positive")
+    check_interval("threshold c", c)
     det = np.linalg.det(a)
     if det <= 0:
         raise ParameterError("A must be nonsingular positive definite")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stable import ParameterError, row_sum
+from .stable import ParameterError, check_interval, row_sum
 
 __all__ = [
     "Landscape",
@@ -71,14 +71,14 @@ class QuadraticBasin(Landscape):
         self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
         self.center = np.atleast_1d(np.asarray(self.center, dtype=float))
         if self.H.shape[0] != self.H.shape[1] or self.H.shape[0] != self.center.size:
-            raise ValueError("H must be square and match the center dimension")
+            raise ParameterError("H must be square and match the center dimension")
         if not np.allclose(self.H, self.H.T, atol=1e-12):
-            raise ValueError("H must be symmetric")
+            raise ParameterError("H must be symmetric")
         eigvals = np.linalg.eigvalsh(self.H)
         if eigvals[0] <= 0:
-            raise ValueError("H must be positive definite")
+            raise ParameterError("H must be positive definite")
         if not self.height > self.f_star:
-            raise ValueError("basin height must exceed the minimum value")
+            raise ParameterError("basin height must exceed the minimum value")
         self.dim = self.center.size
         self.mu = float(eigvals[0])
         self.ell = float(eigvals[-1])
@@ -158,8 +158,7 @@ class DoubleWell1D(Landscape):
     a: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"asymmetry parameter a must be positive, got {self.a}")
+        check_interval("asymmetry parameter a", self.a)
         self.dim = 1
         # constants of the right (x = 1) basin
         self.mu = 2.0 * self.a
@@ -220,7 +219,7 @@ class IntervalRegion:
 
     def __post_init__(self):
         if not self.lo < self.hi:
-            raise ValueError("interval must have lo < hi")
+            raise ParameterError("interval must have lo < hi")
 
     def boundary_distance(self, theta):
         """Distance to the nearer end per (..., 1) row, -inf outside (lo, hi)."""
@@ -242,10 +241,8 @@ class BasinSpec:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.eps < 1.0):
-            raise ParameterError(f"eps must lie in (0, 1), got {self.eps}")
-        if not self.gamma > 0:
-            raise ParameterError(f"gamma must be positive, got {self.gamma}")
+        check_interval("eps", self.eps, 1.0)
+        check_interval("gamma", self.gamma)
 
     @property
     def margin(self):

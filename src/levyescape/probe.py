@@ -223,6 +223,9 @@ def noise_trajectory(model, dataset, cfg, n_steps, window=16, batch_size=32,
     _check_steps(n_steps, record_stride)
     if window < 1:
         raise ParameterError(f"window must be >= 1, got {window}")
+    if not 1 <= batch_size <= dataset.n:
+        raise ParameterError(f"batch_size must lie in [1, {dataset.n}], the dataset's size, "
+                             f"got {batch_size}")
     rng = np.random.default_rng(seed)
     state = SdeState.initial(model.params.copy(), cfg.kind)
     records = []

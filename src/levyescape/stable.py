@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "ParameterError",
     "SampleSizeError",
+    "check_interval",
     "StableLaw",
     "JumpDecompositionConfig",
     "JumpEvents",
@@ -43,9 +44,16 @@ class SampleSizeError(ValueError):
     """Not enough samples / events for the requested statistic."""
 
 
-def _check_alpha(alpha):
-    if not (0.0 < alpha <= 2.0):
-        raise ParameterError(f"tail index alpha must lie in (0, 2], got {alpha}")
+def check_interval(name, value, hi=math.inf, closed=False):
+    """Raise ``ParameterError`` naming ``name`` unless 0 < value < hi (value <= hi if ``closed``).
+
+    The one domain check of every scalar parameter: NaN fails it, and an
+    infinite ``hi`` is open, so a positive scale must also be finite.
+    """
+    if not (0.0 < value < math.inf and (value <= hi if closed else value < hi)):
+        if hi == math.inf:
+            raise ParameterError(f"{name} must be positive and finite, got {value}")
+        raise ParameterError(f"{name} must lie in (0, {hi:g}{']' if closed else ')'}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -56,9 +64,8 @@ class StableLaw:
     sigma: float = 1.0
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
-        if not self.sigma > 0.0:
-            raise ParameterError(f"scale sigma must be positive, got {self.sigma}")
+        check_interval("tail index alpha", self.alpha, 2.0, closed=True)
+        check_interval("scale sigma", self.sigma)
 
     def char_fn(self, omega):
         """Characteristic function exp(-sigma^alpha |omega|^alpha)."""
@@ -169,7 +176,7 @@ def sas_from_uniforms(alpha, u_angle, u_exp, out=None, parts=None):
     the flattened values once, each transformed as soon as it is yielded;
     the uniforms must then be C-contiguous arrays of the result's shape.
     """
-    _check_alpha(alpha)
+    check_interval("tail index alpha", alpha, 2.0, closed=True)
     u_angle = np.asarray(u_angle, dtype=float)
     u_exp = np.asarray(u_exp, dtype=float)
     shape = u_angle.shape if alpha == 1.0 else np.broadcast(u_angle, u_exp).shape
@@ -336,11 +343,9 @@ def estimate_tail_index(samples, k1=None, k2=None):
 
 def jump_intensity(alpha, eps, delta):
     """Rate (2/alpha) eps^(alpha delta) of jumps of size >= eps^(-delta)."""
-    _check_alpha(alpha)
-    if not (0.0 < eps < 1.0):
-        raise ParameterError(f"noise amplitude eps must lie in (0, 1), got {eps}")
-    if not (0.0 < delta <= 1.0):
-        raise ParameterError(f"threshold exponent delta must lie in (0, 1], got {delta}")
+    check_interval("tail index alpha", alpha, 2.0, closed=True)
+    check_interval("noise amplitude eps", eps, 1.0)
+    check_interval("threshold exponent delta", delta, 1.0, closed=True)
     return (2.0 / alpha) * eps ** (alpha * delta)
 
 
@@ -353,7 +358,7 @@ def tail_normalization(alpha):
     rate of increments above a threshold u matches (2/alpha) u^(-alpha).
     Only defined for alpha < 2 (no jumps at the Gaussian endpoint).
     """
-    _check_alpha(alpha)
+    check_interval("tail index alpha", alpha, 2.0, closed=True)
     if alpha == 2.0:
         raise ParameterError("tail normalization is undefined at the Gaussian endpoint alpha = 2")
     k = math.pi / (alpha * math.gamma(alpha) * math.sin(math.pi * alpha / 2.0))
@@ -368,10 +373,8 @@ class JumpDecompositionConfig:
     delta: float
 
     def __post_init__(self):
-        if not (0.0 < self.eps < 1.0):
-            raise ParameterError(f"eps must lie in (0, 1), got {self.eps}")
-        if not (0.0 < self.delta <= 1.0):
-            raise ParameterError(f"delta must lie in (0, 1], got {self.delta}")
+        check_interval("eps", self.eps, 1.0)
+        check_interval("delta", self.delta, 1.0, closed=True)
 
     @property
     def threshold(self):
@@ -416,8 +419,7 @@ def decompose_jumps(increments, step_h, cfg):
     increments = np.asarray(increments, dtype=float)
     if increments.size == 0:
         raise SampleSizeError("increment series is empty")
-    if not step_h > 0:
-        raise ParameterError(f"step_h must be positive, got {step_h}")
+    check_interval("step_h", step_h)
     thr = cfg.threshold
     big = np.abs(increments) >= thr
     idx = np.flatnonzero(big)
@@ -438,8 +440,7 @@ def interjump_time_test(events, psi):
     Kolmogorov-Smirnov distance to Exponential(psi), and the 1% critical
     value 1.63 / sqrt(n).
     """
-    if not psi > 0:
-        raise ParameterError(f"jump intensity psi must be positive, got {psi}")
+    check_interval("jump intensity psi", psi)
     times = np.asarray(events.times, dtype=float)
     if times.size < 30:
         raise SampleSizeError(f"need at least 30 events, got {times.size}")

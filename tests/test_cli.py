@@ -384,6 +384,35 @@ TINY = {
 }
 
 
+@pytest.mark.parametrize("command, extra, name", [
+    # an infinite scale: each ran to a null result or a math domain error
+    ("sweep", ["--step-h", "inf"], "step_h must be positive and finite"),
+    ("compare", ["--step-h", "inf"], "step_h must be positive and finite"),
+    ("sample", ["--sigma", "inf"], "sigma must be positive and finite"),
+    ("geometry", ["--h-f-star", "inf"], "h_f_star must be positive and finite"),
+    # an empty list: a document with no basin, or an index or degenerate-set error
+    ("escape", ["--a-values", ""], "--a-values"),
+    ("sweep", ["--eps-list", ""], "--eps-list"),
+    ("geometry", ["--lambdas", "", "--sigmas", ""], "--lambdas"),
+    ("compare", ["--lambdas", "", "--sigmas", ""], "--lambdas"),
+    # a non-finite spectrum entry: a math domain error
+    ("compare", ["--sigmas", "3 inf"], "sigmas must be nonnegative and finite"),
+    ("geometry", ["--lambdas", "inf 0.1"], "lambdas must be positive and finite"),
+    # the drift scale was reported as an eta the run never set
+    ("escape", ["--drift-scale=-5e-5"], "drift_scale must be positive and finite"),
+    # a batch larger than the dataset failed in numpy's sampler
+    ("probe", ["--batch-size", "5000"], "batch_size must lie in [1, 2000]"),
+], ids=["sweep-step_h-inf", "compare-step_h-inf", "sample-sigma-inf", "geometry-h_f_star-inf",
+        "escape-empty-a_values", "sweep-empty-eps_list", "geometry-empty-spectrum",
+        "compare-empty-spectrum", "compare-sigma-inf", "geometry-lambda-inf",
+        "escape-negative-drift_scale", "probe-batch_size-above-n"])
+def test_parameter_domain_errors_exit_2_naming_the_parameter(tmp_path, capsys, command, extra,
+                                                              name):
+    code, doc = run([command, *TINY[command], *extra], tmp_path)
+    assert code == 2 and doc is None
+    assert name in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:sweep amplitudes")
 def test_every_subcommand_emits_one_document_shape(tmp_path):
     samples = tmp_path / "s.txt"

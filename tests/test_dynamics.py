@@ -684,6 +684,14 @@ def test_config_validation():
     assert cfg.eps_noise == 0.05
     cfg2 = OptimizerConfig(alpha=1.5, eta=1e-3)
     assert cfg2.eps_noise == pytest.approx(1e-3 ** (0.5 / 1.5))
+    # array entries and scales must be finite; sigma and noise_scale may be 0
+    for name, value in (("sigma", [1.0, np.inf]), ("sigma", [[1.0, 0.0], [np.nan, 1.0]]),
+                        ("q_fixed", [np.inf]), ("q_fixed", [1.0, 0.0]),
+                        ("noise_scale", np.inf), ("noise_scale", np.nan),
+                        ("drift_scale", -1.0), ("drift_scale", np.nan), ("drift_scale", np.inf)):
+        with pytest.raises(ParameterError, match=name):
+            OptimizerConfig(kind="ADAM", **{name: value})
+    assert OptimizerConfig(sigma=[3.0, 0.0], noise_scale=0.0).noise_scale == 0.0
 
 
 @pytest.mark.parametrize("shape", [(3,), (5, 3), (4, 8, 3)], ids=["row", "batch", "chunk"])

@@ -161,6 +161,17 @@ def test_spectrum_validation():
         geometry.QuadraticEscapeSet(A=np.array([[1.0, 2.0], [2.0, 1.0]]), c=1.0)
     with pytest.raises(Exception):
         geometry.ellipsoid_volume(np.zeros((2, 2)), 1.0)
+    # empty and non-finite spectra; a sigma may be 0
+    for lambdas, sigmas, name in (([], [], "lambdas"), ([np.inf, 0.1], [3.0, 0.1], "lambdas"),
+                                  ([10.0, np.nan], [3.0, 0.1], "lambdas"),
+                                  ([10.0, 0.1], [3.0, np.inf], "sigmas"),
+                                  ([10.0, 0.1], [np.nan, 0.1], "sigmas")):
+        with pytest.raises(ParameterError, match=name):
+            geometry.Spectrum(lambdas=lambdas, sigmas=sigmas)
+    assert geometry.Spectrum(lambdas=[10.0, 0.1], sigmas=[3.0, 0.0]).dim == 2
+    for h_f_star in (0.0, np.inf, np.nan):
+        with pytest.raises(ParameterError, match="h_f_star"):
+            geometry.Spectrum(lambdas=[1.0], sigmas=[1.0], h_f_star=h_f_star)
 
 
 def test_sigmas_pair_with_lambdas_in_any_order(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levyescape import landscapes
+from levyescape.stable import ParameterError
 
 from oracles import finite_difference_gradient
 
@@ -309,15 +310,23 @@ def test_diagonal_form_equals_the_dense_formulas(d, n):
 
 
 def test_landscape_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         landscapes.DoubleWell1D(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         landscapes.QuadraticBasin(H=np.array([[1.0, 2.0], [0.0, 1.0]]),
                                   center=np.zeros(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         landscapes.QuadraticBasin(H=-np.eye(2), center=np.zeros(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         landscapes.IntervalRegion(1.0, 0.0)
+    region = landscapes.IntervalRegion(0.0, 1.0)
+    for a in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="asymmetry parameter a"):
+            landscapes.DoubleWell1D(a)
+    for eps, gamma, name in ((1.0, 1.0, "eps"), (math.nan, 1.0, "eps"),
+                             (0.1, math.inf, "gamma"), (0.1, 0.0, "gamma")):
+        with pytest.raises(ParameterError, match=name):
+            landscapes.BasinSpec(region=region, eps=eps, gamma=gamma)
 
 
 @settings(max_examples=60, deadline=None)

@@ -459,13 +459,40 @@ def test_sampler_determinism():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("value, hi, closed, message", [
+    (1e-300, math.inf, False, None),
+    (1e308, math.inf, False, None),
+    (0.0, math.inf, False, "x must be positive and finite, got 0.0"),
+    (-1.0, math.inf, False, "x must be positive and finite, got -1.0"),
+    (math.inf, math.inf, False, "x must be positive and finite, got inf"),
+    (math.inf, math.inf, True, "x must be positive and finite, got inf"),  # an infinite bound is open
+    (-math.inf, math.inf, False, "x must be positive and finite, got -inf"),
+    (math.nan, math.inf, False, "x must be positive and finite, got nan"),
+    (2.0, 2.0, True, None),
+    (2.0, 2.0, False, "x must lie in (0, 2), got 2.0"),
+    (2.5, 2.0, True, "x must lie in (0, 2], got 2.5"),
+    (0.0, 2.0, True, "x must lie in (0, 2], got 0.0"),
+    (math.nan, 2.0, True, "x must lie in (0, 2], got nan"),
+    (math.inf, 1.0, False, "x must lie in (0, 1), got inf"),
+    (0.999, 1.0, False, None),
+])
+def test_check_interval(value, hi, closed, message):
+    if message is None:
+        assert stable.check_interval("x", value, hi, closed) is None
+    else:
+        with pytest.raises(stable.ParameterError) as err:
+            stable.check_interval("x", value, hi, closed)
+        assert str(err.value) == message
+
+
 def test_sampler_parameter_errors():
     with pytest.raises(stable.ParameterError):
         stable.StableLaw(2.5)
     with pytest.raises(stable.ParameterError):
         stable.StableLaw(0.0)
-    with pytest.raises(stable.ParameterError):
-        stable.StableLaw(1.5, sigma=-1.0)
+    for sigma in (-1.0, math.inf, math.nan):
+        with pytest.raises(stable.ParameterError, match="sigma"):
+            stable.StableLaw(1.5, sigma=sigma)
     with pytest.raises(stable.SampleSizeError):
         stable.sample_sas(stable.StableLaw(1.5), 0)
 
